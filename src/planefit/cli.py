@@ -493,11 +493,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        json.dump({"error": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except (GeometryError, SolverError, ValueError) as exc:
+    except (InputError, GeometryError, SolverError, ValueError) as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

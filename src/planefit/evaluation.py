@@ -57,17 +57,10 @@ def eps90_of(residuals: np.ndarray) -> float:
     return float(ordered[k - 1])
 
 
-def strip_metrics(data: Dataset, plane: Hyperplane, norm: NormSpec,
-                  eps_list=()) -> StripMetrics:
-    """Coverage fractions and eps90 for a fitted hyperplane.
-
-    ``eps_list`` is accepted for callers that want the coverages
-    precomputed; coverage_at answers any threshold either way.
-    """
+def strip_metrics(data: Dataset, plane: Hyperplane, norm: NormSpec) -> StripMetrics:
+    """Coverage fractions and eps90 for a fitted hyperplane."""
     res = np.sort(residual_vector(plane, data, norm))
-    metrics = StripMetrics(res, eps90_of(res))
-    metrics.requested = {float(e): metrics.coverage_at(float(e)) for e in eps_list}
-    return metrics
+    return StripMetrics(res, eps90_of(res))
 
 
 def kfold_cv(data: Dataset, k: int, fit_function, norm: NormSpec, seed: int = 0) -> CvSummary:

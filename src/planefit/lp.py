@@ -4,8 +4,15 @@ The solver is a two-phase primal simplex on a dense numpy tableau with
 Bland's anti-cycling rule permanently on: the entering column is the lowest
 index with reduced cost below -1e-9, and ratio-test ties leave the row whose
 basic variable has the smallest index.  General bounds are handled by
-shifting finite lower bounds to zero, reflecting upper-bounded-only
-variables and splitting free variables; finite upper bounds become rows.
+substituting fixed variables (lo == hi) as constants, shifting finite lower
+bounds to zero, reflecting upper-bounded-only variables and splitting free
+variables; the other finite upper bounds become rows.
+
+Phase 1 starts from the slack basis: after rows are flipped to a
+nonnegative rhs, each "<=" row (and each ">=" row with zero rhs, negated)
+starts with its slack basic, and only "=" rows and ">=" rows with positive
+rhs get an artificial.  Artificials have no tableau columns, so both phases
+work on one (rows + 1) x (columns + slacks + 1) tableau.
 
 Problem sizes here stay in the hundreds of rows, where a dense tableau is
 simple and fast enough.  Binaries are solved by best-first branch and bound
@@ -116,23 +123,29 @@ class SolveStatus:
 
 
 class _Transform:
-    """Maps user variables onto nonnegative standard-form variables."""
+    """Maps user variables onto nonnegative standard-form variables.
+
+    A fixed variable (``lo == hi``) becomes a constant: it gets no column and
+    its value moves into each row's right-hand side.
+    """
 
     def __init__(self, lp: LinearProgram):
         n = lp.n_vars
         self.shift = np.zeros(n)
         self.scale = np.ones(n)
-        self.column = np.zeros(n, dtype=int)
+        self.column = np.full(n, -1)  # -1 marks a fixed variable
         self.neg_column = np.full(n, -1)
-        self.extra_rows = []  # (user var, width) for finite two-sided bounds
+        self.extra_rows = []  # (user var, width) for finite bounds lo < hi
         cols = 0
         for j, (lo, hi) in enumerate(lp.bounds):
             if lo is not None:
                 self.shift[j] = lo
+                if lo == hi:
+                    continue
                 self.column[j] = cols
                 cols += 1
                 if hi is not None:
-                    self.extra_rows.append((j, hi - lo))  # width 0 pins the variable
+                    self.extra_rows.append((j, hi - lo))
             elif hi is not None:
                 self.shift[j] = hi
                 self.scale[j] = -1.0
@@ -151,18 +164,21 @@ class _Transform:
             if c == 0.0:
                 continue
             offset += c * self.shift[j]
+            if self.column[j] < 0:
+                continue
             row[self.column[j]] += c * self.scale[j]
             if self.neg_column[j] >= 0:
                 row[self.neg_column[j]] -= c
         return row, offset
 
     def recover(self, xstd: np.ndarray, lp: LinearProgram) -> np.ndarray:
-        x = np.empty(lp.n_vars)
+        x = self.shift.copy()
         for j in range(lp.n_vars):
-            val = xstd[self.column[j]] * self.scale[j] + self.shift[j]
+            if self.column[j] < 0:
+                continue
+            x[j] += xstd[self.column[j]] * self.scale[j]
             if self.neg_column[j] >= 0:
-                val -= xstd[self.neg_column[j]]
-            x[j] = val
+                x[j] -= xstd[self.neg_column[j]]
         for j, (lo, hi) in enumerate(lp.bounds):
             if lo is not None and x[j] < lo:
                 x[j] = lo
@@ -210,7 +226,11 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, max_iters: int) -> str:
 
 
 def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
-    """Two-phase primal simplex; optimal points satisfy rows within 1e-7."""
+    """Two-phase primal simplex from the slack basis.
+
+    Phase 1 reports infeasible when the artificials cannot reach zero within
+    ``FEAS_TOL`` times the largest right-hand side (at least 1).
+    """
     tr = _Transform(lp)
     rows = []
     for coeffs, rel, rhs in lp.rows:
@@ -233,56 +253,54 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
         x = tr.recover(np.zeros(n), lp)
         return SolveStatus(OPTIMAL, x, float(lp.objective @ x))
 
-    # equalities with rhs >= 0, slack/surplus, one artificial per row
+    # Rows get rhs >= 0.  A "<=" row, or a ">=" row with zero rhs negated,
+    # starts with its slack basic; the others start with an artificial.  An
+    # artificial is a basis index >= art_start with no column, so once it
+    # leaves the basis it never re-enters.
     n_slack = sum(1 for _, rel, _ in rows if rel != "=")
     art_start = n + n_slack
-    total = art_start + m
-    A = np.zeros((m, total))
-    b = np.zeros(m)
+    T = np.zeros((m + 1, art_start + 1))
+    basis = np.empty(m, dtype=int)
     s = 0
     for i, (r, rel, rhs) in enumerate(rows):
-        if rhs < 0:
+        if rhs < 0 or (rhs == 0 and rel == ">="):
             r, rhs = -r, -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        A[i, :n] = r
-        b[i] = rhs
+        T[i, :n] = r
+        T[i, -1] = rhs
+        basis[i] = art_start + i
         if rel == "<=":
-            A[i, n + s] = 1.0
+            T[i, n + s] = 1.0
+            basis[i] = n + s
             s += 1
         elif rel == ">=":
-            A[i, n + s] = -1.0
+            T[i, n + s] = -1.0
             s += 1
-        A[i, art_start + i] = 1.0
+    # phase-1 tests are relative to the rhs: round-off grows with the data
+    feas_tol = FEAS_TOL * max(1.0, float(T[:-1, -1].max()))
 
-    T = np.zeros((m + 1, total + 1))
-    T[:-1, :-1] = A
-    T[:-1, -1] = b
-    basis = np.arange(art_start, art_start + m)
-    T[-1, art_start:total] = 1.0
-    T[-1] -= T[:-1].sum(axis=0)  # reduce costs against the artificial basis
-
+    # phase 1: minimize the sum of the artificials, reduced against the basis
+    T[-1] = -T[:-1][basis >= art_start].sum(axis=0)
     status = _run_simplex(T, basis, max_iters)
     if status == ITERATION_LIMIT:
         return SolveStatus(ITERATION_LIMIT)
-    if T[-1, -1] < -FEAS_TOL:
+    if T[-1, -1] < -feas_tol:
         return SolveStatus(INFEASIBLE)
 
     # drive surviving artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= art_start:
-            candidates = np.flatnonzero(np.abs(T[i, :art_start]) > PIVOT_TOL)
-            if candidates.size:
-                _pivot(T, basis, i, int(candidates[0]))
-    if any(basis[i] >= art_start and abs(T[i, -1]) > FEAS_TOL for i in range(m)):
+    for i in np.flatnonzero(basis >= art_start):
+        candidates = np.flatnonzero(np.abs(T[i, :-1]) > PIVOT_TOL)
+        if candidates.size:
+            _pivot(T, basis, i, int(candidates[0]))
+    keep = basis < art_start  # rows still on an artificial are all zero: redundant
+    if np.any(np.abs(T[:-1, -1][~keep]) > feas_tol):
         return SolveStatus(INFEASIBLE)
-    keep = [i for i in range(m) if basis[i] < art_start]  # all-zero rows are redundant
-    body = np.hstack([T[keep][:, :art_start], T[keep][:, -1:]])
+    T = T[np.append(np.flatnonzero(keep), m)]
     basis = basis[keep]
 
     # phase 2 with the true objective
-    obj = np.zeros(art_start + 1)
-    obj[:n] = c_std
-    T = np.vstack([body, obj])
+    T[-1] = 0.0
+    T[-1, :n] = c_std
     for i, bv in enumerate(basis):
         coef = T[-1, bv]
         if abs(coef) > REDUNDANT_TOL:
@@ -293,8 +311,7 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
         return SolveStatus(status)
 
     xstd = np.zeros(art_start)
-    for i, bv in enumerate(basis):
-        xstd[bv] = T[i, -1]
+    xstd[basis] = T[:-1, -1]
     x = tr.recover(xstd[:n], lp)
     return SolveStatus(OPTIMAL, x, float(lp.objective @ x))
 

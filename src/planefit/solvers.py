@@ -611,7 +611,7 @@ def _weighted_fit(prob: _LinearResiduals, weights: np.ndarray, p: float,
             problem.add_row(full, "<=", rhs)
         status = lpmod.solve_lp(problem)
         if status.status != lpmod.OPTIMAL:
-            return v0
+            raise SolverError(f"weighted LP re-fit ended with status {status.status}")
         return status.x[:m]
     return _subgradient(prob, weights, p, v0, iters=400, fixed_weights=True)[1]
 

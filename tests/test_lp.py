@@ -61,6 +61,35 @@ def test_free_and_bounded_variables():
     assert out.x == pytest.approx([7.0])
 
 
+def test_infeasible_by_one_at_large_scale():
+    # the infeasibility tolerance is relative to the rhs, 1e-7 * 1e6 here
+    lp = LinearProgram(np.array([1.0]))
+    lp.add_row([1.0], "<=", 1e6)
+    lp.add_row([1.0], ">=", 1e6 + 1.0)
+    assert solve_lp(lp).status == INFEASIBLE
+
+
+def test_fixed_variables_are_constants():
+    # x1 fixed at -2 and x3 fixed at 4: min x2 s.t. x1 + x2 + x3 >= 5
+    lp = LinearProgram(np.array([1.0, 1.0, 1.0]),
+                       bounds=[(-2.0, -2.0), (0.0, None), (4.0, 4.0)])
+    lp.add_row([1.0, 1.0, 1.0], ">=", 5.0)
+    out = solve_lp(lp)
+    assert out.status == OPTIMAL
+    assert out.x == pytest.approx([-2.0, 3.0, 4.0])
+    assert out.objective == pytest.approx(5.0)
+
+    # every variable fixed: the rows are checked as constants
+    lp = LinearProgram(np.array([1.0, -1.0]), bounds=[(1.0, 1.0), (2.0, 2.0)])
+    lp.add_row([1.0, 1.0], "<=", 3.0)
+    lp.add_row([1.0, -1.0], "=", -1.0)
+    out = solve_lp(lp)
+    assert out.status == OPTIMAL
+    assert out.x.tolist() == [1.0, 2.0]
+    lp.add_row([1.0, 1.0], ">=", 3.5)
+    assert solve_lp(lp).status == INFEASIBLE
+
+
 def test_iteration_limit_status():
     lp = LinearProgram(np.array([-1.0, -1.0]))
     for _ in range(4):
@@ -70,9 +99,16 @@ def test_iteration_limit_status():
 
 
 def _enumerate_vertices(lp: LinearProgram):
-    """Exhaustive basic-solution oracle for small LPs with bounds x >= 0."""
+    """Exhaustive basic-solution oracle for small LPs with bounds x >= 0.
+
+    A variable with ``lo == hi`` enters as an equality row, and redundant
+    rows are allowed: a basis has rank(A) columns and must solve A x = b.
+    """
     rows = [(np.asarray(r), rel, rhs) for r, rel, rhs in lp.rows]
     n = lp.n_vars
+    for j, (lo, hi) in enumerate(lp.bounds):
+        if lo == hi:
+            rows.append((np.eye(n)[j], "=", lo))
     # standard form with slacks on inequality rows
     slacks = [i for i, (_, rel, _) in enumerate(rows) if rel != "="]
     total = n + len(slacks)
@@ -88,14 +124,14 @@ def _enumerate_vertices(lp: LinearProgram):
         elif rel == ">=":
             A[i, n + s] = -1.0
             s += 1
-    m = len(rows)
+    rank = np.linalg.matrix_rank(A)
     best = None
-    for cols in itertools.combinations(range(total), m):
+    for cols in itertools.combinations(range(total), rank):
         B = A[:, cols]
-        if abs(np.linalg.det(B)) < 1e-10:
+        if np.linalg.matrix_rank(B) < rank:
             continue
-        xb = np.linalg.solve(B, b)
-        if np.any(xb < -1e-9):
+        xb = np.linalg.lstsq(B, b, rcond=None)[0]
+        if np.any(xb < -1e-9) or not np.allclose(B @ xb, b, atol=1e-9):
             continue
         x = np.zeros(total)
         x[list(cols)] = xb
@@ -106,14 +142,24 @@ def _enumerate_vertices(lp: LinearProgram):
 
 
 def test_random_lps_match_vertex_enumeration(rng):
-    hits = 0
-    for _ in range(40):
+    hits = infeasible = 0
+    for _ in range(60):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(2, 6))
         lp = LinearProgram(rng.normal(size=n))
         for _ in range(m):
             row = rng.normal(size=n)
-            lp.add_row(row, rng.choice(["<=", ">=", "="]), float(rng.normal()) + 2.0)
+            # positive, zero and negative right-hand sides
+            rhs = float(rng.choice([rng.normal() + 2.0, 0.0, rng.normal() - 1.0]))
+            lp.add_row(row, rng.choice(["<=", ">=", "="]), rhs)
+        if rng.random() < 0.3:
+            # an equality and its double: one row is left for the drive-out
+            row, rhs = rng.normal(size=n), float(rng.normal())
+            lp.add_row(row, "=", rhs)
+            lp.add_row(2.0 * row, "=", 2.0 * rhs)
+        if rng.random() < 0.4:
+            v = float(rng.uniform(0.0, 3.0))
+            lp.bounds[int(rng.integers(n))] = (v, v)
         # keep the region bounded so both methods terminate with optima
         for j in range(n):
             e = np.zeros(n)
@@ -121,13 +167,15 @@ def test_random_lps_match_vertex_enumeration(rng):
             lp.add_row(e, "<=", 50.0)
         out = solve_lp(lp)
         want = _enumerate_vertices(lp)
-        if out.status == OPTIMAL:
-            assert want is not None
+        if want is None:
+            assert out.status == INFEASIBLE
+            infeasible += 1
+        else:
+            assert out.status == OPTIMAL
             assert out.objective == pytest.approx(want, abs=1e-6)
             hits += 1
-        else:
-            assert want is None or out.status != INFEASIBLE
-    assert hits >= 10  # the generator produces plenty of feasible instances
+    # the generator produces plenty of feasible and infeasible instances
+    assert hits >= 10 and infeasible >= 10
 
 
 def test_solutions_satisfy_constraints(rng):
@@ -234,6 +282,19 @@ def test_knapsack_against_exhaustive(rng):
             if float(weights @ np.array(bits)) <= cap + 1e-12
         )
         assert out.objective == pytest.approx(best, abs=1e-9)
+
+
+def test_milp_prunes_infeasible_fixing():
+    # relaxation (1, 0.5); fixing x2 = 1 forces x1 <= 0.5, and fixing both
+    # to 1 leaves the constant row 2 <= 1.5, which is infeasible
+    lp = LinearProgram(np.array([-1.0, -1.0]), bounds=[(0.0, 1.0)] * 2)
+    lp.add_row([1.0, 1.0], "<=", 1.5)
+    fixed_both = LinearProgram(lp.objective, list(lp.rows), [(1.0, 1.0)] * 2)
+    assert solve_lp(fixed_both).status == INFEASIBLE
+    out = solve_milp(MixedIntegerProgram(lp, frozenset([0, 1])))
+    assert out.status == OPTIMAL
+    assert out.objective == pytest.approx(-1.0)
+    assert out.nodes == 5
 
 
 def test_milp_node_limit_returns_incumbent():

@@ -121,6 +121,28 @@ def test_lad_matches_grid_oracle(rng):
         assert r.phi_star <= oracle.phi_star + 1e-4
 
 
+def test_lad_optimal_on_large_scale_data():
+    # phase 1 of this always-feasible LP ends about 1e-7 above zero from
+    # round-off (data of scale 1e3), which an absolute tolerance called infeasible
+    from planefit.evaluation import synthetic_generate
+
+    data = synthetic_generate(100, 3, "Y", 5)
+    r = fit_lad(data)
+    assert r.solver_tag == "lp"
+    planted = Hyperplane(np.array([0.0, 1.0, 1.0, 1.0]))
+    assert r.phi_star <= phi_at(data, preset("SUM", 100), Vertical(), planted)
+
+
+def test_weighted_fit_raises_when_lp_not_optimal(monkeypatch, rng):
+    from planefit import lp as lpmod
+    from planefit.solvers import SolverError, _vertical_problem, _weighted_fit
+
+    monkeypatch.setattr(lpmod, "solve_lp", lambda problem: lpmod.SolveStatus(lpmod.INFEASIBLE))
+    prob = _vertical_problem(random_dataset(rng, 6))
+    with pytest.raises(SolverError, match="infeasible"):
+        _weighted_fit(prob, np.ones(6), 1.0, np.zeros(2))
+
+
 # ---------------------------------------------------------------------------
 # general vertical criteria
 
