@@ -157,19 +157,24 @@ class _Transform:
                 cols += 2
         self.n_std = cols
 
-    def std_row(self, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-        row = np.zeros(self.n_std)
-        offset = 0.0
-        for j, c in enumerate(coeffs):
-            if c == 0.0:
-                continue
-            offset += c * self.shift[j]
-            if self.column[j] < 0:
-                continue
-            row[self.column[j]] += c * self.scale[j]
-            if self.neg_column[j] >= 0:
-                row[self.neg_column[j]] -= c
-        return row, offset
+    def std_rows(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(standard-form rows, constants coeffs . shift) of user-variable rows.
+
+        Each standard-form column takes one variable's term, so no entry
+        accumulates.  The constants add the shifted variables' terms in
+        variable order, and ``+ 0.0`` clears the sign of negated zeros, so
+        every row is bit for bit the one a per-coefficient loop builds.
+        """
+        rows = np.zeros((coeffs.shape[0], self.n_std))
+        live = self.column >= 0
+        rows[:, self.column[live]] = coeffs[:, live] * self.scale[live]
+        split = self.neg_column >= 0
+        rows[:, self.neg_column[split]] = -coeffs[:, split]
+        rows += 0.0
+        offsets = np.zeros(coeffs.shape[0])
+        for j in np.flatnonzero(self.shift):
+            offsets += coeffs[:, j] * self.shift[j]
+        return rows, offsets
 
     def recover(self, xstd: np.ndarray, lp: LinearProgram) -> np.ndarray:
         x = self.shift.copy()
@@ -232,10 +237,9 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
     ``FEAS_TOL`` times the largest right-hand side (at least 1).
     """
     tr = _Transform(lp)
-    rows = []
-    for coeffs, rel, rhs in lp.rows:
-        r, off = tr.std_row(np.asarray(coeffs, dtype=float))
-        rows.append([r, rel, rhs - off])
+    coeffs = np.array([r for r, _, _ in lp.rows], dtype=float).reshape(len(lp.rows), lp.n_vars)
+    std, offsets = tr.std_rows(coeffs)
+    rows = [[r, rel, rhs - off] for r, (_, rel, rhs), off in zip(std, lp.rows, offsets)]
     for j, width in tr.extra_rows:
         r = np.zeros(tr.n_std)
         r[tr.column[j]] = 1.0
@@ -245,7 +249,7 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
     n = tr.n_std
     if max_iters is None:
         max_iters = 50 * (m + n)
-    c_std, _ = tr.std_row(lp.objective)
+    c_std = tr.std_rows(lp.objective[None, :])[0][0]
 
     if m == 0:
         if np.any(c_std < -PIVOT_TOL):

@@ -3,20 +3,29 @@
 Normalizing the coefficients makes each residual family linear in beta:
 vertical residuals fix beta_d = -1, and a block norm restricted to the
 disjunct ``beta_-0 . b_g = 1`` (one per sign-distinct extreme point of the
-unit ball) turns the distance into |beta . x_i|.  Every solver below reduces
-to one of a handful of subproblem engines on that linear form:
+unit ball) turns the distance into |beta . x_i|.  ``_solve_subproblem``
+sends each subproblem on that linear form down exactly one route, named by
+its tag:
 
-* ``p == 1`` with nondecreasing weights: an exact LP (partial sums of the
-  largest residuals enter through their minimax representation, so no
-  binaries are needed);
-* ``p == 1`` with arbitrary weights on two free parameters: exact
-  enumeration of the breakpoint arrangement of the piecewise-linear
-  objective (all pairwise crossings of the residual kink lines);
-* ``p == 1`` with arbitrary weights, small n: a big-M assignment MILP;
-* ``p == 2`` with constant weights: least squares on the affine slice;
-* quantile objectives on two parameters: the classic pair-slope scan;
-* everything else: multistart concentration steps (re-fit on the currently
-  selected weight assignment) and projected subgradient descent.
+* ``lp``: ``p == 1`` with nondecreasing weights, an exact LP (partial sums
+  of the largest residuals enter through their minimax representation, so
+  no binaries are needed);
+* ``exact-enum``: ``p == 1`` with arbitrary weights on two free parameters
+  and n <= EXACT_ENUM_MAX_N, exact enumeration of the breakpoint
+  arrangement of the piecewise-linear objective (all pairwise crossings of
+  the residual kink lines);
+* ``milp`` (``incumbent`` at the node limit): ``p == 1`` with arbitrary
+  weights and n <= MILP_MAX_N, a big-M assignment MILP;
+* ``lsq``: ``p == 2`` with constant weights, least squares on the slice;
+* ``quantile-scan``: one-rank ``p == 2`` objectives on two parameters, the
+  classic pair-slope scan;
+* ``irls``: constant weights with 1 < p < 2, reweighted least squares;
+* ``descent``: other nondecreasing weights, projected subgradient descent;
+* ``heuristic``: everything else, multistart concentration steps (re-fit on
+  the currently selected weight assignment).
+
+A block-norm fit solves one subproblem per disjunct and keeps the best.
+Every public fit scores its coefficients once (``_finalize``).
 
 Results carry the recomputed residual vector, the objective, the
 goodness-of-fit index, a provenance tag and, for the polyhedral
@@ -73,7 +82,6 @@ __all__ = [
 ]
 
 EXACT_ENUM_MAX_N = 60
-EXACT_ENUM_MAX_WORK = 3e7  # pairwise intersections across all disjuncts
 MILP_MAX_N = 10
 DESCENT_ITERS = 5000
 
@@ -105,7 +113,6 @@ class FitRequest:
     norm: NormSpec
     seed: int = 0
     multistart: int = 16
-    grid_resolution: float = 1e-3
     polytope_vertices: int = 64  # N for the l-tau polyhedral approximation
     node_limit: int = 100_000
 
@@ -139,8 +146,8 @@ class _LinearResiduals:
     """Residuals |A v + c| over free parameters v, with optional constraints.
 
     ``to_beta`` maps a parameter vector back to the full coefficient vector.
-    ``eq``/``ineq`` are (row, rhs) pairs over v; for two-parameter problems
-    the inequalities reduce to an interval on v[1].
+    ``ineq`` holds (row, rhs) pairs over v; for two-parameter problems the
+    inequalities reduce to an interval on v[1] (``slope_interval``).
     """
 
     A: np.ndarray
@@ -154,19 +161,6 @@ class _LinearResiduals:
 
     def residuals(self, v: np.ndarray) -> np.ndarray:
         return np.abs(self.A @ v + self.c)
-
-    def interval(self) -> tuple[float, float]:
-        """Feasible interval for v[1] when n_params == 2 and rows touch only v[1]."""
-        lo, hi = -np.inf, np.inf
-        for row, rhs in self.ineq:
-            if abs(row[0]) > 1e-15:
-                raise SolverError("inequality involves the offset parameter")
-            a = row[1]
-            if a > 1e-15:
-                hi = min(hi, rhs / a)
-            elif a < -1e-15:
-                lo = max(lo, rhs / a)
-        return lo, hi
 
     def feasible(self, v: np.ndarray, tol: float = 1e-9) -> bool:
         return all(row @ v <= rhs + tol for row, rhs in self.ineq)
@@ -196,6 +190,16 @@ class _LinearResiduals:
             else:
                 general.append((row, rhs))
         return general, [tuple(b) for b in bounds]
+
+    def slope_interval(self) -> tuple[float, float]:
+        """Feasible interval of v[1] of a two-parameter problem: the bounds
+        ``split_ineq`` gives v[1], infinite where absent.  Rows may not
+        involve the offset v[0]."""
+        general, bounds = self.split_ineq()
+        if general or bounds[0] != (None, None):
+            raise SolverError("inequality involves the offset parameter")
+        lo, hi = bounds[1]
+        return (-np.inf if lo is None else lo), (np.inf if hi is None else hi)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Cheap repeated projection onto the inequality half-spaces."""
@@ -268,11 +272,37 @@ def _centrum_blocks(lam: np.ndarray) -> list[tuple[int, float]]:
     return blocks
 
 
+def _abs_value_lp(prob: _LinearResiduals, general: list, cost: np.ndarray, bounds: list,
+                  names: list | None = None, rows: list = ()) -> lpmod.LinearProgram:
+    """LP over v | eps | further columns in which eps_i >= |A_i v + c_i|.
+
+    Rows, in order: the pair A_i v - eps_i <= -c_i and -A_i v - eps_i <= c_i
+    for each i, then ``rows`` ((coeffs, relation, rhs) over all columns),
+    then the ``general`` inequality rows on v.
+    """
+    n, m = prob.A.shape
+    nv = cost.size
+    problem = lpmod.LinearProgram(cost, bounds=bounds, names=names)
+    for i in range(n):
+        for sign in (1.0, -1.0):
+            row = np.zeros(nv)
+            row[:m] = sign * prob.A[i]
+            row[m + i] = -1.0
+            problem.add_row(row, "<=", -sign * prob.c[i])
+    for row, rel, rhs in rows:
+        problem.add_row(row, rel, rhs)
+    for row, rhs in general:
+        full = np.zeros(nv)
+        full[:m] = row
+        problem.add_row(full, "<=", rhs)
+    return problem
+
+
 def _build_monotone_lp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.LinearProgram:
     n, m = prob.A.shape
     blocks = _centrum_blocks(lam)
     nb = len(blocks)
-    general_ineq, param_bounds = prob.split_ineq()
+    general, param_bounds = prob.split_ineq()
     # variables: v (m, free) | eps (n, >=0) | per block: t (free), s_i (>=0)
     nv = m + n + nb * (1 + n)
     cost = np.zeros(nv)
@@ -287,16 +317,7 @@ def _build_monotone_lp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.LinearP
     for _ in blocks:
         bounds += [(None, None)] + [(0.0, None)] * n
 
-    problem = lpmod.LinearProgram(cost, bounds=bounds, names=names)
-    for i in range(n):
-        row = np.zeros(nv)
-        row[:m] = prob.A[i]
-        row[m + i] = -1.0
-        problem.add_row(row, "<=", -prob.c[i])
-        row = np.zeros(nv)
-        row[:m] = -prob.A[i]
-        row[m + i] = -1.0
-        problem.add_row(row, "<=", prob.c[i])
+    rows = []
     for bi in range(nb):
         t_col = m + n + bi * (1 + n)
         for i in range(n):
@@ -304,12 +325,8 @@ def _build_monotone_lp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.LinearP
             row[m + i] = 1.0
             row[t_col] = -1.0
             row[t_col + 1 + i] = -1.0
-            problem.add_row(row, "<=", 0.0)
-    for row, rhs in general_ineq:
-        full = np.zeros(nv)
-        full[:m] = row
-        problem.add_row(full, "<=", rhs)
-    return problem
+            rows.append((row, "<=", 0.0))
+    return _abs_value_lp(prob, general, cost, bounds, names, rows)
 
 
 def _solve_monotone_p1_lp(prob: _LinearResiduals, lam: np.ndarray) -> tuple[float, np.ndarray]:
@@ -368,7 +385,7 @@ def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray,
     w = prob.A[:, 1].astype(float)
     if not np.allclose(prob.A[:, 0], 1.0):
         raise SolverError("first parameter must be a pure offset")
-    t_lo, t_hi = prob.interval()
+    t_lo, t_hi = prob.slope_interval()
     n = u.size
 
     # lines alpha*b0 + beta*t = gamma
@@ -437,7 +454,7 @@ def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> tuple[float, np.nd
     """
     u = prob.c.astype(float)
     w = prob.A[:, 1].astype(float)
-    t_lo, t_hi = prob.interval()
+    t_lo, t_hi = prob.slope_interval()
     n = u.size
     iu, ju = np.triu_indices(n, 1)
     dw = w[iu] - w[ju]
@@ -468,7 +485,7 @@ def _solve_sos_slice(prob: _LinearResiduals) -> tuple[float, np.ndarray]:
     if prob.feasible(v):
         return float(np.sum(prob.residuals(v) ** 2)), v
     if prob.n_params == 2:
-        t_lo, t_hi = prob.interval()
+        t_lo, t_hi = prob.slope_interval()
         best = (np.inf, None)
         for t in (t_lo, t_hi):
             if not np.isfinite(t):
@@ -500,7 +517,7 @@ def _build_assignment_milp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.Mix
     span = float(np.abs(prob.c).max() + np.abs(prob.A).max() + 1.0)
     box = 16.0 * span
     big_m = 4.0 * (box * (1.0 + float(np.abs(prob.A).sum(axis=1).max())) + float(np.abs(prob.c).max()))
-    general_ineq, param_bounds = prob.split_ineq()
+    general, param_bounds = prob.split_ineq()
     vbounds = [
         (lo if lo is not None else -box, hi if hi is not None else box)
         for lo, hi in param_bounds
@@ -513,46 +530,34 @@ def _build_assignment_milp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.Mix
     names = ([f"b{j}" for j in range(m)] + [f"e{i + 1}" for i in range(n)]
              + [f"th{j + 1}" for j in range(n)]
              + [f"w{i + 1}_{j + 1}" for i in range(n) for j in range(n)])
-    problem = lpmod.LinearProgram(cost, bounds=bounds, names=names)
 
     def wcol(i, j):
         return m + 2 * n + i * n + j
 
-    for i in range(n):
-        row = np.zeros(nv)
-        row[:m] = prob.A[i]
-        row[m + i] = -1.0
-        problem.add_row(row, "<=", -prob.c[i])
-        row = np.zeros(nv)
-        row[:m] = -prob.A[i]
-        row[m + i] = -1.0
-        problem.add_row(row, "<=", prob.c[i])
+    rows = []
     for i in range(n):
         for j in range(n):
             row = np.zeros(nv)
             row[m + i] = 1.0          # eps_i
             row[m + n + j] = -1.0     # theta_j
             row[wcol(i, j)] = big_m
-            problem.add_row(row, "<=", big_m)
+            rows.append((row, "<=", big_m))
     for j in range(n):
         row = np.zeros(nv)
         for i in range(n):
             row[wcol(i, j)] = 1.0
-        problem.add_row(row, "=", 1.0)
+        rows.append((row, "=", 1.0))
     for i in range(n):
         row = np.zeros(nv)
         for j in range(n):
             row[wcol(i, j)] = 1.0
-        problem.add_row(row, "=", 1.0)
+        rows.append((row, "=", 1.0))
     for j in range(1, n):
         row = np.zeros(nv)
         row[m + n + j - 1] = 1.0
         row[m + n + j] = -1.0
-        problem.add_row(row, "<=", 0.0)
-    for row, rhs in general_ineq:
-        full = np.zeros(nv)
-        full[:m] = row
-        problem.add_row(full, "<=", rhs)
+        rows.append((row, "<=", 0.0))
+    problem = _abs_value_lp(prob, general, cost, bounds, names, rows)
     return lpmod.MixedIntegerProgram(problem, frozenset(range(m + 2 * n, nv)))
 
 
@@ -592,23 +597,9 @@ def _weighted_fit(prob: _LinearResiduals, weights: np.ndarray, p: float,
         return prob.project(v) if prob.ineq else v
     if p == 1.0:
         n, m = prob.A.shape
-        general_ineq, param_bounds = prob.split_ineq()
-        nv = m + n
+        general, param_bounds = prob.split_ineq()
         cost = np.concatenate([np.zeros(m), weights])
-        problem = lpmod.LinearProgram(cost, bounds=list(param_bounds) + [(0.0, None)] * n)
-        for i in range(n):
-            row = np.zeros(nv)
-            row[:m] = prob.A[i]
-            row[m + i] = -1.0
-            problem.add_row(row, "<=", -prob.c[i])
-            row = np.zeros(nv)
-            row[:m] = -prob.A[i]
-            row[m + i] = -1.0
-            problem.add_row(row, "<=", prob.c[i])
-        for row, rhs in general_ineq:
-            full = np.zeros(nv)
-            full[:m] = row
-            problem.add_row(full, "<=", rhs)
+        problem = _abs_value_lp(prob, general, cost, list(param_bounds) + [(0.0, None)] * n)
         status = lpmod.solve_lp(problem)
         if status.status != lpmod.OPTIMAL:
             raise SolverError(f"weighted LP re-fit ended with status {status.status}")
@@ -676,13 +667,15 @@ def _start_points(prob: _LinearResiduals, lam: np.ndarray, rng: SplitMix64,
     n, m = prob.A.shape
     starts = []
     ones = np.ones(n)
+    # a start that fails numerically is skipped; programming errors propagate
+    skipped = (SolverError, np.linalg.LinAlgError)
     try:
         starts.append(_weighted_fit(prob, ones, 2.0, np.zeros(m)))
-    except Exception:
+    except skipped:
         pass
     try:
         starts.append(_weighted_fit(prob, ones, 1.0, np.zeros(m)))
-    except Exception:
+    except skipped:
         pass
     nz = np.flatnonzero(lam)
     if m == 2 and n >= 2:
@@ -690,7 +683,7 @@ def _start_points(prob: _LinearResiduals, lam: np.ndarray, rng: SplitMix64,
         try:
             _, v = _solve_quantile_2param(prob, int(nz[-1]) + 1)
             starts.append(v)
-        except Exception:
+        except skipped:
             pass
     for _ in range(max(0, count)):
         idx = sorted({rng.next_u64() % n for _ in range(3 * m)})
@@ -737,53 +730,42 @@ def _solve_concentration(prob: _LinearResiduals, lam: np.ndarray, p: float,
 
 
 def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
-                      rng: SplitMix64, multistart: int, node_limit: int,
-                      exact_budget: float) -> tuple[float, np.ndarray, str]:
+                      rng: SplitMix64, multistart: int,
+                      node_limit: int) -> tuple[float, np.ndarray, str]:
+    """(value, v, route tag) from the one route that fits the subproblem."""
     lam = criterion.lam
     p = criterion.p_float
     n = lam.size
     monotone = is_monotone(criterion)
     constant = bool(np.all(lam == lam[0]))
     nz = np.flatnonzero(lam)
-    indicator = nz.size == 1
 
-    if p == 1.0:
-        if monotone:
-            val, v = _solve_monotone_p1_lp(prob, lam)
-            return val, v, "lp"
-        if prob.n_params == 2 and n <= EXACT_ENUM_MAX_N and exact_budget >= _enum_work(n):
-            val, v = _solve_p1_exact_2param(prob, lam)
-            return val, v, "exact-enum"
-        if n <= MILP_MAX_N:
-            val, v, tag = _solve_p1_milp(prob, lam, node_limit)
-            return val, v, tag
-        val, v = _solve_concentration(prob, lam, p, rng, multistart)
-        return val, v, "heuristic"
-
-    if p == 2.0:
-        if constant:
-            val, v = _solve_sos_slice(prob)
-            return val, v, "lsq"
-        if indicator and prob.n_params == 2:
-            half, v = _solve_quantile_2param(prob, int(nz[0]) + 1)
-            return float(lam[nz[0]]) * half**2, v, "quantile-scan"
-        if monotone:
-            # convex on the slice: a couple of starts suffice
-            val, v = _solve_descent_multistart(prob, lam, p, rng, min(multistart, 2),
-                                               patience=500)
-            return val, v, "descent"
-        val, v = _solve_concentration(prob, lam, p, rng, multistart)
-        return val, v, "heuristic"
-
-    if constant and 1.0 < p < 2.0:
+    if p == 1.0 and monotone:
+        val, v = _solve_monotone_p1_lp(prob, lam)
+        tag = "lp"
+    elif p == 1.0 and prob.n_params == 2 and n <= EXACT_ENUM_MAX_N:
+        val, v = _solve_p1_exact_2param(prob, lam)
+        tag = "exact-enum"
+    elif p == 1.0 and n <= MILP_MAX_N:
+        val, v, tag = _solve_p1_milp(prob, lam, node_limit)  # "milp" or "incumbent"
+    elif p == 2.0 and constant:
+        val, v = _solve_sos_slice(prob)
+        tag = "lsq"
+    elif p == 2.0 and nz.size == 1 and prob.n_params == 2:
+        half, v = _solve_quantile_2param(prob, int(nz[0]) + 1)
+        val, tag = float(lam[nz[0]]) * half**2, "quantile-scan"
+    elif constant and 1.0 < p < 2.0:
         val, v = _solve_plp_constant(prob, float(lam[0]), p)
-        return val, v, "irls"
-    if monotone:
+        tag = "irls"
+    elif monotone:
+        # convex on the slice: a couple of starts suffice
         val, v = _solve_descent_multistart(prob, lam, p, rng, min(multistart, 2),
                                            patience=500)
-        return val, v, "descent"
-    val, v = _solve_concentration(prob, lam, p, rng, multistart)
-    return val, v, "heuristic"
+        tag = "descent"
+    else:
+        val, v = _solve_concentration(prob, lam, p, rng, multistart)
+        tag = "heuristic"
+    return val, v, tag
 
 
 def _solve_descent_multistart(prob, lam, p, rng, multistart, patience=None):
@@ -820,11 +802,6 @@ def _solve_plp_constant(prob: _LinearResiduals, weight: float, p: float) -> tupl
     if val < best[0]:
         best = (val, v)
     return weight * best[0], best[1]
-
-
-def _enum_work(n: int) -> float:
-    lines = n + n * (n - 1)
-    return lines * (lines - 1) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -894,8 +871,8 @@ def export_formulation(data: Dataset, criterion: Criterion, norm: NormSpec, path
 # public fitting entry points
 
 
-def fit_lss(data: Dataset) -> FitResult:
-    """Classical least sum of squares on vertical residuals, by normal equations."""
+def _lss_beta(data: Dataset) -> np.ndarray:
+    """Least-squares coefficients on vertical residuals, with beta_d = -1."""
     n, d = data.n, data.dim
     if n <= d:
         raise DegenerateDataError("least squares needs n > d")
@@ -904,9 +881,13 @@ def fit_lss(data: Dataset) -> FitResult:
     coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < d:
         raise DegenerateDataError("design matrix is rank deficient")
-    beta = np.concatenate([coef, [-1.0]])
-    crit = Criterion(np.ones(n), Fraction(2), "SOS")
-    return _finalize(data, crit, Vertical(), beta, "normal-equations", 1)
+    return np.concatenate([coef, [-1.0]])
+
+
+def fit_lss(data: Dataset) -> FitResult:
+    """Classical least sum of squares on vertical residuals, by normal equations."""
+    crit = Criterion(np.ones(data.n), Fraction(2), "SOS")
+    return _finalize(data, crit, Vertical(), _lss_beta(data), "normal-equations", 1)
 
 
 def fit_lad(data: Dataset) -> FitResult:
@@ -923,18 +904,43 @@ def fit_vertical_general(data: Dataset, criterion: Criterion, *, seed: int = 0,
     if criterion.n != data.n:
         raise ValueError("criterion weight length must match the dataset size")
     lam = criterion.lam
-    p = criterion.p_float
-    constant = bool(np.all(lam == lam[0]))
-    if p == 2.0 and constant:
-        result = fit_lss(data)
-        return _finalize(data, criterion, Vertical(), result.hyperplane.beta,
-                         "normal-equations", 1)
+    if criterion.p_float == 2.0 and np.all(lam == lam[0]):
+        return _finalize(data, criterion, Vertical(), _lss_beta(data), "normal-equations", 1)
     prob = _vertical_problem(data)
-    # the slope/offset pair of a plain line fit is the 2-parameter case
-    rng = SplitMix64(seed)
-    val, v, tag = _solve_subproblem(prob, criterion, rng=rng, multistart=multistart,
-                                    node_limit=node_limit, exact_budget=EXACT_ENUM_MAX_WORK)
+    val, v, tag = _solve_subproblem(prob, criterion, rng=SplitMix64(seed),
+                                    multistart=multistart, node_limit=node_limit)
     return _finalize(data, criterion, Vertical(), prob.to_beta(v), tag, 1)
+
+
+def _solve_block(data: Dataset, ball: Polytope, chosen: list[int],
+                 solve) -> tuple[np.ndarray, str, int]:
+    """(beta, route tag, disjunct count) of the best disjunct in ``chosen``.
+
+    ``solve(prob) -> (value, v, tag)`` solves one disjunct subproblem; a
+    later disjunct wins only when it is better by more than 1e-12.
+    """
+    best = None
+    for g in chosen:
+        prob = _disjunct_problem(data, ball, g)
+        val, v, tag = solve(prob)
+        if best is None or val < best[0] - 1e-12:
+            best = (val, prob.to_beta(v), tag)
+    if best is None:
+        raise SolverError("all disjuncts failed")
+    return best[1], best[2], len(chosen)
+
+
+def _solve_block_norm(data: Dataset, criterion: Criterion, ball: Polytope, *, seed: int,
+                      multistart: int, node_limit: int) -> tuple[np.ndarray, str, int]:
+    """Routed subproblem solves over every sign-distinct disjunct of ``ball``,
+    drawing from one random stream in disjunct order."""
+    rng = SplitMix64(seed)
+
+    def solve(prob):
+        return _solve_subproblem(prob, criterion, rng=rng, multistart=multistart,
+                                 node_limit=node_limit)
+
+    return _solve_block(data, ball, _sign_distinct(ball.vertices), solve)
 
 
 def fit_block_norm(data: Dataset, criterion: Criterion, norm: Block, *, seed: int = 0,
@@ -942,20 +948,9 @@ def fit_block_norm(data: Dataset, criterion: Criterion, norm: Block, *, seed: in
     """Block-norm residual fit by solving one subproblem per sign-distinct vertex."""
     if criterion.n != data.n:
         raise ValueError("criterion weight length must match the dataset size")
-    ball = norm.ball
-    chosen = _sign_distinct(ball.vertices)
-    budget = EXACT_ENUM_MAX_WORK / max(1, len(chosen))
-    rng = SplitMix64(seed)
-    best = None
-    for g in chosen:
-        prob = _disjunct_problem(data, ball, g)
-        val, v, tag = _solve_subproblem(prob, criterion, rng=rng, multistart=multistart,
-                                        node_limit=node_limit, exact_budget=budget)
-        if best is None or val < best[0] - 1e-12:
-            best = (val, prob.to_beta(v), tag)
-    if best is None:
-        raise SolverError("all disjuncts failed")
-    return _finalize(data, criterion, norm, best[1], best[2], len(chosen))
+    beta, tag, count = _solve_block_norm(data, criterion, norm.ball, seed=seed,
+                                         multistart=multistart, node_limit=node_limit)
+    return _finalize(data, criterion, norm, beta, tag, count)
 
 
 def _sign_distinct(vertices: np.ndarray) -> list[int]:
@@ -977,6 +972,8 @@ def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: i
     and the returned coefficients are re-scored under the true l-tau
     distance, giving the certified bracket [rho*, rho* / r_P**p].
     """
+    if criterion.n != data.n:
+        raise ValueError("criterion weight length must match the dataset size")
     norm = LTau(tau)
     if approx_polytope is None:
         if data.dim != 2:
@@ -989,16 +986,14 @@ def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: i
             b / ltau_norm(a, norm.tau)
             for a, b in zip(poly.facet_normals, poly.facet_offsets)
         )
-    ball = polar_polytope(poly)
-    block = Block(ball, poly)
-    inner = fit_block_norm(data, criterion, block, seed=seed, multistart=multistart,
-                           node_limit=node_limit)
-    rho = inner.phi_star
-    p = criterion.p_float
-    upper = rho / r_p**p
-    result = _finalize(data, criterion, norm, inner.hyperplane.beta,
-                       f"{inner.solver_tag}+inner-{poly.n_vertices}gon",
-                       inner.subproblem_count, bounds=(rho, upper))
+    block = Block(polar_polytope(poly), poly)
+    beta, tag, count = _solve_block_norm(data, criterion, block.ball, seed=seed,
+                                         multistart=multistart, node_limit=node_limit)
+    beta, _ = _canonical_beta(beta, block)
+    rho = phi_at(data, criterion, block, Hyperplane(beta, "dual-unit"))
+    upper = rho / r_p**criterion.p_float
+    result = _finalize(data, criterion, norm, beta, f"{tag}+inner-{poly.n_vertices}gon",
+                       count, bounds=(rho, upper))
     result.sd = sd_measure(data, result.hyperplane.beta, norm.tau, poly)
     return result
 
@@ -1013,20 +1008,18 @@ def fit_convex_descent(data: Dataset, criterion: Criterion, norm: NormSpec, *,
     """
     rng = SplitMix64(seed)
     lam, p = criterion.lam, criterion.p_float
+
+    def solve(prob):
+        return (*_solve_descent_multistart(prob, lam, p, rng, multistart), "descent")
+
     if isinstance(norm, Vertical):
         prob = _vertical_problem(data)
-        val, v = _solve_descent_multistart(prob, lam, p, rng, multistart)
-        return _finalize(data, criterion, norm, prob.to_beta(v), "descent", 1)
-    block = _as_block(norm, data.dim)
-    ball = block.ball
+        val, v, tag = solve(prob)
+        return _finalize(data, criterion, norm, prob.to_beta(v), tag, 1)
+    ball = _as_block(norm, data.dim).ball
     chosen = [disjunct] if disjunct is not None else _sign_distinct(ball.vertices)
-    best = None
-    for g in chosen:
-        prob = _disjunct_problem(data, ball, g)
-        val, v = _solve_descent_multistart(prob, lam, p, rng, multistart)
-        if best is None or val < best[0] - 1e-15:
-            best = (val, prob.to_beta(v))
-    return _finalize(data, criterion, norm, best[1], "descent", len(chosen))
+    beta, tag, count = _solve_block(data, ball, chosen, solve)
+    return _finalize(data, criterion, norm, beta, tag, count)
 
 
 def _as_block(norm: NormSpec, d: int) -> Block:

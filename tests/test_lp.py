@@ -90,6 +90,51 @@ def test_fixed_variables_are_constants():
     assert solve_lp(lp).status == INFEASIBLE
 
 
+def _std_row_reference(tr, coeffs):
+    """Per-coefficient loop that std_rows must reproduce bit for bit."""
+    row = np.zeros(tr.n_std)
+    offset = 0.0
+    for j, c in enumerate(coeffs):
+        if c == 0.0:
+            continue
+        offset += c * tr.shift[j]
+        if tr.column[j] < 0:
+            continue
+        row[tr.column[j]] += c * tr.scale[j]
+        if tr.neg_column[j] >= 0:
+            row[tr.neg_column[j]] -= c
+    return row, offset
+
+
+def test_standard_form_rows_match_reference_loop():
+    from planefit.lp import _Transform
+
+    # x0 >= 2 (shift 2), x1 <= 3 (mirrored: shift 3, scale -1), x2 free
+    # (split into two columns), x3 fixed at 5 (no column)
+    tr = _Transform(LinearProgram(np.zeros(4),
+                                  bounds=[(2.0, None), (None, 3.0), (None, None), (5.0, 5.0)]))
+    rows, offsets = tr.std_rows(np.array([[1.5, 2.0, -4.0, 0.5], [0.0, 0.0, 0.0, 0.0]]))
+    assert rows.tolist() == [[1.5, -2.0, -4.0, 4.0], [0.0] * 4]
+    assert offsets.tolist() == [1.5 * 2.0 + 2.0 * 3.0 + 0.5 * 5.0, 0.0]
+
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        bounds = []
+        for _ in range(n):
+            lo = float(rng.normal())
+            bounds.append([(lo, None), (None, lo), (None, None), (lo, lo), (lo, lo + 1.0),
+                           (0.0, None)][int(rng.integers(0, 6))])
+        tr = _Transform(LinearProgram(np.zeros(n), bounds=bounds))
+        coeffs = rng.normal(size=(4, n)) * (rng.random((4, n)) < 0.6)
+        coeffs[0, 0] = -0.0
+        rows, offsets = tr.std_rows(coeffs)
+        for got_row, got_offset, c in zip(rows, offsets, coeffs):
+            want_row, want_offset = _std_row_reference(tr, c)
+            assert got_row.tobytes() == want_row.tobytes()  # signed zeros too
+            assert got_offset == want_offset
+
+
 def test_iteration_limit_status():
     lp = LinearProgram(np.array([-1.0, -1.0]))
     for _ in range(4):

@@ -474,3 +474,68 @@ def test_ltau_inf_routes_to_linf_block(stars):
     via_fit = fit(FitRequest(stars, crit, LTau(math.inf), seed=0))
     direct = fit_block_norm(stars, crit, Block(linf_ball(2)))
     assert via_fit.phi_star == pytest.approx(direct.phi_star, rel=1e-12)
+
+
+def test_stars_med_ltau2_enumerates_every_disjunct(stars):
+    # all 16 disjuncts of the 32-gon run the exact enumeration, so rho is a
+    # true lower bound; the concentration heuristic stopped at 0.06449 here
+    r = fit(FitRequest(stars, preset("MED", 47), LTau(2), seed=1, polytope_vertices=32))
+    assert r.solver_tag == "exact-enum+inner-32gon"
+    assert r.subproblem_count == 16
+    assert r.phi_star <= 0.056127
+    lower, upper = r.bounds
+    assert lower <= r.phi_star <= upper
+
+
+def test_every_fit_scores_gcod_once(monkeypatch, stars):
+    from planefit import solvers
+
+    calls = []
+    real = solvers.gcod_index
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "gcod_index", counting)
+    fit_vertical_general(stars, preset("SOS", 47))
+    assert len(calls) == 1
+    fit_ltau_approx(stars, preset("SUM", 47), 2, 16)
+    assert len(calls) == 2
+
+
+def test_start_points_let_programming_errors_through(monkeypatch, rng):
+    from planefit import solvers
+    from planefit.rng import SplitMix64
+
+    def broken(*args, **kwargs):
+        raise TypeError("bad call")
+
+    monkeypatch.setattr(solvers, "_weighted_fit", broken)
+    prob = solvers._vertical_problem(random_dataset(rng, 8))
+    with pytest.raises(TypeError, match="bad call"):
+        solvers._start_points(prob, preset("LMS", 8).lam, SplitMix64(0), 4)
+
+
+def test_start_points_skip_a_failed_lp(monkeypatch, rng):
+    from planefit import lp as lpmod
+    from planefit import solvers
+    from planefit.rng import SplitMix64
+
+    monkeypatch.setattr(lpmod, "solve_lp", lambda problem: lpmod.SolveStatus(lpmod.INFEASIBLE))
+    prob = solvers._vertical_problem(random_dataset(rng, 8))
+    starts = solvers._start_points(prob, preset("LMS", 8).lam, SplitMix64(0), 0)
+    assert len(starts) == 2  # least squares and the quantile line; the LAD start is skipped
+
+
+def test_slope_interval_is_the_bound_pair_of_the_slope():
+    from planefit.solvers import SolverError, _LinearResiduals
+
+    prob = _LinearResiduals(np.ones((3, 2)), np.zeros(3), None,
+                            [(np.array([0.0, 2.0]), 3.0), (np.array([0.0, -1.0]), 1.0),
+                             (np.array([0.0, 1.0]), 4.0)])
+    assert prob.slope_interval() == (-1.0, 1.5)
+    assert prob.split_ineq() == ([], [(None, None), (-1.0, 1.5)])
+    prob.ineq.append((np.array([1.0, 1.0]), 2.0))
+    with pytest.raises(SolverError, match="offset"):
+        prob.slope_interval()
