@@ -84,6 +84,7 @@ __all__ = [
 EXACT_ENUM_MAX_N = 60
 MILP_MAX_N = 10
 DESCENT_ITERS = 5000
+_BLOCK_CELLS = 1 << 18  # rows x points per block of the quantile scan
 
 
 class SolverError(RuntimeError):
@@ -450,7 +451,9 @@ def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> tuple[float, np.nd
     The optimal strip is supported by three points, two of them on the same
     boundary, so the optimal t is a crossing of two residual lines (or an
     endpoint of the feasible interval); for each candidate t the best b0 is
-    the midpoint of the narrowest window spanning r values.
+    the midpoint of the narrowest window spanning r values.  The candidate
+    slopes are scored a block of rows at a time: one row-wise sort, window
+    widths and argmin per block.
     """
     u = prob.c.astype(float)
     w = prob.A[:, 1].astype(float)
@@ -465,13 +468,18 @@ def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> tuple[float, np.nd
     cands = np.unique(np.concatenate([cands, np.array(extra)]))
 
     best = (np.inf, None)
-    for t in cands:
-        vals = np.sort(-(u + t * w))
-        widths = vals[r - 1:] - vals[: n - r + 1]
-        k = int(np.argmin(widths))
-        half = widths[k] / 2.0
-        if half < best[0]:
-            best = (float(half), np.array([(vals[k] + vals[k + r - 1]) / 2.0, t]))
+    rows = max(1, _BLOCK_CELLS // n)
+    for s in range(0, cands.size, rows):
+        ts = cands[s: s + rows]
+        vals = np.sort(-(u[None, :] + ts[:, None] * w[None, :]), axis=1)
+        widths = vals[:, r - 1:] - vals[:, : n - r + 1]
+        k = np.argmin(widths, axis=1)
+        half = widths[np.arange(ts.size), k] / 2.0
+        half[np.isnan(half)] = np.inf  # a NaN window never wins
+        i = int(np.argmin(half))  # the first minimum, i.e. the smallest t
+        if half[i] < best[0]:
+            ki = k[i]
+            best = (float(half[i]), np.array([(vals[i, ki] + vals[i, ki + r - 1]) / 2.0, ts[i]]))
     if best[1] is None:
         raise SolverError("quantile scan found no candidate slope")
     return best[0], best[1]

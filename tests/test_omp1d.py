@@ -80,6 +80,102 @@ def test_omp_tie_breaks_to_smallest():
     assert got.beta0 == 0.0
 
 
+def _derivative_reference(beta0, values, lam, p):
+    diffs = values - beta0
+    absd = np.abs(diffs)
+    order = np.argsort(absd, kind="stable")
+    ranked_lam = np.empty_like(lam)
+    ranked_lam[order] = lam
+    return float(np.sum(-ranked_lam * np.sign(diffs) * p * absd ** (p - 1.0)))
+
+
+def _solve_omp_reference(values, lam, p):
+    """The per-interval loop the blocked pass replaced: derivatives probed
+    1e-9 inside each interval (so it holds only on data of unit scale), one
+    bisection per sign change, every candidate scored by a sort.  Returns
+    (beta0, value, candidate count)."""
+    base = np.unique(values)
+    mids = ((values[:, None] + values[None, :]) / 2.0)[np.triu_indices(values.size, 1)]
+    mids = mids[(mids > base[0]) & (mids < base[-1])]
+    points = np.unique(np.concatenate([base, mids]))
+    crit = []
+    for k in range(points.size - 1 if p != 1.0 else 0):
+        a, b = points[k], points[k + 1]
+        fa = _derivative_reference(a + 1e-9 * max(b - a, 1.0), values, lam, p)
+        fb = _derivative_reference(b - 1e-9 * max(b - a, 1.0), values, lam, p)
+        if fa == 0.0 or fa * fb > 0:
+            continue
+        lo, hi = a, b
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fm = _derivative_reference(mid, values, lam, p)
+            if fm == 0.0:
+                break
+            if fa * fm < 0:
+                hi = mid
+            else:
+                lo, fa = mid, fm
+        crit.append(0.5 * (lo + hi))
+    cands = np.unique(np.concatenate([points, np.array(crit)]))
+    res = np.sort(np.abs(cands[:, None] - values[None, :]), axis=1)
+    objs = res**p @ lam
+    best = int(np.argmin(objs))
+    return float(cands[best]), float(objs[best]), cands.size
+
+
+def test_omp_matches_reference_loop():
+    rng = np.random.default_rng(404)
+    for case in range(240):
+        n = int(rng.integers(2, 14))
+        if case % 3 == 0:
+            vals = rng.integers(0, 5, size=n).astype(float)  # many duplicates
+        else:
+            vals = rng.normal(size=n)
+        lam = np.abs(rng.normal(size=n))
+        lam[rng.random(n) < 0.3] = 0.0
+        lam[int(rng.integers(0, n))] += 0.5
+        if case % 4 == 0:
+            lam = np.sort(lam)  # monotone; the rest are mostly non-monotone
+        p = [1.0, 1.5, 2.0, 3.0][case % 4]
+        _, want_value, want_count = _solve_omp_reference(vals, lam, p)
+        got = solve_omp(vals, lam, p)
+        assert got.value == pytest.approx(want_value, rel=1e-12, abs=1e-300)
+        assert got.candidates_evaluated == want_count
+        cands = candidate_set(vals, lam, p)
+        assert cands.size == want_count
+        assert got.beta0 in cands
+
+
+def test_omp_is_scale_invariant():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=9)
+    lam = np.array([0.0, 2.0, 0.5, 0.0, 1.0, 3.0, 0.0, 0.25, 1.5])  # non-monotone
+    for p in (1.0, 1.5, 2.0):
+        unit = solve_omp(x, lam, p)
+        for c in (1e-12, 1e-9, 1.0, 1e6):
+            got = solve_omp(c * x, lam, p)
+            assert got.beta0 == pytest.approx(c * unit.beta0, rel=1e-9), (p, c)
+            assert got.value == pytest.approx(c**p * unit.value, rel=1e-9), (p, c)
+            assert got.candidates_evaluated == unit.candidates_evaluated, (p, c)
+
+
+def test_omp_memory_is_bounded_by_the_block():
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=300)
+    lam = np.ones(300)
+    for p in (1.0, 2.0):
+        tracemalloc.start()
+        try:
+            solve_omp(vals, lam, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 45,000 candidates x 300 points would be 108 MB per matrix
+        assert peak < 32 * 2**20, (p, peak)
+
+
 # gcod -----------------------------------------------------------------------
 
 

@@ -188,6 +188,49 @@ def test_lms_matches_combinatorial_oracle(rng):
         assert r.phi_star <= oracle.phi_star + 1e-6
 
 
+def _quantile_scan_reference(u, w, cands, r):
+    """Per-slope loop that the blocked quantile scan must reproduce bit for bit."""
+    n = u.size
+    best = (np.inf, None)
+    for t in cands:
+        vals = np.sort(-(u + t * w))
+        widths = vals[r - 1:] - vals[: n - r + 1]
+        k = int(np.argmin(widths))
+        half = widths[k] / 2.0
+        if half < best[0]:
+            best = (float(half), np.array([(vals[k] + vals[k + r - 1]) / 2.0, t]))
+    return best
+
+
+def test_quantile_scan_matches_reference_loop(rng):
+    from planefit import solvers
+
+    # n=200 spans several blocks; rounding to one decimal repeats values
+    for n, slope, decimals in ((8, None, 1), (30, (-0.5, 0.25), 1), (40, (0.1, np.inf), 1),
+                               (200, None, 12)):
+        data = Dataset.from_observations(np.round(rng.normal(size=(n, 2)) * 2.0, decimals))
+        prob = solvers._vertical_problem(data)
+        if slope is not None:
+            lo, hi = slope
+            prob.ineq.append((np.array([0.0, -1.0]), -lo))
+            if np.isfinite(hi):
+                prob.ineq.append((np.array([0.0, 1.0]), hi))
+        u, w = prob.c.astype(float), prob.A[:, 1].astype(float)
+        t_lo, t_hi = prob.slope_interval()
+        iu, ju = np.triu_indices(n, 1)
+        dw = w[iu] - w[ju]
+        mask = np.abs(dw) > 1e-14
+        cands = np.clip(-(u[iu] - u[ju])[mask] / dw[mask], t_lo, t_hi)
+        extra = [t for t in (t_lo, t_hi, 0.0) if np.isfinite(t)]
+        cands = np.unique(np.concatenate([cands, np.array(extra)]))
+        assert n < 200 or cands.size > 5 * (solvers._BLOCK_CELLS // n)
+        for r in sorted({1, 2, n // 2 + 1, n}):
+            half, v = solvers._solve_quantile_2param(prob, r)
+            want_half, want_v = _quantile_scan_reference(u, w, cands, r)
+            assert half == want_half
+            assert v.tobytes() == want_v.tobytes()
+
+
 def test_vertical_collinear_perfect():
     x = np.arange(8.0)
     data = Dataset.from_observations(np.column_stack([x, -2.0 * x + 0.5]))
