@@ -13,7 +13,7 @@ its tag:
 * ``exact-enum``: ``p == 1`` with arbitrary weights on two free parameters
   and n <= EXACT_ENUM_MAX_N, exact enumeration of the breakpoint
   arrangement of the piecewise-linear objective (all pairwise crossings of
-  the residual kink lines);
+  the residual kink lines, one line at a time: O(n^5) time, O(n^3) memory);
 * ``milp`` (``incumbent`` at the node limit): ``p == 1`` with arbitrary
   weights and n <= MILP_MAX_N, a big-M assignment MILP;
 * ``lsq``: ``p == 2`` with constant weights, least squares on the slice;
@@ -24,8 +24,12 @@ its tag:
 * ``heuristic``: everything else, multistart concentration steps (re-fit on
   the currently selected weight assignment).
 
-A block-norm fit solves one subproblem per disjunct and keeps the best.
-Every public fit scores its coefficients once (``_finalize``).
+Each subproblem stores its feasible set split once, into per-parameter
+bounds and general rows; in d = 2 a disjunct's facets are just an interval
+on the slope.  A block-norm fit solves one subproblem per disjunct and
+keeps the best; it is labelled ``incumbent`` when any disjunct stopped at
+the node limit.  Every public fit scores its coefficients once
+(``_finalize``).
 
 Results carry the recomputed residual vector, the objective, the
 goodness-of-fit index, a provenance tag and, for the polyhedral
@@ -35,7 +39,7 @@ approximation of l-tau residuals, certified lower/upper bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -144,17 +148,44 @@ def linf_ball(d: int = 2) -> Polytope:
 
 @dataclass
 class _LinearResiduals:
-    """Residuals |A v + c| over free parameters v, with optional constraints.
+    """Residuals |A v + c| over free parameters v, on a feasible set.
 
     ``to_beta`` maps a parameter vector back to the full coefficient vector.
-    ``ineq`` holds (row, rhs) pairs over v; for two-parameter problems the
-    inequalities reduce to an interval on v[1] (``slope_interval``).
+    The feasible set is stored split, as built by ``from_rows``: ``bounds``
+    is an (n_params, 2) array of per-parameter (lo, hi), infinite where
+    open, and ``general`` holds the (row, rhs) pairs of ``row . v <= rhs``
+    with two or more nonzeros.  A two-parameter disjunct has no general
+    rows: its facets reduce to an interval on v[1] (``slope_interval``).
     """
 
     A: np.ndarray
     c: np.ndarray
     to_beta: callable
-    ineq: list = field(default_factory=list)
+    bounds: np.ndarray
+    general: list
+
+    @classmethod
+    def from_rows(cls, A: np.ndarray, c: np.ndarray, to_beta,
+                  rows=()) -> "_LinearResiduals":
+        """Split ``row . v <= rhs`` pairs: a single-variable row becomes a
+        bound (the tightest on each side wins), so the polytope facets do
+        not bloat the LPs; a constant row must hold."""
+        bounds = np.tile([-np.inf, np.inf], (A.shape[1], 1))
+        general = []
+        for row, rhs in rows:
+            nz = np.flatnonzero(np.abs(row) > 1e-15)
+            if nz.size == 0:
+                if rhs < -1e-12:
+                    raise SolverError("infeasible constant inequality in subproblem")
+            elif nz.size == 1:
+                j = int(nz[0])
+                if row[j] > 0:
+                    bounds[j, 1] = min(bounds[j, 1], rhs / row[j])
+                else:
+                    bounds[j, 0] = max(bounds[j, 0], rhs / row[j])
+            else:
+                general.append((row, rhs))
+        return cls(A, c, to_beta, bounds, general)
 
     @property
     def n_params(self) -> int:
@@ -164,50 +195,25 @@ class _LinearResiduals:
         return np.abs(self.A @ v + self.c)
 
     def feasible(self, v: np.ndarray, tol: float = 1e-9) -> bool:
-        return all(row @ v <= rhs + tol for row, rhs in self.ineq)
-
-    def split_ineq(self) -> tuple[list, list]:
-        """(general rows, per-parameter bounds): single-variable rows become
-        bounds so the polytope facet constraints do not bloat the LPs."""
-        bounds = [[None, None] for _ in range(self.n_params)]
-        general = []
-        for row, rhs in self.ineq:
-            nz = np.flatnonzero(np.abs(row) > 1e-15)
-            if nz.size == 0:
-                if rhs < -1e-12:
-                    raise SolverError("infeasible constant inequality in subproblem")
-                continue
-            if nz.size == 1:
-                j = int(nz[0])
-                a = row[j]
-                if a > 0:
-                    hi = rhs / a
-                    if bounds[j][1] is None or hi < bounds[j][1]:
-                        bounds[j][1] = hi
-                else:
-                    lo = rhs / a
-                    if bounds[j][0] is None or lo > bounds[j][0]:
-                        bounds[j][0] = lo
-            else:
-                general.append((row, rhs))
-        return general, [tuple(b) for b in bounds]
+        return (bool(np.all((v >= self.bounds[:, 0] - tol) & (v <= self.bounds[:, 1] + tol)))
+                and all(row @ v <= rhs + tol for row, rhs in self.general))
 
     def slope_interval(self) -> tuple[float, float]:
-        """Feasible interval of v[1] of a two-parameter problem: the bounds
-        ``split_ineq`` gives v[1], infinite where absent.  Rows may not
-        involve the offset v[0]."""
-        general, bounds = self.split_ineq()
-        if general or bounds[0] != (None, None):
+        """Feasible interval of v[1] of a two-parameter problem.  No
+        constraint may involve the offset v[0]."""
+        if self.general or np.isfinite(self.bounds[0]).any():
             raise SolverError("inequality involves the offset parameter")
-        lo, hi = bounds[1]
-        return (-np.inf if lo is None else lo), (np.inf if hi is None else hi)
+        lo, hi = self.bounds[1]
+        return float(lo), float(hi)
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Cheap repeated projection onto the inequality half-spaces."""
-        v = v.copy()
+        """Cheap repeated projection: each sweep clips to the bounds, then
+        projects onto the violated general half-spaces in turn."""
+        lo, hi = self.bounds.T
         for _ in range(8):
+            v = np.minimum(np.maximum(v, lo), hi)
             done = True
-            for row, rhs in self.ineq:
+            for row, rhs in self.general:
                 gap = row @ v - rhs
                 if gap > 1e-12:
                     v -= gap / (row @ row) * row
@@ -227,7 +233,7 @@ def _vertical_problem(data: Dataset) -> _LinearResiduals:
     def to_beta(v):
         return np.concatenate([v, [-1.0]])
 
-    return _LinearResiduals(A, c, to_beta)
+    return _LinearResiduals.from_rows(A, c, to_beta)
 
 
 def _disjunct_problem(data: Dataset, ball: Polytope, g: int) -> _LinearResiduals:
@@ -249,14 +255,9 @@ def _disjunct_problem(data: Dataset, ball: Polytope, g: int) -> _LinearResiduals
     def to_beta(v):
         return np.concatenate([[v[0]], base + Y @ np.asarray(v[1:])])
 
-    prob = _LinearResiduals(A, c, to_beta)
-    for h in range(ball.n_vertices):
-        if h == g:
-            continue
-        b_h = ball.vertices[h]
-        row = np.concatenate([[0.0], Y.T @ b_h])
-        prob.ineq.append((row, 1.0 - base @ b_h))
-    return prob
+    rows = [(np.concatenate([[0.0], Y.T @ b_h]), 1.0 - base @ b_h)
+            for h, b_h in enumerate(ball.vertices) if h != g]
+    return _LinearResiduals.from_rows(A, c, to_beta, rows)
 
 
 # -- exact LP for p = 1 and monotone weights --------------------------------
@@ -273,17 +274,19 @@ def _centrum_blocks(lam: np.ndarray) -> list[tuple[int, float]]:
     return blocks
 
 
-def _abs_value_lp(prob: _LinearResiduals, general: list, cost: np.ndarray, bounds: list,
+def _abs_value_lp(prob: _LinearResiduals, cost: np.ndarray, bounds: list,
                   names: list | None = None, rows: list = ()) -> lpmod.LinearProgram:
     """LP over v | eps | further columns in which eps_i >= |A_i v + c_i|.
 
-    Rows, in order: the pair A_i v - eps_i <= -c_i and -A_i v - eps_i <= c_i
-    for each i, then ``rows`` ((coeffs, relation, rhs) over all columns),
-    then the ``general`` inequality rows on v.
+    v takes ``prob.bounds`` (an infinite side is left open) and the columns
+    after it take ``bounds``.  Rows, in order: the pair A_i v - eps_i <= -c_i
+    and -A_i v - eps_i <= c_i for each i, then ``rows`` ((coeffs, relation,
+    rhs) over all columns), then the general inequality rows of ``prob``.
     """
     n, m = prob.A.shape
     nv = cost.size
-    problem = lpmod.LinearProgram(cost, bounds=bounds, names=names)
+    v_bounds = [tuple(None if np.isinf(b) else b for b in pair) for pair in prob.bounds]
+    problem = lpmod.LinearProgram(cost, bounds=v_bounds + list(bounds), names=names)
     for i in range(n):
         for sign in (1.0, -1.0):
             row = np.zeros(nv)
@@ -292,7 +295,7 @@ def _abs_value_lp(prob: _LinearResiduals, general: list, cost: np.ndarray, bound
             problem.add_row(row, "<=", -sign * prob.c[i])
     for row, rel, rhs in rows:
         problem.add_row(row, rel, rhs)
-    for row, rhs in general:
+    for row, rhs in prob.general:
         full = np.zeros(nv)
         full[:m] = row
         problem.add_row(full, "<=", rhs)
@@ -303,8 +306,7 @@ def _build_monotone_lp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.LinearP
     n, m = prob.A.shape
     blocks = _centrum_blocks(lam)
     nb = len(blocks)
-    general, param_bounds = prob.split_ineq()
-    # variables: v (m, free) | eps (n, >=0) | per block: t (free), s_i (>=0)
+    # variables: v (m) | eps (n, >=0) | per block: t (free), s_i (>=0)
     nv = m + n + nb * (1 + n)
     cost = np.zeros(nv)
     cost[m: m + n] = lam[0]
@@ -314,7 +316,7 @@ def _build_monotone_lp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.LinearP
         cost[t_col] = w * k
         cost[t_col + 1: t_col + 1 + n] = w
         names += [f"t{bi + 1}"] + [f"s{bi + 1}_{i + 1}" for i in range(n)]
-    bounds = list(param_bounds) + [(0.0, None)] * n
+    bounds = [(0.0, None)] * n
     for _ in blocks:
         bounds += [(None, None)] + [(0.0, None)] * n
 
@@ -327,7 +329,7 @@ def _build_monotone_lp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.LinearP
             row[t_col] = -1.0
             row[t_col + 1 + i] = -1.0
             rows.append((row, "<=", 0.0))
-    return _abs_value_lp(prob, general, cost, bounds, names, rows)
+    return _abs_value_lp(prob, cost, bounds, names, rows)
 
 
 def _solve_monotone_p1_lp(prob: _LinearResiduals, lam: np.ndarray) -> tuple[float, np.ndarray]:
@@ -370,15 +372,16 @@ def _omf_rows(res: np.ndarray, lam: np.ndarray, p: float = 1.0) -> np.ndarray:
     return ordered @ lam
 
 
-def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray,
-                           chunk: int = 200_000) -> tuple[float, np.ndarray]:
+def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact two-parameter solve for p = 1 and arbitrary nonnegative weights.
 
     The objective is piecewise linear in (b0, t); its minimum sits at a
     crossing of two kink lines (residual zero lines r_i = 0 and matches
-    r_i = +-r_j) or on the boundary of the feasible t interval.  All O(n^4)
-    crossings are enumerated in chunks; the boundary reduces to the exact
-    one-dimensional ordered-median solve.
+    r_i = +-r_j, L = n^2 lines in all) or on the boundary of the feasible t
+    interval.  Each line is crossed with every later line in one vectorised
+    step and the crossings inside the interval are scored, so the O(n^4)
+    crossings cost O(n^5) time and a line's step O(n^3) memory; the
+    boundary reduces to the exact one-dimensional ordered-median solve.
     """
     if prob.n_params != 2:
         raise SolverError("exact enumeration needs exactly two parameters")
@@ -416,26 +419,15 @@ def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray,
         r = solve_omp(-(u + t * w), lam, 1.0)
         consider(np.array([r.beta0]), np.array([t]))
 
-    L = La.size
-    pi, pj = np.triu_indices(L, 1)
-    for start in range(0, pi.size, chunk):
-        ii = pi[start: start + chunk]
-        jj = pj[start: start + chunk]
-        det = La[ii] * Lb[jj] - La[jj] * Lb[ii]
+    for i in range(La.size - 1):
+        a, b, c = La[i + 1:], Lb[i + 1:], Lc[i + 1:]
+        det = La[i] * b - a * Lb[i]
         ok = np.abs(det) > 1e-12
-        ii, jj, det = ii[ok], jj[ok], det[ok]
-        b0s = (Lc[ii] * Lb[jj] - Lc[jj] * Lb[ii]) / det
-        ts = (La[ii] * Lc[jj] - La[jj] * Lc[ii]) / det
+        a, b, c, det = a[ok], b[ok], c[ok], det[ok]
+        b0s = (Lc[i] * b - c * Lb[i]) / det
+        ts = (La[i] * c - a * Lc[i]) / det
         keep = (ts >= t_lo - 1e-12) & (ts <= t_hi + 1e-12) & np.isfinite(b0s)
-        b0s, ts = b0s[keep], np.clip(ts[keep], t_lo, t_hi)
-        if b0s.size == 0:
-            continue
-        pts = np.column_stack([b0s, ts])
-        _, idx = np.unique(np.round(pts, 12), axis=0, return_index=True)
-        pts = pts[idx]
-        for s2 in range(0, len(pts), chunk):
-            block = pts[s2: s2 + chunk]
-            consider(block[:, 0], block[:, 1])
+        consider(b0s[keep], np.clip(ts[keep], t_lo, t_hi))
 
     if best_v is None:
         raise SolverError("no feasible point enumerated")
@@ -525,16 +517,12 @@ def _build_assignment_milp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.Mix
     span = float(np.abs(prob.c).max() + np.abs(prob.A).max() + 1.0)
     box = 16.0 * span
     big_m = 4.0 * (box * (1.0 + float(np.abs(prob.A).sum(axis=1).max())) + float(np.abs(prob.c).max()))
-    general, param_bounds = prob.split_ineq()
-    vbounds = [
-        (lo if lo is not None else -box, hi if hi is not None else box)
-        for lo, hi in param_bounds
-    ]
+    boxed = replace(prob, bounds=np.where(np.isinf(prob.bounds), [-box, box], prob.bounds))
     # variables: v (m) | eps (n) | theta (n) | w (n*n binaries)
     nv = m + 2 * n + n * n
     cost = np.zeros(nv)
     cost[m + n: m + 2 * n] = lam
-    bounds = vbounds + [(0.0, None)] * (2 * n) + [(0.0, 1.0)] * (n * n)
+    bounds = [(0.0, None)] * (2 * n) + [(0.0, 1.0)] * (n * n)
     names = ([f"b{j}" for j in range(m)] + [f"e{i + 1}" for i in range(n)]
              + [f"th{j + 1}" for j in range(n)]
              + [f"w{i + 1}_{j + 1}" for i in range(n) for j in range(n)])
@@ -565,7 +553,7 @@ def _build_assignment_milp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.Mix
         row[m + n + j - 1] = 1.0
         row[m + n + j] = -1.0
         rows.append((row, "<=", 0.0))
-    problem = _abs_value_lp(prob, general, cost, bounds, names, rows)
+    problem = _abs_value_lp(boxed, cost, bounds, names, rows)
     return lpmod.MixedIntegerProgram(problem, frozenset(range(m + 2 * n, nv)))
 
 
@@ -577,8 +565,8 @@ def _solve_p1_milp(prob: _LinearResiduals, lam: np.ndarray,
     col = np.maximum(np.abs(prob.A).max(axis=0), 1e-9)
     row = max(float(np.abs(prob.c).max()), 1e-9)
     scaled = _LinearResiduals(
-        prob.A / col[None, :], prob.c / row, prob.to_beta,
-        [(r_ * row / col, rhs) for r_, rhs in prob.ineq],
+        prob.A / col[None, :], prob.c / row, prob.to_beta, prob.bounds * col[:, None] / row,
+        [(r_ * row / col, rhs) for r_, rhs in prob.general],
     )
     mip = _build_assignment_milp(scaled, lam)
     status = lpmod.solve_milp(mip, node_limit=node_limit)
@@ -602,12 +590,11 @@ def _weighted_fit(prob: _LinearResiduals, weights: np.ndarray, p: float,
     if p == 2.0:
         sw = np.sqrt(weights)
         v, *_ = np.linalg.lstsq(prob.A * sw[:, None], -prob.c * sw, rcond=None)
-        return prob.project(v) if prob.ineq else v
+        return prob.project(v)
     if p == 1.0:
         n, m = prob.A.shape
-        general, param_bounds = prob.split_ineq()
         cost = np.concatenate([np.zeros(m), weights])
-        problem = _abs_value_lp(prob, general, cost, list(param_bounds) + [(0.0, None)] * n)
+        problem = _abs_value_lp(prob, cost, [(0.0, None)] * n)
         status = lpmod.solve_lp(problem)
         if status.status != lpmod.OPTIMAL:
             raise SolverError(f"weighted LP re-fit ended with status {status.status}")
@@ -623,7 +610,7 @@ def _subgradient(prob: _LinearResiduals, lam: np.ndarray, p: float, v0: np.ndarr
     ``patience`` stops a run whose best value has stalled; the public descent
     entry point leaves it off and always spends the full budget.
     """
-    v = prob.project(np.asarray(v0, dtype=float)) if prob.ineq else np.asarray(v0, dtype=float)
+    v = prob.project(np.asarray(v0, dtype=float))
     signed = prob.A @ v + prob.c
     res = np.abs(signed)
     constant = fixed_weights or bool(np.all(lam == lam[0]))
@@ -653,8 +640,7 @@ def _subgradient(prob: _LinearResiduals, lam: np.ndarray, p: float, v0: np.ndarr
         if norm < 1e-14:
             break
         v = v - (step0 / math.sqrt(it)) * grad / norm
-        if prob.ineq:
-            v = prob.project(v)
+        v = prob.project(v)
         signed = prob.A @ v + prob.c
         res = np.abs(signed)
         val = value(res)
@@ -702,7 +688,7 @@ def _start_points(prob: _LinearResiduals, lam: np.ndarray, rng: SplitMix64,
             except np.linalg.LinAlgError:
                 continue
             if np.all(np.isfinite(v)):
-                starts.append(prob.project(v) if prob.ineq else v)
+                starts.append(prob.project(v))
     if not starts:
         starts.append(np.zeros(m))
     return starts
@@ -925,17 +911,21 @@ def _solve_block(data: Dataset, ball: Polytope, chosen: list[int],
     """(beta, route tag, disjunct count) of the best disjunct in ``chosen``.
 
     ``solve(prob) -> (value, v, tag)`` solves one disjunct subproblem; a
-    later disjunct wins only when it is better by more than 1e-12.
+    later disjunct wins only when it is better by more than 1e-12.  The tag
+    is the winner's, or ``incumbent`` when any disjunct stopped at the node
+    limit, since the fit is then not proven optimal over all of them.
     """
     best = None
+    stopped = False
     for g in chosen:
         prob = _disjunct_problem(data, ball, g)
         val, v, tag = solve(prob)
+        stopped = stopped or tag == "incumbent"
         if best is None or val < best[0] - 1e-12:
             best = (val, prob.to_beta(v), tag)
     if best is None:
         raise SolverError("all disjuncts failed")
-    return best[1], best[2], len(chosen)
+    return best[1], "incumbent" if stopped else best[2], len(chosen)
 
 
 def _solve_block_norm(data: Dataset, criterion: Criterion, ball: Polytope, *, seed: int,

@@ -12,6 +12,8 @@ from planefit.geometry import (
     LTau,
     Polytope,
     Vertical,
+    inscribed_polytope,
+    polar_polytope,
     residual_vector,
 )
 from planefit.solvers import (
@@ -202,6 +204,21 @@ def _quantile_scan_reference(u, w, cands, r):
     return best
 
 
+def _slope_problem(data, slope):
+    """Vertical residuals with the slope v[1] limited to ``slope`` = (lo, hi)."""
+    from planefit import solvers
+
+    base = solvers._vertical_problem(data)
+    rows = []
+    if slope is not None:
+        lo, hi = slope
+        if np.isfinite(lo):
+            rows.append((np.array([0.0, -1.0]), -lo))
+        if np.isfinite(hi):
+            rows.append((np.array([0.0, 1.0]), hi))
+    return solvers._LinearResiduals.from_rows(base.A, base.c, base.to_beta, rows)
+
+
 def test_quantile_scan_matches_reference_loop(rng):
     from planefit import solvers
 
@@ -209,12 +226,7 @@ def test_quantile_scan_matches_reference_loop(rng):
     for n, slope, decimals in ((8, None, 1), (30, (-0.5, 0.25), 1), (40, (0.1, np.inf), 1),
                                (200, None, 12)):
         data = Dataset.from_observations(np.round(rng.normal(size=(n, 2)) * 2.0, decimals))
-        prob = solvers._vertical_problem(data)
-        if slope is not None:
-            lo, hi = slope
-            prob.ineq.append((np.array([0.0, -1.0]), -lo))
-            if np.isfinite(hi):
-                prob.ineq.append((np.array([0.0, 1.0]), hi))
+        prob = _slope_problem(data, slope)
         u, w = prob.c.astype(float), prob.A[:, 1].astype(float)
         t_lo, t_hi = prob.slope_interval()
         iu, ju = np.triu_indices(n, 1)
@@ -574,11 +586,137 @@ def test_start_points_skip_a_failed_lp(monkeypatch, rng):
 def test_slope_interval_is_the_bound_pair_of_the_slope():
     from planefit.solvers import SolverError, _LinearResiduals
 
-    prob = _LinearResiduals(np.ones((3, 2)), np.zeros(3), None,
-                            [(np.array([0.0, 2.0]), 3.0), (np.array([0.0, -1.0]), 1.0),
-                             (np.array([0.0, 1.0]), 4.0)])
+    def build(rows):
+        return _LinearResiduals.from_rows(np.ones((3, 2)), np.zeros(3), None, rows)
+
+    rows = [(np.array([0.0, 2.0]), 3.0), (np.array([0.0, -1.0]), 1.0),
+            (np.array([0.0, 1.0]), 4.0), (np.zeros(2), 0.0)]
+    prob = build(rows)
     assert prob.slope_interval() == (-1.0, 1.5)
-    assert prob.split_ineq() == ([], [(None, None), (-1.0, 1.5)])
-    prob.ineq.append((np.array([1.0, 1.0]), 2.0))
-    with pytest.raises(SolverError, match="offset"):
-        prob.slope_interval()
+    assert prob.bounds.tolist() == [[-np.inf, np.inf], [-1.0, 1.5]]
+    assert prob.general == []
+    with pytest.raises(SolverError, match="constant"):
+        build(rows + [(np.zeros(2), -1.0)])
+    for row in ([1.0, 1.0], [1.0, 0.0]):  # a general row, a bound on the offset
+        with pytest.raises(SolverError, match="offset"):
+            build(rows + [(np.array(row), 2.0)]).slope_interval()
+
+
+def _exact_enum_reference(prob, lam):
+    """Pair-array enumeration with a rounded row dedupe per chunk; the
+    one-line-at-a-time enumeration must reach the same value."""
+    from planefit.omp1d import solve_omp
+    from planefit.solvers import _omf_rows
+
+    chunk = 200_000
+    u = prob.c.astype(float)
+    w = prob.A[:, 1].astype(float)
+    t_lo, t_hi = prob.slope_interval()
+    n = u.size
+    iu, ju = np.triu_indices(n, 1)
+    La = np.concatenate([np.ones(n), np.full(iu.size, 2.0), np.zeros(iu.size)])
+    Lb = np.concatenate([w, w[iu] + w[ju], w[iu] - w[ju]])
+    Lc = np.concatenate([-u, -(u[iu] + u[ju]), -(u[iu] - u[ju])])
+    pts = [(solve_omp(-(u + t * w), lam, 1.0).beta0, t) for t in (t_lo, t_hi) if np.isfinite(t)]
+    best = np.inf
+    if pts:
+        pts = np.array(pts)
+        best = _omf_rows(np.abs(pts[:, :1] + u + pts[:, 1:] * w), lam).min()
+    pi, pj = np.triu_indices(La.size, 1)
+    for start in range(0, pi.size, chunk):
+        ii, jj = pi[start: start + chunk], pj[start: start + chunk]
+        det = La[ii] * Lb[jj] - La[jj] * Lb[ii]
+        ok = np.abs(det) > 1e-12
+        ii, jj, det = ii[ok], jj[ok], det[ok]
+        b0s = (Lc[ii] * Lb[jj] - Lc[jj] * Lb[ii]) / det
+        ts = (La[ii] * Lc[jj] - La[jj] * Lc[ii]) / det
+        keep = (ts >= t_lo - 1e-12) & (ts <= t_hi + 1e-12) & np.isfinite(b0s)
+        pts = np.column_stack([b0s[keep], np.clip(ts[keep], t_lo, t_hi)])
+        if pts.size:
+            _, idx = np.unique(np.round(pts, 12), axis=0, return_index=True)
+            pts = pts[idx]
+            best = min(best, _omf_rows(np.abs(pts[:, :1] + u + pts[:, 1:] * w), lam).min())
+    return float(best)
+
+
+def test_exact_enum_matches_dedupe_reference(rng):
+    from planefit.solvers import _solve_p1_exact_2param
+
+    cases = ((8, None), (12, (-0.5, 0.25)), (20, (0.1, np.inf)), (30, (-np.inf, 0.3)),
+             (30, None))
+    for n, slope in cases:
+        # one decimal repeats values, so many crossings coincide
+        data = Dataset.from_observations(np.round(rng.normal(size=(n, 2)) * 2.0, 1))
+        prob = _slope_problem(data, slope)
+        t_lo, t_hi = prob.slope_interval()
+        lams = (preset("MED", n).lam, preset("AkC", n, K=n // 3).lam,
+                rng.random(n) * (rng.random(n) < 0.5) + np.eye(n)[n // 2])
+        for lam in lams:
+            val, v = _solve_p1_exact_2param(prob, lam)
+            want = _exact_enum_reference(prob, lam)
+            assert val == pytest.approx(want, rel=1e-12, abs=1e-300)
+            assert t_lo <= v[1] <= t_hi
+            assert float(np.sort(prob.residuals(v)) @ lam) == pytest.approx(val, rel=1e-12)
+
+
+def test_exact_enum_memory_is_bounded(rng):
+    import tracemalloc
+
+    from planefit.solvers import EXACT_ENUM_MAX_N, _solve_p1_exact_2param
+
+    n = EXACT_ENUM_MAX_N
+    prob = _slope_problem(random_dataset(rng, n), None)
+    tracemalloc.start()
+    try:
+        _solve_p1_exact_2param(prob, preset("MED", n).lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_project_in_2d_is_a_clip_of_the_slope(stars, rng):
+    from planefit.solvers import _disjunct_problem, _sign_distinct
+
+    ball = polar_polytope(inscribed_polytope(2, 32)[0])
+    for g in _sign_distinct(ball.vertices):
+        prob = _disjunct_problem(stars, ball, g)
+        assert prob.general == []
+        t_lo, t_hi = prob.slope_interval()
+        assert np.isfinite(t_lo) and np.isfinite(t_hi)
+        for v in rng.normal(size=(20, 2)) * 3.0:
+            want = np.array([v[0], np.clip(v[1], t_lo, t_hi)])
+            assert prob.project(v).tobytes() == want.tobytes()
+
+
+def test_project_lands_feasible_on_d3_linf_disjunct(rng):
+    from planefit.solvers import _as_block, _disjunct_problem, _sign_distinct
+
+    data = random_dataset(rng, 6, 3)
+    ball = _as_block(LTau(math.inf), 3).ball
+    for g in _sign_distinct(ball.vertices):
+        prob = _disjunct_problem(data, ball, g)
+        assert prob.general  # d = 3 facets do not reduce to bounds
+        for v in rng.normal(size=(20, 3)) * 3.0:
+            assert prob.feasible(prob.project(v), tol=1e-9)
+
+
+def test_block_fit_is_incumbent_when_a_losing_disjunct_stopped(monkeypatch, stars):
+    from planefit import solvers
+
+    real = solvers._solve_subproblem
+    calls = []
+
+    def first_stops(prob, criterion, **kwargs):
+        val, v, tag = real(prob, criterion, **kwargs)
+        calls.append(tag)
+        if len(calls) == 1:  # the first disjunct stops early and loses
+            return val + 1e6, v, "incumbent"
+        return val, v, tag
+
+    monkeypatch.setattr(solvers, "_solve_subproblem", first_stops)
+    r = fit_block_norm(stars, preset("SUM", 47), Block(l1_ball(2)))
+    assert calls == ["lp", "lp"]
+    assert r.solver_tag == "incumbent"
+    monkeypatch.setattr(solvers, "_solve_subproblem", real)
+    assert fit_block_norm(stars, preset("SUM", 47), Block(l1_ball(2))).solver_tag == "lp"
