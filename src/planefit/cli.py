@@ -290,7 +290,7 @@ def cmd_fit(args) -> int:
             [flat[k] for k in keys] + [beta_txt]
         ) + "\n"
         _emit(payload, args.output)
-    return 1 if result.solver_tag == "incumbent" else 0
+    return 1 if result.solver_tag.split("+inner-")[0] == "incumbent" else 0
 
 
 def cmd_batch(args) -> int:

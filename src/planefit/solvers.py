@@ -10,15 +10,17 @@ its tag:
 * ``lp``: ``p == 1`` with nondecreasing weights, an exact LP (partial sums
   of the largest residuals enter through their minimax representation, so
   no binaries are needed);
-* ``exact-enum``: ``p == 1`` with arbitrary weights on two free parameters
-  and n <= EXACT_ENUM_MAX_N, exact enumeration of the breakpoint
-  arrangement of the piecewise-linear objective (all pairwise crossings of
-  the residual kink lines, one line at a time: O(n^5) time, O(n^3) memory);
+* ``quantile-scan``: one-rank objectives (any p) on two parameters, the
+  classic pair-slope scan: O(n^2) candidate slopes, O(n^3 log n) time;
+* ``exact-enum``: other ``p == 1`` objectives on two free parameters, exact
+  enumeration of the breakpoint arrangement of the piecewise-linear
+  objective.  Nonincreasing weights need only the O(n^2) crossings of the
+  residual zero lines (O(n^3) time, one block of scores in memory); other
+  weights need every crossing of the O(n^2) kink lines, one line at a time
+  (O(n^5) time, O(n^3) memory), and only for n <= EXACT_ENUM_MAX_N;
 * ``milp`` (``incumbent`` at the node limit): ``p == 1`` with arbitrary
   weights and n <= MILP_MAX_N, a big-M assignment MILP;
 * ``lsq``: ``p == 2`` with constant weights, least squares on the slice;
-* ``quantile-scan``: one-rank ``p == 2`` objectives on two parameters, the
-  classic pair-slope scan;
 * ``irls``: constant weights with 1 < p < 2, reweighted least squares;
 * ``descent``: other nondecreasing weights, projected subgradient descent;
 * ``heuristic``: everything else, multistart concentration steps (re-fit on
@@ -88,7 +90,7 @@ __all__ = [
 EXACT_ENUM_MAX_N = 60
 MILP_MAX_N = 10
 DESCENT_ITERS = 5000
-_BLOCK_CELLS = 1 << 18  # rows x points per block of the quantile scan
+_BLOCK_CELLS = 1 << 18  # rows x points per scored block (quantile scan, zero-line crossings)
 
 
 class SolverError(RuntimeError):
@@ -372,16 +374,35 @@ def _omf_rows(res: np.ndarray, lam: np.ndarray, p: float = 1.0) -> np.ndarray:
     return ordered @ lam
 
 
+def _nonincreasing(lam: np.ndarray) -> bool:
+    return bool(np.all(lam[1:] <= lam[:-1]))
+
+
 def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact two-parameter solve for p = 1 and arbitrary nonnegative weights.
 
     The objective is piecewise linear in (b0, t); its minimum sits at a
-    crossing of two kink lines (residual zero lines r_i = 0 and matches
-    r_i = +-r_j, L = n^2 lines in all) or on the boundary of the feasible t
-    interval.  Each line is crossed with every later line in one vectorised
-    step and the crossings inside the interval are scored, so the O(n^4)
-    crossings cost O(n^5) time and a line's step O(n^3) memory; the
-    boundary reduces to the exact one-dimensional ordered-median solve.
+    crossing of two kink lines or on the boundary of the feasible t
+    interval, where it reduces to the exact one-dimensional ordered-median
+    solve.  Which kink lines are needed depends on the weights:
+
+    * nonincreasing weights (lam_1 >= ... >= lam_n, e.g. AkC): only the n
+      residual zero lines r_i = 0.  By rearrangement, sum_j lam_j |r|_(j)
+      is the minimum over permutations pi of the weighted-LAD objectives
+      sum_i lam_pi(i) |r_i|.  Each of those is convex and linear on every
+      cell of the zero-line arrangement cut to the strip, so it attains its
+      minimum at a crossing of two zero lines or on the strip boundary.
+      The ordered objective is nowhere above any of them, so its minimum
+      is reached at one of those points too.  The O(n^2) crossings are
+      scored a block of ``_BLOCK_CELLS`` cells at a time: O(n^3) time,
+      O(n^2) pair indices plus one block in memory.
+    * other weights: the zero lines and the matches r_i = +-r_j, L = n^2
+      lines in all.  Each line is crossed with every later line in one
+      vectorised step and the crossings inside the interval are scored, so
+      the O(n^4) crossings cost O(n^5) time and a line's step O(n^3)
+      memory.  The r_i = r_j lines come last; they carry no b0 term, are
+      parallel to each other (constant t) and cross only earlier lines, so
+      the loop ends before them.
     """
     if prob.n_params != 2:
         raise SolverError("exact enumeration needs exactly two parameters")
@@ -392,11 +413,16 @@ def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray) -> tuple[flo
     t_lo, t_hi = prob.slope_interval()
     n = u.size
 
-    # lines alpha*b0 + beta*t = gamma
-    iu, ju = np.triu_indices(n, 1)
-    La = np.concatenate([np.ones(n), np.full(iu.size, 2.0), np.zeros(iu.size)])
-    Lb = np.concatenate([w, w[iu] + w[ju], w[iu] - w[ju]])
-    Lc = np.concatenate([-u, -(u[iu] + u[ju]), -(u[iu] - u[ju])])
+    def crossings(a1, b1, c1, a2, b2, c2):
+        """(b0, t) where a1*b0 + b1*t = c1 meets a2*b0 + b2*t = c2, kept
+        inside the t interval."""
+        det = a1 * b2 - a2 * b1
+        ok = np.abs(det) > 1e-12
+        det = det[ok]
+        b0s = (c1 * b2 - c2 * b1)[ok] / det
+        ts = (a1 * c2 - a2 * c1)[ok] / det
+        keep = (ts >= t_lo - 1e-12) & (ts <= t_hi + 1e-12) & np.isfinite(b0s)
+        return b0s[keep], np.clip(ts[keep], t_lo, t_hi)
 
     best_val = np.inf
     best_v = None
@@ -419,33 +445,40 @@ def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray) -> tuple[flo
         r = solve_omp(-(u + t * w), lam, 1.0)
         consider(np.array([r.beta0]), np.array([t]))
 
-    for i in range(La.size - 1):
-        a, b, c = La[i + 1:], Lb[i + 1:], Lc[i + 1:]
-        det = La[i] * b - a * Lb[i]
-        ok = np.abs(det) > 1e-12
-        a, b, c, det = a[ok], b[ok], c[ok], det[ok]
-        b0s = (Lc[i] * b - c * Lb[i]) / det
-        ts = (La[i] * c - a * Lc[i]) / det
-        keep = (ts >= t_lo - 1e-12) & (ts <= t_hi + 1e-12) & np.isfinite(b0s)
-        consider(b0s[keep], np.clip(ts[keep], t_lo, t_hi))
+    # lines alpha*b0 + beta*t = gamma
+    iu, ju = np.triu_indices(n, 1)
+    if _nonincreasing(lam):
+        rows = max(1, _BLOCK_CELLS // n)
+        for s in range(0, iu.size, rows):
+            ii, jj = iu[s: s + rows], ju[s: s + rows]
+            consider(*crossings(1.0, w[ii], -u[ii], 1.0, w[jj], -u[jj]))
+    else:
+        La = np.concatenate([np.ones(n), np.full(iu.size, 2.0), np.zeros(iu.size)])
+        Lb = np.concatenate([w, w[iu] + w[ju], w[iu] - w[ju]])
+        Lc = np.concatenate([-u, -(u[iu] + u[ju]), -(u[iu] - u[ju])])
+        for i in range(n + iu.size):  # every line with a b0 term
+            consider(*crossings(La[i], Lb[i], Lc[i], La[i + 1:], Lb[i + 1:], Lc[i + 1:]))
 
     if best_v is None:
         raise SolverError("no feasible point enumerated")
     return best_val, best_v
 
 
-# -- quantile pair-slope scan (p = 2 on two parameters) ---------------------
+# -- quantile pair-slope scan (one-rank weights on two parameters) ----------
 
 
 def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> tuple[float, np.ndarray]:
-    """Exact r-th-quantile-of-squares minimizer over (b0, t).
+    """Exact minimizer over (b0, t) of the r-th smallest absolute residual.
 
-    The optimal strip is supported by three points, two of them on the same
-    boundary, so the optimal t is a crossing of two residual lines (or an
-    endpoint of the feasible interval); for each candidate t the best b0 is
-    the midpoint of the narrowest window spanning r values.  The candidate
-    slopes are scored a block of rows at a time: one row-wise sort, window
-    widths and argmin per block.
+    Returns the half-width of the narrowest strip holding r points, so it
+    solves every one-rank objective lam_r |r|_(r)^p (MED, LQS, LMS) at any
+    p, with value lam_r * half**p.  The optimal strip is supported by three
+    points, two of them on the same boundary, so the optimal t is a
+    crossing of two residual lines (or an endpoint of the feasible
+    interval); for each candidate t the best b0 is the midpoint of the
+    narrowest window spanning r values.  The O(n^2) candidate slopes are
+    scored a block of rows at a time: one row-wise sort, window widths and
+    argmin per block, O(n^3 log n) time in all.
     """
     u = prob.c.astype(float)
     w = prob.A[:, 1].astype(float)
@@ -455,9 +488,8 @@ def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> tuple[float, np.nd
     dw = w[iu] - w[ju]
     mask = np.abs(dw) > 1e-14
     cands = (-(u[iu] - u[ju])[mask] / dw[mask])
-    cands = np.clip(cands, t_lo, t_hi)
     extra = [t for t in (t_lo, t_hi, 0.0) if np.isfinite(t)]
-    cands = np.unique(np.concatenate([cands, np.array(extra)]))
+    cands = np.unique(np.clip(np.concatenate([cands, np.array(extra)]), t_lo, t_hi))
 
     best = (np.inf, None)
     rows = max(1, _BLOCK_CELLS // n)
@@ -737,7 +769,11 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
     if p == 1.0 and monotone:
         val, v = _solve_monotone_p1_lp(prob, lam)
         tag = "lp"
-    elif p == 1.0 and prob.n_params == 2 and n <= EXACT_ENUM_MAX_N:
+    elif nz.size == 1 and prob.n_params == 2:
+        half, v = _solve_quantile_2param(prob, int(nz[0]) + 1)
+        val, tag = float(lam[nz[0]]) * half**p, "quantile-scan"
+    elif (p == 1.0 and prob.n_params == 2
+          and (_nonincreasing(lam) or n <= EXACT_ENUM_MAX_N)):
         val, v = _solve_p1_exact_2param(prob, lam)
         tag = "exact-enum"
     elif p == 1.0 and n <= MILP_MAX_N:
@@ -745,9 +781,6 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
     elif p == 2.0 and constant:
         val, v = _solve_sos_slice(prob)
         tag = "lsq"
-    elif p == 2.0 and nz.size == 1 and prob.n_params == 2:
-        half, v = _solve_quantile_2param(prob, int(nz[0]) + 1)
-        val, tag = float(lam[nz[0]]) * half**2, "quantile-scan"
     elif constant and 1.0 < p < 2.0:
         val, v = _solve_plp_constant(prob, float(lam[0]), p)
         tag = "irls"

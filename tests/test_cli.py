@@ -44,6 +44,25 @@ def test_fit_collinear_gcod_one(tmp_path, capsys):
     assert record["gcod"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_fit_exits_1_on_an_incumbent_ltau_fit(monkeypatch, capsys):
+    from planefit import cli
+
+    real = cli.fit
+    args = ["fit", "--input", str(STARS_CSV), "--criterion", "SUM", "--residual", "ltau:2",
+            "--N", "8"]
+    code, out, _ = run_cli(args, capsys)
+    assert (code, json.loads(out)["solver_tag"]) == (0, "lp+inner-8gon")
+
+    def stopped(request):
+        result = real(request)
+        result.solver_tag = result.solver_tag.replace("lp", "incumbent", 1)
+        return result
+
+    monkeypatch.setattr(cli, "fit", stopped)
+    code, out, _ = run_cli(args, capsys)
+    assert (code, json.loads(out)["solver_tag"]) == (1, "incumbent+inner-8gon")
+
+
 def test_malformed_row_reports_line(tmp_path, capsys):
     csv = tmp_path / "bad.csv"
     csv.write_text("x1,y\na,b\n")

@@ -232,9 +232,9 @@ def test_quantile_scan_matches_reference_loop(rng):
         iu, ju = np.triu_indices(n, 1)
         dw = w[iu] - w[ju]
         mask = np.abs(dw) > 1e-14
-        cands = np.clip(-(u[iu] - u[ju])[mask] / dw[mask], t_lo, t_hi)
+        cands = -(u[iu] - u[ju])[mask] / dw[mask]
         extra = [t for t in (t_lo, t_hi, 0.0) if np.isfinite(t)]
-        cands = np.unique(np.concatenate([cands, np.array(extra)]))
+        cands = np.unique(np.clip(np.concatenate([cands, np.array(extra)]), t_lo, t_hi))
         assert n < 200 or cands.size > 5 * (solvers._BLOCK_CELLS // n)
         for r in sorted({1, 2, n // 2 + 1, n}):
             half, v = solvers._solve_quantile_2param(prob, r)
@@ -532,10 +532,10 @@ def test_ltau_inf_routes_to_linf_block(stars):
 
 
 def test_stars_med_ltau2_enumerates_every_disjunct(stars):
-    # all 16 disjuncts of the 32-gon run the exact enumeration, so rho is a
+    # all 16 disjuncts of the 32-gon run the exact one-rank scan, so rho is a
     # true lower bound; the concentration heuristic stopped at 0.06449 here
     r = fit(FitRequest(stars, preset("MED", 47), LTau(2), seed=1, polytope_vertices=32))
-    assert r.solver_tag == "exact-enum+inner-32gon"
+    assert r.solver_tag == "quantile-scan+inner-32gon"
     assert r.subproblem_count == 16
     assert r.phi_star <= 0.056127
     lower, upper = r.bounds
@@ -673,6 +673,81 @@ def test_exact_enum_memory_is_bounded(rng):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_weight_shape_routes_match_dedupe_reference(rng):
+    # nonincreasing weights score only the zero-line crossings, one-rank
+    # weights take the pair-slope scan; both must reach the full arrangement
+    from planefit.solvers import _solve_p1_exact_2param, _solve_quantile_2param
+
+    cases = ((8, None), (12, (-0.5, 0.25)), (20, (0.1, np.inf)), (24, (-np.inf, 0.3)),
+             (24, None))
+    for n, slope in cases:
+        data = Dataset.from_observations(np.round(rng.normal(size=(n, 2)) * 2.0, 1))
+        prob = _slope_problem(data, slope)
+        t_lo, t_hi = prob.slope_interval()
+        # ties from rounding, trailing zeros from the zeroed tail
+        lam = np.sort(np.round(rng.random(n) * 3.0) / 3.0)[::-1].copy()
+        lam[n - int(rng.integers(1, n // 2)):] = 0.0
+        lam[0] += 0.5
+        val, v = _solve_p1_exact_2param(prob, lam)
+        assert val == pytest.approx(_exact_enum_reference(prob, lam), rel=1e-12, abs=1e-300)
+        assert t_lo <= v[1] <= t_hi
+        assert float(np.sort(prob.residuals(v)) @ lam) == pytest.approx(val, rel=1e-12)
+        for r in (1, n // 2 + 1, n - 1):
+            one_rank = 1.5 * np.eye(n)[r - 1]
+            half, v = _solve_quantile_2param(prob, r)
+            assert 1.5 * half == pytest.approx(_exact_enum_reference(prob, one_rank),
+                                               rel=1e-12, abs=1e-300)
+            assert t_lo <= v[1] <= t_hi
+            assert np.sort(prob.residuals(v))[r - 1] == pytest.approx(half, rel=1e-12,
+                                                                       abs=1e-12)
+
+
+def test_med_and_akc_block_fits_match_oracle(rng):
+    from planefit import solvers
+    from planefit.rng import SplitMix64
+
+    ball = l1_ball(2)
+    for n in (7, 12):
+        data = random_dataset(rng, n, 2)
+        for name, tag in (("MED", "quantile-scan"), ("AkC", "exact-enum")):
+            crit = preset(name, n)
+            for g in solvers._sign_distinct(ball.vertices):
+                # the disjunct value picks the winner, so it must be the objective at v
+                prob = solvers._disjunct_problem(data, ball, g)
+                val, v, _ = solvers._solve_subproblem(prob, crit, rng=SplitMix64(0),
+                                                      multistart=0, node_limit=1)
+                assert val == pytest.approx(evaluate(crit, prob.residuals(v)), rel=1e-12)
+            r = fit_block_norm(data, crit, Block(l1_ball(2)))
+            assert r.solver_tag == tag
+            oracle = brute_force_fit_2d(data, crit, Block(l1_ball(2)),
+                                        ((0.0, math.pi), (-8.0, 8.0), 5e-3))
+            assert r.phi_star <= oracle.phi_star + 1e-9
+
+
+def test_weight_shape_routes_stay_exact_above_the_enumeration_cap():
+    from planefit import solvers
+    from planefit.evaluation import synthetic_generate
+    from planefit.rng import SplitMix64
+
+    n = 100
+    assert n > solvers.EXACT_ENUM_MAX_N
+    data = synthetic_generate(n, 2, "X", seed=7)
+    akc, med = preset("AkC", n), preset("MED", n)
+    ball = l1_ball(2)
+    r = fit_block_norm(data, akc, Block(ball))
+    assert r.solver_tag == "exact-enum"
+    concentration = min(
+        solvers._solve_concentration(solvers._disjunct_problem(data, ball, g), akc.lam, 1.0,
+                                     SplitMix64(0), 0)[0]
+        for g in solvers._sign_distinct(ball.vertices))
+    assert r.phi_star <= concentration * (1 + 1e-12)
+    r = fit_vertical_general(data, med)
+    assert r.solver_tag == "quantile-scan"
+    concentration, _ = solvers._solve_concentration(solvers._vertical_problem(data), med.lam,
+                                                    1.0, SplitMix64(0), 0)
+    assert r.phi_star <= concentration * (1 + 1e-12)
 
 
 def test_project_in_2d_is_a_clip_of_the_slope(stars, rng):
