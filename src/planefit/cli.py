@@ -4,7 +4,8 @@ Input CSVs carry a header row and numeric columns; the last column is the
 dependent coordinate unless --dependent-col picks another, and the intercept
 column is always synthesized.  Results are emitted as versioned JSON or flat
 CSV; an independent ``verify`` subcommand re-scores a result record against
-the input it came from.
+the input it came from and, when the record carries ``bounds``, checks that
+the recomputed objective lies inside them.
 
 Exit codes: 0 success, 1 solver returned a non-optimal incumbent (or a
 verification mismatch), 2 input error.
@@ -405,15 +406,21 @@ def cmd_verify(args) -> int:
     idx = gcod_index(phi, data, criterion, norm)
     ok_phi = math.isclose(phi, record["phi_star"], rel_tol=1e-6, abs_tol=1e-9)
     ok_gcod = math.isclose(idx, record["gcod"], rel_tol=1e-6, abs_tol=1e-9)
+    bounds_ok = None
+    if record.get("bounds") is not None:
+        lower, upper = record["bounds"]
+        tol = 1e-9 * max(abs(lower), abs(upper))
+        bounds_ok = bool(lower - tol <= phi <= upper + tol)
     report = {
         "phi_star_recomputed": phi,
         "phi_star_recorded": record["phi_star"],
         "gcod_recomputed": idx,
         "gcod_recorded": record["gcod"],
         "match": bool(ok_phi and ok_gcod),
+        "bounds_ok": bounds_ok,
     }
     _emit(json.dumps(report, indent=2) + "\n", args.output)
-    return 0 if report["match"] else 1
+    return 0 if report["match"] and bounds_ok is not False else 1
 
 
 # ---------------------------------------------------------------------------

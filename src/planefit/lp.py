@@ -40,6 +40,7 @@ __all__ = [
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
+INT_TOL = 1e-9  # a binary this close to 0 or 1 counts as integral
 REDUNDANT_TOL = 1e-12
 
 OPTIMAL = "optimal"
@@ -325,7 +326,7 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
 
 
 def _most_fractional(x: np.ndarray, integral) -> int | None:
-    pick, best = None, 1e-6
+    pick, best = None, INT_TOL
     for j in sorted(integral):
         frac = x[j] - np.floor(x[j])
         dist = min(frac, 1.0 - frac)

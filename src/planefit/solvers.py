@@ -26,6 +26,11 @@ its tag:
 * ``heuristic``: everything else, multistart concentration steps (re-fit on
   the currently selected weight assignment).
 
+``lsq``, ``irls`` and the concentration re-fits share one fixed-weight
+solver, ``_weighted_fit``.  Its least squares is exact in d = 2 and only
+projected in d >= 3; its IRLS stops at a tolerance, so ``irls`` proves
+nothing.
+
 Each subproblem stores its feasible set split once, into per-parameter
 bounds and general rows; in d = 2 a disjunct's facets are just an interval
 on the slope.  A block-norm fit solves one subproblem per disjunct and
@@ -509,32 +514,6 @@ def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> tuple[float, np.nd
     return best[0], best[1]
 
 
-# -- least squares on the slice (p = 2, constant weights) -------------------
-
-
-def _solve_sos_slice(prob: _LinearResiduals) -> tuple[float, np.ndarray]:
-    v, *_ = np.linalg.lstsq(prob.A, -prob.c, rcond=None)
-    if prob.feasible(v):
-        return float(np.sum(prob.residuals(v) ** 2)), v
-    if prob.n_params == 2:
-        t_lo, t_hi = prob.slope_interval()
-        best = (np.inf, None)
-        for t in (t_lo, t_hi):
-            if not np.isfinite(t):
-                continue
-            col = prob.A[:, 0]
-            rhs = -prob.c - prob.A[:, 1] * t
-            b0 = float(col @ rhs / (col @ col))
-            vv = np.array([b0, t])
-            val = float(np.sum(prob.residuals(vv) ** 2))
-            if val < best[0]:
-                best = (val, vv)
-        if best[1] is not None:
-            return best
-    v = prob.project(v)
-    return float(np.sum(prob.residuals(v) ** 2)), v
-
-
 # -- big-M assignment MILP (p = 1, arbitrary weights, small n) --------------
 
 
@@ -613,16 +592,41 @@ def _solve_p1_milp(prob: _LinearResiduals, lam: np.ndarray,
     return float(lam @ np.sort(prob.residuals(v))), v, tag
 
 
-# -- concentration steps and subgradient descent ----------------------------
+# -- fixed-weight fits, concentration steps and subgradient descent ---------
 
 
-def _weighted_fit(prob: _LinearResiduals, weights: np.ndarray, p: float,
-                  v0: np.ndarray) -> np.ndarray:
-    """Minimize sum_i weights[i] * |r_i(v)|^p for fixed per-point weights."""
-    if p == 2.0:
-        sw = np.sqrt(weights)
-        v, *_ = np.linalg.lstsq(prob.A * sw[:, None], -prob.c * sw, rcond=None)
+def _least_squares(prob: _LinearResiduals, weights: np.ndarray) -> np.ndarray:
+    """Minimize sum_i weights[i] * r_i(v)^2 over the feasible set.
+
+    Exact on two parameters: the objective reduced to the slope is convex,
+    so a free slope outside the slope interval moves to its nearer end and
+    the offset is re-solved.  With more parameters an infeasible free
+    solution is only projected onto the feasible set.
+    """
+    sw = np.sqrt(weights)
+    A = prob.A * sw[:, None]
+    b = -prob.c * sw
+    v, *_ = np.linalg.lstsq(A, b, rcond=None)
+    if prob.n_params != 2:
         return prob.project(v)
+    t = float(np.clip(v[1], *prob.slope_interval()))
+    if t == v[1]:
+        return v
+    col = A[:, 0]
+    return np.array([col @ (b - A[:, 1] * t) / (col @ col), t])
+
+
+def _weighted_fit(prob: _LinearResiduals, weights: np.ndarray, p: float) -> np.ndarray:
+    """Minimize sum_i weights[i] * |r_i(v)|^p for fixed per-point weights.
+
+    p = 1 is an exact LP and p = 2 ``_least_squares`` (exact in d = 2,
+    projected in d >= 3).  Other p run IRLS on it with weights
+    weights * |r|^(p-2): the full step for p < 2 (majorize-minimize), the
+    step 1 / (p - 1) for p > 2, which is the Newton step since the Hessian
+    of |r|^p is (p - 1) times the IRLS weight.  IRLS keeps the best iterate
+    and stops at a relative change below 1e-14 or after 80 iterations, so it
+    proves nothing.
+    """
     if p == 1.0:
         n, m = prob.A.shape
         cost = np.concatenate([np.zeros(m), weights])
@@ -631,11 +635,26 @@ def _weighted_fit(prob: _LinearResiduals, weights: np.ndarray, p: float,
         if status.status != lpmod.OPTIMAL:
             raise SolverError(f"weighted LP re-fit ended with status {status.status}")
         return status.x[:m]
-    return _subgradient(prob, weights, p, v0, iters=400, fixed_weights=True)[1]
+    v = _least_squares(prob, weights)
+    if p == 2.0:
+        return v
+    step = 1.0 if p < 2.0 else min(1.0, 1.0 / (p - 1.0))
+    best_val, best_v = float(weights @ prob.residuals(v) ** p), v
+    prev = np.inf
+    for _ in range(80):
+        irls = weights * np.maximum(prob.residuals(v), 1e-10) ** (p - 2.0)
+        v = v + step * (_least_squares(prob, irls) - v)
+        val = float(weights @ prob.residuals(v) ** p)
+        if val < best_val:
+            best_val, best_v = val, v
+        if abs(prev - val) < 1e-14 * max(1.0, val):
+            break
+        prev = val
+    return best_v
 
 
 def _subgradient(prob: _LinearResiduals, lam: np.ndarray, p: float, v0: np.ndarray,
-                 iters: int = DESCENT_ITERS, fixed_weights: bool = False,
+                 iters: int = DESCENT_ITERS,
                  patience: int | None = None) -> tuple[float, np.ndarray]:
     """Projected subgradient with diminishing steps and best-iterate tracking.
 
@@ -645,7 +664,7 @@ def _subgradient(prob: _LinearResiduals, lam: np.ndarray, p: float, v0: np.ndarr
     v = prob.project(np.asarray(v0, dtype=float))
     signed = prob.A @ v + prob.c
     res = np.abs(signed)
-    constant = fixed_weights or bool(np.all(lam == lam[0]))
+    constant = bool(np.all(lam == lam[0]))
 
     def value(res_vec):
         if constant:
@@ -696,11 +715,11 @@ def _start_points(prob: _LinearResiduals, lam: np.ndarray, rng: SplitMix64,
     # a start that fails numerically is skipped; programming errors propagate
     skipped = (SolverError, np.linalg.LinAlgError)
     try:
-        starts.append(_weighted_fit(prob, ones, 2.0, np.zeros(m)))
+        starts.append(_weighted_fit(prob, ones, 2.0))
     except skipped:
         pass
     try:
-        starts.append(_weighted_fit(prob, ones, 1.0, np.zeros(m)))
+        starts.append(_weighted_fit(prob, ones, 1.0))
     except skipped:
         pass
     nz = np.flatnonzero(lam)
@@ -738,7 +757,7 @@ def _solve_concentration(prob: _LinearResiduals, lam: np.ndarray, p: float,
             ranked[order] = lam
             if not ranked.any():
                 break
-            v_new = _weighted_fit(prob, ranked, p, v)
+            v_new = _weighted_fit(prob, ranked, p)
             if np.allclose(v_new, v, atol=1e-12, rtol=0.0):
                 v = v_new
                 break
@@ -778,12 +797,10 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
         tag = "exact-enum"
     elif p == 1.0 and n <= MILP_MAX_N:
         val, v, tag = _solve_p1_milp(prob, lam, node_limit)  # "milp" or "incumbent"
-    elif p == 2.0 and constant:
-        val, v = _solve_sos_slice(prob)
-        tag = "lsq"
-    elif constant and 1.0 < p < 2.0:
-        val, v = _solve_plp_constant(prob, float(lam[0]), p)
-        tag = "irls"
+    elif constant and 1.0 < p <= 2.0:
+        v = _weighted_fit(prob, np.ones(n), p)
+        val = float(lam[0] * np.sum(prob.residuals(v) ** p))
+        tag = "lsq" if p == 2.0 else "irls"
     elif monotone:
         # convex on the slice: a couple of starts suffice
         val, v = _solve_descent_multistart(prob, lam, p, rng, min(multistart, 2),
@@ -804,31 +821,6 @@ def _solve_descent_multistart(prob, lam, p, rng, multistart, patience=None):
     if best[1] is None:
         raise SolverError("descent failed to produce a candidate")
     return best
-
-
-def _solve_plp_constant(prob: _LinearResiduals, weight: float, p: float) -> tuple[float, np.ndarray]:
-    """Projected IRLS for min sum |r_i|^p with one constant weight, 1 < p < 2.
-
-    Reweighting by |r|^(p-2) is the standard smooth-residual iteration; a
-    short subgradient polish guards against projection-induced stalls."""
-    v = _weighted_fit(prob, np.ones(prob.A.shape[0]), 2.0, np.zeros(prob.n_params))
-    best = (float(np.sum(prob.residuals(v) ** p)), v.copy())
-    prev = np.inf
-    for _ in range(80):
-        r = prob.residuals(v)
-        w = np.maximum(r, 1e-10) ** (p - 2.0)
-        v = _weighted_fit(prob, w, 2.0, v)
-        val = float(np.sum(prob.residuals(v) ** p))
-        if val < best[0]:
-            best = (val, v.copy())
-        if abs(prev - val) < 1e-14 * max(1.0, val):
-            break
-        prev = val
-    val, v = _subgradient(prob, np.ones(prob.A.shape[0]), p, best[1], iters=500,
-                          fixed_weights=True)
-    if val < best[0]:
-        best = (val, v)
-    return weight * best[0], best[1]
 
 
 # ---------------------------------------------------------------------------

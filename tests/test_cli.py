@@ -148,6 +148,23 @@ def test_verify_round_trip(tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_checks_the_bounds(tmp_path, capsys):
+    out_path = tmp_path / "record.json"
+    run_cli(["fit", "--input", str(STARS_CSV), "--criterion", "SUM", "--residual", "ltau:2",
+             "--N", "8", "--output", str(out_path)], capsys)
+    code, out, _ = run_cli(["verify", "--record", str(out_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["bounds_ok"] is True
+
+    # a lower end above phi_star must fail verification, though phi_star matches
+    record = json.loads(out_path.read_text())
+    record["bounds"][0] = record["phi_star"] * 1.01
+    out_path.write_text(json.dumps(record))
+    code, out, _ = run_cli(["verify", "--record", str(out_path)], capsys)
+    report = json.loads(out)
+    assert (code, report["match"], report["bounds_ok"]) == (1, True, False)
+
+
 def test_emit_lp(tmp_path, capsys):
     lp_path = tmp_path / "model.lp"
     code, _, _ = run_cli([

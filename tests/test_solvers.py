@@ -142,7 +142,7 @@ def test_weighted_fit_raises_when_lp_not_optimal(monkeypatch, rng):
     monkeypatch.setattr(lpmod, "solve_lp", lambda problem: lpmod.SolveStatus(lpmod.INFEASIBLE))
     prob = _vertical_problem(random_dataset(rng, 6))
     with pytest.raises(SolverError, match="infeasible"):
-        _weighted_fit(prob, np.ones(6), 1.0, np.zeros(2))
+        _weighted_fit(prob, np.ones(6), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +501,18 @@ def test_nonmonotone_small_d3_uses_milp(rng):
         assert r.phi_star <= phi_at(data, crit, Vertical(), Hyperplane(beta)) + 1e-9
 
 
+def test_milp_keeps_binaries_integral_to_the_integrality_tolerance():
+    # binaries within 1e-6 of an integer once passed as integral; times the
+    # big-M that let eps_i exceed its slot, and this fit returned phi* 0.2181
+    # labelled milp, although a plane through 3 of the 5 points scores 0
+    from planefit.evaluation import synthetic_generate
+
+    data = synthetic_generate(5, 3, "Y", 8784186935842910618)
+    r = fit_vertical_general(data, preset("MED", 5))
+    assert r.solver_tag == "milp"
+    assert r.phi_star <= 1e-9
+
+
 def test_milp_handles_large_scale_data():
     # raw magnitudes near 500 must not blow up the big-M conditioning;
     # any 4 of 8 points in R^4 lie on a common hyperplane, so MED reaches 0
@@ -795,3 +807,115 @@ def test_block_fit_is_incumbent_when_a_losing_disjunct_stopped(monkeypatch, star
     assert r.solver_tag == "incumbent"
     monkeypatch.setattr(solvers, "_solve_subproblem", real)
     assert fit_block_norm(stars, preset("SUM", 47), Block(l1_ball(2))).solver_tag == "lp"
+
+
+# ---------------------------------------------------------------------------
+# the fixed-weight solver
+
+
+def _stars_32gon_disjuncts(stars):
+    """Every sign-distinct disjunct of the 32-gon at tau = 3/2, 2 and 3."""
+    from planefit.solvers import _disjunct_problem, _sign_distinct
+
+    for tau in (Fraction(3, 2), Fraction(2), Fraction(3)):
+        ball = polar_polytope(inscribed_polytope(tau, 32)[0])
+        for g in _sign_distinct(ball.vertices):
+            yield _disjunct_problem(stars, ball, g)
+
+
+def _golden_min(f, lo, hi):
+    """Minimum value of a convex function on [lo, hi] by golden-section search."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1, x2 = b - shrink * (b - a), a + shrink * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > 1e-12 * max(1.0, abs(a), abs(b)):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - shrink * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + shrink * (b - a)
+            f2 = f(x2)
+    return min(f1, f2, f(lo), f(hi))
+
+
+def _nested_golden_reference(prob, weights, p):
+    """min over (b0, t) of sum_i weights[i] |b0 + c_i + t A_i1|^p, t in the slope
+    interval.  The objective is jointly convex, so its partial minimum over b0
+    is convex in t; the inner minimum lies between the weighted points."""
+    t_lo, t_hi = prob.slope_interval()
+    u, a = prob.c, prob.A[:, 1]
+
+    def reduced(t):
+        s = u + t * a
+        pts = -s[weights > 0]
+        return _golden_min(lambda b0: float(weights @ np.abs(b0 + s) ** p),
+                           pts.min(), pts.max())
+
+    return _golden_min(reduced, t_lo, t_hi)
+
+
+def test_weighted_fit_matches_nested_golden_section(stars):
+    from planefit.solvers import _weighted_fit
+
+    count = 0
+    for k, prob in enumerate(_stars_32gon_disjuncts(stars)):
+        t_lo, t_hi = prob.slope_interval()
+        if not (np.isfinite(t_lo) and np.isfinite(t_hi)):
+            continue
+        count += 1
+        n = prob.A.shape[0]
+        trimmed = np.ones(n)
+        trimmed[np.random.default_rng(k).permutation(n)[: n // 2]] = 0.0
+        for weights in (np.ones(n), trimmed):
+            for p in (1.5, 2.0, 3.0):
+                v = _weighted_fit(prob, weights, p)
+                assert t_lo <= v[1] <= t_hi
+                got = float(weights @ prob.residuals(v) ** p)
+                assert got == pytest.approx(_nested_golden_reference(prob, weights, p),
+                                            rel=1e-10)
+    assert count == 48
+
+
+def _sos_slice_reference(prob):
+    """Unit-weight least squares on a slice as solved before one fixed-weight
+    solver took it over: the free solution when feasible, else in d = 2 the
+    better slope end with its offset re-solved, else a projection."""
+    v, *_ = np.linalg.lstsq(prob.A, -prob.c, rcond=None)
+    if prob.feasible(v):
+        return float(np.sum(prob.residuals(v) ** 2)), v
+    if prob.n_params == 2:
+        best = (np.inf, None)
+        for t in prob.slope_interval():
+            if not np.isfinite(t):
+                continue
+            col = prob.A[:, 0]
+            b0 = float(col @ (-prob.c - prob.A[:, 1] * t) / (col @ col))
+            vv = np.array([b0, t])
+            val = float(np.sum(prob.residuals(vv) ** 2))
+            if val < best[0]:
+                best = (val, vv)
+        if best[1] is not None:
+            return best
+    v = prob.project(v)
+    return float(np.sum(prob.residuals(v) ** 2)), v
+
+
+def test_least_squares_matches_sos_slice_reference(stars, rng):
+    from planefit.solvers import _as_block, _disjunct_problem, _least_squares, _sign_distinct
+
+    probs = list(_stars_32gon_disjuncts(stars))
+    data = random_dataset(rng, 12, 3)
+    ball = _as_block(LTau(math.inf), 3).ball
+    probs += [_disjunct_problem(data, ball, g) for g in _sign_distinct(ball.vertices)]
+    outside = 0
+    for prob in probs:
+        free, *_ = np.linalg.lstsq(prob.A, -prob.c, rcond=None)
+        outside += not prob.feasible(free)
+        want, want_v = _sos_slice_reference(prob)
+        v = _least_squares(prob, np.ones(prob.A.shape[0]))
+        assert float(np.sum(prob.residuals(v) ** 2)) == pytest.approx(want, rel=1e-12)
+        assert v == pytest.approx(want_v, rel=1e-12, abs=1e-12)
+    assert outside >= 10
