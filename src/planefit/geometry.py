@@ -44,6 +44,7 @@ __all__ = [
     "marginal_variation",
     "kappa",
     "inscribed_polytope",
+    "halving_chain",
 ]
 
 VERTEX_SYMMETRY_TOL = 1e-12
@@ -409,6 +410,27 @@ def dual_norm(v: np.ndarray, norm: NormSpec) -> float:
     raise GeometryError("the vertical residual has no dual norm")
 
 
+def first_of_each_class(a: np.ndarray, b: np.ndarray, tol: float) -> list[int]:
+    """Greedy first-occurrence choice of class representatives.
+
+    Index g is close to index h when every coordinate of a[g] + b[h] is
+    below ``tol`` in absolute value (b = -a: coincident rows; b = a: mirror
+    images); the relation must be symmetric.  Index g is kept unless it is
+    close to an index kept before it.  The G x G closeness matrix is
+    computed once, one coordinate at a time.
+    """
+    close = np.ones((len(a), len(b)), dtype=bool)
+    for k in range(a.shape[1]):
+        close &= np.abs(a[:, k, None] + b[None, :, k]) < tol
+    kept = []
+    taken = np.zeros(len(a), dtype=bool)
+    for g in range(len(a)):
+        if not taken[g]:
+            kept.append(g)
+            taken |= close[g]
+    return kept
+
+
 def polar_polytope(p: Polytope) -> Polytope:
     """{v : v . b_g <= 1 for all vertices b_g}, with its own vertex list.
 
@@ -420,11 +442,8 @@ def polar_polytope(p: Polytope) -> Polytope:
         raise UnsupportedDimensionError("polar computation is limited to d <= 3")
     vertices = p.facet_normals / p.facet_offsets[:, None]
     # dedupe coincident vertices produced by equivalent facet representations
-    uniq = []
-    for v in vertices:
-        if not any(np.abs(v - u).max() < 1e-10 for u in uniq):
-            uniq.append(v)
-    vertices = np.array(uniq)
+    kept = first_of_each_class(vertices, -vertices, 1e-10)
+    vertices = vertices[kept]
     A = p.vertices.copy()
     b = np.ones(len(A))
     # keep only supporting rows (non-extreme vertices of p give slack rows)
@@ -559,3 +578,27 @@ def inscribed_polytope(tau, N: int, d: int = 2) -> tuple[Polytope, float]:
     ]
     r_p = float(min(dists))
     return poly, min(r_p, 1.0)
+
+
+def halving_chain(poly: Polytope) -> list[Polytope]:
+    """A polygon and its inscribed coarsenings, coarsest first, ending with poly.
+
+    Each coarser level keeps every other vertex of the next finer one, taken
+    from poly's own counter-clockwise vertex list, so it is inscribed in that
+    level and its edge k spans the finer edges 2k and 2k + 1.  Halving goes
+    on while the half is even and at least 4 (32, 16, 8, 4 and 320, ..., 10),
+    which keeps every level centrally symmetric.  Other dimensions get the
+    one-level chain [poly].
+    """
+    chain = [poly]
+    if poly.dim != 2:
+        return chain
+    step = 1
+    while poly.n_vertices % (4 * step) == 0 and poly.n_vertices // (2 * step) >= 4:
+        step *= 2
+        sub = poly.vertices[::step]
+        coarse = Polytope.from_vertices(sub)
+        if not np.array_equal(coarse.vertices, sub):
+            break  # a near-collinear vertex was pruned: the edges no longer nest
+        chain.append(coarse)
+    return chain[::-1]

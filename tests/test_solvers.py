@@ -544,7 +544,8 @@ def test_ltau_inf_routes_to_linf_block(stars):
 
 
 def test_stars_med_ltau2_enumerates_every_disjunct(stars):
-    # all 16 disjuncts of the 32-gon run the exact one-rank scan, so rho is a
+    # each of the 16 disjuncts of the 32-gon is solved by the exact one-rank
+    # scan or pruned by a proven bound from a coarser polygon, so rho is a
     # true lower bound; the concentration heuristic stopped at 0.06449 here
     r = fit(FitRequest(stars, preset("MED", 47), LTau(2), seed=1, polytope_vertices=32))
     assert r.solver_tag == "quantile-scan+inner-32gon"
@@ -919,3 +920,242 @@ def test_least_squares_matches_sos_slice_reference(stars, rng):
         assert float(np.sum(prob.residuals(v) ** 2)) == pytest.approx(want, rel=1e-12)
         assert v == pytest.approx(want_v, rel=1e-12, abs=1e-12)
     assert outside >= 10
+
+
+def _kkt_error(prob, weights, v):
+    """Largest violation of the KKT conditions of min sum w r^2 over the
+    feasible set at v: feasibility, stationarity with the active rows and
+    nonnegative multipliers, relative to the gradient's scale."""
+    rows = list(prob.general)
+    for j, (lo, hi) in enumerate(prob.bounds):
+        unit = np.eye(prob.n_params)[j]
+        if np.isfinite(hi):
+            rows.append((unit, hi))
+        if np.isfinite(lo):
+            rows.append((-unit, -lo))
+    G = np.array([row for row, _ in rows])
+    h = np.array([rhs for _, rhs in rows])
+    grad = 2.0 * prob.A.T @ (weights * (prob.A @ v + prob.c))
+    scale = max(1.0, float(np.abs(2.0 * prob.A.T @ (weights * prob.c)).max()))
+    slack = G @ v - h
+    active = np.abs(slack) <= 1e-9
+    mu = np.zeros(0)
+    stationarity = grad
+    if active.any():
+        mu, *_ = np.linalg.lstsq(G[active].T, -grad, rcond=None)
+        stationarity = grad + G[active].T @ mu
+    return max(float(np.abs(stationarity).max()) / scale, float(max(0.0, slack.max())),
+               float(max(0.0, -mu.min())) / scale if mu.size else 0.0)
+
+
+def test_least_squares_is_exact_on_d3_block_disjuncts():
+    from planefit.evaluation import synthetic_generate
+    from planefit.solvers import _as_block, _disjunct_problem, _least_squares, _sign_distinct
+
+    constrained = 0
+    for corruption in "XY":
+        for seed in range(1, 21):
+            data = synthetic_generate(40, 3, corruption, seed)
+            for tau in (1, math.inf):
+                ball = _as_block(LTau(tau), 3).ball
+                for g in _sign_distinct(ball.vertices):
+                    prob = _disjunct_problem(data, ball, g)
+                    weights = np.ones(data.n)
+                    free, *_ = np.linalg.lstsq(prob.A, -prob.c, rcond=None)
+                    constrained += not prob.feasible(free)
+                    assert _kkt_error(prob, weights, _least_squares(prob, weights)) <= 1e-9
+    assert constrained >= 60  # the free solution is infeasible on many disjuncts
+
+
+# ---------------------------------------------------------------------------
+# coarse-to-fine sector search of l-tau fits
+
+
+def _sign_distinct_reference(vertices):
+    """The pairwise loop ``_sign_distinct`` replaced."""
+    chosen = []
+    for g, v in enumerate(vertices):
+        if any(np.abs(vertices[h] + v).max() < 1e-9 for h in chosen):
+            continue
+        chosen.append(g)
+    return chosen
+
+
+def _polar_dedupe_reference(vertices):
+    """The pairwise loop ``polar_polytope`` used to drop coincident vertices."""
+    uniq = []
+    for v in vertices:
+        if not any(np.abs(v - u).max() < 1e-10 for u in uniq):
+            uniq.append(v)
+    return np.array(uniq)
+
+
+def test_vertex_dedupes_match_reference_loops(rng):
+    from planefit.geometry import first_of_each_class
+    from planefit.solvers import _sign_distinct
+
+    polys = [inscribed_polytope(Fraction(3, 2), N)[0] for N in (4, 32, 320)]
+    polys += [l1_ball(2), linf_ball(2), l1_ball(3), linf_ball(3), HEX]
+    for poly in polys:
+        raw = poly.facet_normals / poly.facet_offsets[:, None]
+        polar = polar_polytope(poly)
+        assert np.array_equal(polar.vertices, _polar_dedupe_reference(raw))
+        for verts in (poly.vertices, polar.vertices):
+            assert _sign_distinct(verts) == _sign_distinct_reference(verts)
+    # repeats, chains of near-duplicates and mirror images, where the greedy
+    # first-occurrence choice depends on the order
+    for _ in range(20):
+        base = rng.normal(size=(12, 2))
+        pts = np.vstack([base, base[:6] + 6e-11, -base[3:9], base[:4] + 1.2e-10,
+                         -base[:5] + 8e-10, -base[:5] - 1.5e-9])
+        pts = pts[rng.permutation(len(pts))]
+        kept = first_of_each_class(pts, -pts, 1e-10)
+        assert np.array_equal(pts[kept], _polar_dedupe_reference(pts))
+        assert _sign_distinct(pts) == _sign_distinct_reference(pts)
+
+
+def _chain_values(data, crit, tau, N):
+    """Value of every disjunct (edge) of every level of the halving chain."""
+    from planefit.geometry import halving_chain
+    from planefit.solvers import _disjunct_problem, _solve_subproblem
+    from planefit.rng import SplitMix64
+
+    out = []
+    for poly in halving_chain(inscribed_polytope(tau, N)[0]):
+        ball = polar_polytope(poly)
+        out.append([_solve_subproblem(_disjunct_problem(data, ball, g), crit, rng=SplitMix64(0),
+                                      multistart=4, node_limit=1000)[0]
+                    for g in range(ball.n_vertices)])
+    return out
+
+
+def test_coarse_edge_value_bounds_its_children(stars, rng):
+    sets = [stars, random_dataset(rng, 25, 2), random_dataset(rng, 30, 2, spread=5.0)]
+    for data in sets:
+        for name in ("SUM", "AkC", "SOS"):
+            crit = preset(name, data.n, K=data.n // 3) if name == "AkC" else preset(name, data.n)
+            for tau in (Fraction(3, 2), Fraction(2), Fraction(3)):
+                levels = _chain_values(data, crit, tau, 32)
+                assert [len(v) for v in levels] == [4, 8, 16, 32]
+                for coarse, fine in zip(levels, levels[1:]):
+                    for k, val in enumerate(coarse):
+                        for child in (fine[2 * k], fine[2 * k + 1]):
+                            assert val <= child * (1.0 + 1e-9) + 1e-12
+
+
+def _same_fit(a, b):
+    assert a.solver_tag == b.solver_tag
+    assert a.subproblem_count == b.subproblem_count
+    assert a.phi_star == b.phi_star and a.gcod == b.gcod and a.sd == b.sd
+    assert a.bounds == b.bounds
+    assert np.array_equal(a.hyperplane.beta, b.hyperplane.beta)
+
+
+def _count_solves(monkeypatch):
+    from planefit import solvers
+
+    calls = []
+    real = solvers._disjunct_problem
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "_disjunct_problem", counting)
+    return calls
+
+
+def test_sector_search_matches_flat_scan_at_n32(monkeypatch, stars):
+    # a supplied polygon is searched flat, one level; the internal one is
+    # pruned over 4, 8, 16, 32 whenever the route is proven
+    from planefit.cli import GRID_CRITERIA, build_criterion
+
+    calls = _count_solves(monkeypatch)
+    for name in GRID_CRITERIA:
+        crit = build_criterion(name, stars.n, None)
+        for tau in (Fraction(3, 2), Fraction(2), Fraction(3)):
+            poly, _ = inscribed_polytope(tau, 32)
+            calls.clear()
+            flat = fit_ltau_approx(stars, crit, tau, 32, seed=1, approx_polytope=poly)
+            assert len(calls) == 16
+            calls.clear()
+            pruned = fit_ltau_approx(stars, crit, tau, 32, seed=1)
+            _same_fit(pruned, flat)
+            if name == "1.5SUM":  # irls proves nothing: every edge, in order
+                assert calls == list(range(16))
+            else:
+                assert len(calls) <= 14
+
+
+def test_sector_search_matches_flat_scan_at_n320(monkeypatch, stars):
+    calls = _count_solves(monkeypatch)
+    poly, _ = inscribed_polytope(2, 320)
+    for name in ("SUM", "kC", "MED", "AkC"):
+        crit = preset(name, stars.n, K=35) if name in ("kC", "AkC") else preset(name, stars.n)
+        flat = fit_ltau_approx(stars, crit, 2, 320, seed=1, approx_polytope=poly)
+        calls.clear()
+        pruned = fit_ltau_approx(stars, crit, 2, 320, seed=1)
+        _same_fit(pruned, flat)
+        assert pruned.subproblem_count == 160
+        assert len(calls) <= 20
+
+
+def test_unproven_routes_keep_their_results(stars):
+    # heuristic (LTS) and irls (1.5SUM) solve all 16 edges in disjunct order,
+    # drawing the same random numbers as before the sector search
+    from planefit.cli import build_criterion
+
+    want = {
+        "LTS": ("heuristic+inner-32gon", 0.029504032879814932,
+                [-3.3805319180949285, 0.9820683537920377, -0.18852519322413364],
+                [0.02946651215715155, 0.029752353724229033]),
+        "1.5SUM": ("irls+inner-32gon", 5.333887647873074,
+                   [-4.15199178554076, 0.9991093406954765, -0.042196271577594986],
+                   [5.307868676146899, 5.346438998765982]),
+    }
+    for name, (tag, phi, beta, bounds) in want.items():
+        crit = build_criterion(name, stars.n, "0.5" if name == "LTS" else None)
+        r = fit(FitRequest(stars, crit, LTau(2), seed=1, polytope_vertices=32))
+        assert (r.solver_tag, r.subproblem_count) == (tag, 16)
+        assert r.phi_star == pytest.approx(phi, rel=1e-12)
+        assert r.hyperplane.beta == pytest.approx(beta, rel=1e-12)
+        assert r.bounds == pytest.approx(bounds, rel=1e-12)
+
+
+def test_sector_search_refines_every_bound_within_the_margin(monkeypatch):
+    # scripted disjunct values on the 4-, 8- and 16-gon chain, each coarse
+    # value a lower bound of its children: a key within 1e-9 relative of the
+    # incumbent is refined, one above it is pruned, a coarse node-limit stop
+    # is always refined, and the winner keeps the sequential 1e-12 rule
+    from types import SimpleNamespace
+
+    from planefit import solvers
+    from planefit.geometry import halving_chain
+
+    balls = [polar_polytope(p) for p in halving_chain(inscribed_polytope(2, 16)[0])]
+    level_of = {id(ball): k for k, ball in enumerate(balls)}
+
+    def problem(data, ball, g):
+        key = (level_of[id(ball)], g)
+        return SimpleNamespace(key=key, to_beta=lambda v: np.array(key, dtype=float))
+
+    monkeypatch.setattr(solvers, "_disjunct_problem", problem)
+    base = {(0, 0): 0.5, (0, 1): 1.0 - 1e-12,
+            (1, 0): 0.6, (1, 1): 1.0 + 2e-9, (1, 2): 1.0 - 1e-12, (1, 3): 1.0 + 5e-10,
+            (2, 0): 1.0 + 1e-11, (2, 4): 1.0, (2, 5): 1.0 - 5e-13}
+    stopped = {**base, (1, 1): 9.0}
+    # a perfect fit: only the absolute 1e-12 of the margin is left
+    zero = {(0, 0): 0.0, (0, 1): 5e-13, (1, 0): 0.0, (1, 1): 2e-12, (1, 2): 5e-13, (2, 0): 0.0}
+    for values, tags, want_finest, want_beta in (
+            (base, {}, [0, 1, 4, 5, 6, 7], [2.0, 4.0]),
+            (stopped, {(1, 1): "incumbent"}, [0, 1, 2, 3, 4, 5, 6, 7], [2.0, 4.0]),
+            (zero, {}, [0, 1, 4, 5], [2.0, 0.0])):
+        solved = []
+
+        def solve(prob):
+            solved.append(prob.key)
+            return values.get(prob.key, 9.0), None, tags.get(prob.key, "lp")
+
+        beta, tag, count = solvers._solve_block(None, balls, solve)
+        assert sorted(g for level, g in solved if level == 2) == want_finest
+        assert (list(beta), tag, count) == (want_beta, "lp", 8)
