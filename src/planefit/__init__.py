@@ -27,7 +27,6 @@ from .solvers import (
     brute_force_fit_2d,
     fit,
     fit_block_norm,
-    fit_convex_descent,
     fit_lad,
     fit_lss,
     fit_ltau_approx,

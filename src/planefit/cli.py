@@ -32,6 +32,7 @@ from .geometry import (
     LTau,
     Polytope,
     Vertical,
+    _sum_gap,
     inscribed_polytope,
     polar_polytope,
 )
@@ -116,14 +117,11 @@ def _load_block_file(path: str) -> Polytope:
     if arr.ndim != 2:
         raise InputError(f"{path}: vertices must share a dimension")
     # complete missing mirror images, warning once
-    missing = []
-    for v in arr:
-        if not np.any(np.all(np.abs(arr + v) < 1e-12, axis=1)):
-            missing.append(-v)
-    if missing:
+    missing = -arr[~(_sum_gap(arr, arr) < 1e-12).any(axis=1)]
+    if len(missing):
         print(f"warning: {path}: added {len(missing)} mirrored vertices for symmetry",
               file=sys.stderr)
-        arr = np.vstack([arr] + missing)
+        arr = np.vstack([arr, missing])
     try:
         return Polytope.from_vertices(arr)
     except GeometryError as exc:
@@ -255,6 +253,7 @@ def cmd_fit(args) -> int:
         args.strip_norm, data.dim, args.tau)
     config = {
         "input": args.input,
+        "dependent_col": args.dependent_col,
         "criterion": args.criterion,
         "param": args.param,
         "residual": args.residual,

@@ -181,10 +181,9 @@ class Hyperplane:
 
 
 def _check_symmetric(vertices: np.ndarray) -> None:
-    for v in vertices:
-        diff = np.abs(vertices + v).max(axis=1)
-        if diff.min() > VERTEX_SYMMETRY_TOL:
-            raise GeometryError("polytope vertices are not symmetric about the origin")
+    gap = _sum_gap(vertices, vertices)
+    if not np.all((gap <= VERTEX_SYMMETRY_TOL).any(axis=1)):
+        raise GeometryError("polytope vertices are not symmetric about the origin")
 
 
 def _hull_order_2d(vertices: np.ndarray) -> np.ndarray:
@@ -373,14 +372,21 @@ def ltau_norm(v: np.ndarray, tau) -> float:
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise GeometryError("ltau_norm requires finite input")
+    return float(_ltau_rows(v.reshape(1, -1), tau)[0])
+
+
+def _ltau_rows(m: np.ndarray, tau) -> np.ndarray:
+    """l-tau norm of each row of m.  The root is taken one row at a time:
+    numpy's vectorised power can differ from C pow in the last bit, and a
+    norm must not depend on how many rows share the call."""
     tau = _as_tau(tau)
-    a = np.abs(v)
+    a = np.abs(m)
     if tau == math.inf:
-        return float(a.max())
+        return a.max(axis=1)
     if tau == 1:
-        return float(a.sum())
+        return a.sum(axis=1)
     t = float(tau)
-    return float((a**t).sum() ** (1.0 / t))
+    return np.array([s ** (1.0 / t) for s in (a**t).sum(axis=1)])
 
 
 def block_norm(v: np.ndarray, norm: Block) -> float:
@@ -410,6 +416,15 @@ def dual_norm(v: np.ndarray, norm: NormSpec) -> float:
     raise GeometryError("the vertical residual has no dual norm")
 
 
+def _sum_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The G x H matrix of max_k |a[g, k] + b[h, k]|, one coordinate at a
+    time (b = a: distance to a mirror image; b = -a: to a coincident row)."""
+    gap = np.abs(a[:, 0, None] + b[None, :, 0])
+    for k in range(1, a.shape[1]):
+        np.maximum(gap, np.abs(a[:, k, None] + b[None, :, k]), out=gap)
+    return gap
+
+
 def first_of_each_class(a: np.ndarray, b: np.ndarray, tol: float) -> list[int]:
     """Greedy first-occurrence choice of class representatives.
 
@@ -417,11 +432,9 @@ def first_of_each_class(a: np.ndarray, b: np.ndarray, tol: float) -> list[int]:
     below ``tol`` in absolute value (b = -a: coincident rows; b = a: mirror
     images); the relation must be symmetric.  Index g is kept unless it is
     close to an index kept before it.  The G x G closeness matrix is
-    computed once, one coordinate at a time.
+    computed once (``_sum_gap``).
     """
-    close = np.ones((len(a), len(b)), dtype=bool)
-    for k in range(a.shape[1]):
-        close &= np.abs(a[:, k, None] + b[None, :, k]) < tol
+    close = _sum_gap(a, b) < tol
     kept = []
     taken = np.zeros(len(a), dtype=bool)
     for g in range(len(a)):
@@ -569,14 +582,9 @@ def inscribed_polytope(tau, N: int, d: int = 2) -> tuple[Polytope, float]:
     nu = conjugate_exponent(tau)
     angles = 2.0 * math.pi * np.arange(N) / N
     raw = np.column_stack([np.cos(angles), np.sin(angles)])
-    norms = np.array([ltau_norm(v, nu) for v in raw])
-    vertices = raw / norms[:, None]
+    vertices = raw / _ltau_rows(raw, nu)[:, None]
     poly = Polytope.from_vertices(vertices)
-    dists = [
-        b / ltau_norm(a, tau)
-        for a, b in zip(poly.facet_normals, poly.facet_offsets)
-    ]
-    r_p = float(min(dists))
+    r_p = float((poly.facet_offsets / _ltau_rows(poly.facet_normals, tau)).min())
     return poly, min(r_p, 1.0)
 
 

@@ -9,9 +9,10 @@ its tag:
 
 * ``lp``: ``p == 1`` with nondecreasing weights, an exact LP (partial sums
   of the largest residuals enter through their minimax representation, so
-  no binaries are needed);
-* ``quantile-scan``: one-rank objectives (any p) on two parameters, the
-  classic pair-slope scan: O(n^2) candidate slopes, O(n^3 log n) time;
+  no binaries are needed), and max-type objectives lam_n max |r|^p (MAX,
+  LQS with r = n) at any p, whose minimizer is the p = 1 one;
+* ``quantile-scan``: other one-rank objectives (any p) on two parameters,
+  the classic pair-slope scan: O(n^2) candidate slopes, O(n^3 log n) time;
 * ``exact-enum``: other ``p == 1`` objectives on two free parameters, exact
   enumeration of the breakpoint arrangement of the piecewise-linear
   objective.  Nonincreasing weights need only the O(n^2) crossings of the
@@ -22,8 +23,9 @@ its tag:
   weights and n <= MILP_MAX_N, a big-M assignment MILP;
 * ``lsq``: ``p == 2`` with constant weights, exact least squares on the
   slice;
-* ``irls``: constant weights with 1 < p < 2, reweighted least squares;
-* ``descent``: other nondecreasing weights, projected subgradient descent;
+* ``irls``: constant weights with p > 1, p != 2, reweighted least squares;
+* ``descent``: other nondecreasing weights (p > 1, not constant, not
+  max-type; no preset has them), projected subgradient descent;
 * ``heuristic``: everything else, multistart concentration steps (re-fit on
   the currently selected weight assignment).
 
@@ -98,7 +100,6 @@ __all__ = [
     "fit_vertical_general",
     "fit_block_norm",
     "fit_ltau_approx",
-    "fit_convex_descent",
     "brute_force_fit_2d",
     "sd_measure",
     "phi_at",
@@ -109,6 +110,7 @@ __all__ = [
 EXACT_ENUM_MAX_N = 60
 MILP_MAX_N = 10
 DESCENT_ITERS = 5000
+DESCENT_PATIENCE = 500  # descent steps without improvement before a run stops
 _BLOCK_CELLS = 1 << 18  # rows x points per scored block (quantile scan, zero-line crossings)
 
 
@@ -187,25 +189,25 @@ class _LinearResiduals:
 
     @classmethod
     def from_rows(cls, A: np.ndarray, c: np.ndarray, to_beta,
-                  rows=()) -> "_LinearResiduals":
-        """Split ``row . v <= rhs`` pairs: a single-variable row becomes a
-        bound (the tightest on each side wins), so the polytope facets do
-        not bloat the LPs; a constant row must hold."""
+                  rows: np.ndarray | None = None,
+                  rhs: np.ndarray | None = None) -> "_LinearResiduals":
+        """Split the inequalities ``rows @ v <= rhs``: a single-variable row
+        becomes a bound (the tightest on each side wins), so the polytope
+        facets do not bloat the LPs; a constant row must hold."""
         bounds = np.tile([-np.inf, np.inf], (A.shape[1], 1))
-        general = []
-        for row, rhs in rows:
-            nz = np.flatnonzero(np.abs(row) > 1e-15)
-            if nz.size == 0:
-                if rhs < -1e-12:
-                    raise SolverError("infeasible constant inequality in subproblem")
-            elif nz.size == 1:
-                j = int(nz[0])
-                if row[j] > 0:
-                    bounds[j, 1] = min(bounds[j, 1], rhs / row[j])
-                else:
-                    bounds[j, 0] = max(bounds[j, 0], rhs / row[j])
-            else:
-                general.append((row, rhs))
+        if rows is None:
+            return cls(A, c, to_beta, bounds, [])
+        nz = np.abs(rows) > 1e-15
+        count = nz.sum(axis=1)
+        if np.any(rhs[count == 0] < -1e-12):
+            raise SolverError("infeasible constant inequality in subproblem")
+        single = np.flatnonzero(count == 1)
+        j = nz[single].argmax(axis=1)
+        coef = rows[single, j]
+        limit = rhs[single] / coef
+        np.minimum.at(bounds[:, 1], j[coef > 0], limit[coef > 0])
+        np.maximum.at(bounds[:, 0], j[coef < 0], limit[coef < 0])
+        general = list(zip(rows[count > 1], rhs[count > 1]))
         return cls(A, c, to_beta, bounds, general)
 
     @property
@@ -276,9 +278,10 @@ def _disjunct_problem(data: Dataset, ball: Polytope, g: int) -> _LinearResiduals
     def to_beta(v):
         return np.concatenate([[v[0]], base + Y @ np.asarray(v[1:])])
 
-    rows = [(np.concatenate([[0.0], Y.T @ b_h]), 1.0 - base @ b_h)
-            for h, b_h in enumerate(ball.vertices) if h != g]
-    return _LinearResiduals.from_rows(A, c, to_beta, rows)
+    # one row per other vertex b_h: beta_-0 . b_h <= 1 in the parameters
+    others = np.delete(ball.vertices, g, axis=0)
+    rows = np.column_stack([np.zeros(len(others)), others @ Y])
+    return _LinearResiduals.from_rows(A, c, to_beta, rows, 1.0 - others @ base)
 
 
 # -- exact LP for p = 1 and monotone weights --------------------------------
@@ -711,54 +714,38 @@ def _weighted_fit(prob: _LinearResiduals, weights: np.ndarray, p: float) -> np.n
     return best_v
 
 
-def _subgradient(prob: _LinearResiduals, lam: np.ndarray, p: float, v0: np.ndarray,
-                 iters: int = DESCENT_ITERS,
-                 patience: int | None = None) -> tuple[float, np.ndarray]:
+def _subgradient(prob: _LinearResiduals, lam: np.ndarray, p: float,
+                 v0: np.ndarray) -> tuple[float, np.ndarray]:
     """Projected subgradient with diminishing steps and best-iterate tracking.
 
-    ``patience`` stops a run whose best value has stalled; the public descent
-    entry point leaves it off and always spends the full budget.
+    A run takes at most DESCENT_ITERS steps and stops once DESCENT_PATIENCE
+    steps in a row have not improved its best value.
     """
     v = prob.project(np.asarray(v0, dtype=float))
     signed = prob.A @ v + prob.c
     res = np.abs(signed)
-    constant = bool(np.all(lam == lam[0]))
-
-    def value(res_vec):
-        if constant:
-            return float(lam @ res_vec**p) if p != 1.0 else float(lam @ res_vec)
-        return float(np.sort(res_vec) ** p @ lam) if p != 1.0 else float(np.sort(res_vec) @ lam)
-
-    best_val = value(res)
+    best_val = float(np.sort(res) ** p @ lam)
     best_v = v.copy()
     since_improved = 0
     step0 = 0.5 * (1.0 + float(np.linalg.norm(v))) / (1.0 + float(np.abs(prob.A).max()))
-    for it in range(1, iters + 1):
-        if constant:
-            ranked = lam
-        else:
-            order = np.argsort(res, kind="stable")
-            ranked = np.empty_like(lam)
-            ranked[order] = lam
-        if p == 1.0:
-            coeff = ranked * np.sign(signed)
-        else:
-            coeff = ranked * p * res ** (p - 1.0) * np.sign(signed)
-        grad = prob.A.T @ coeff
+    for it in range(1, DESCENT_ITERS + 1):
+        order = np.argsort(res, kind="stable")
+        ranked = np.empty_like(lam)
+        ranked[order] = lam
+        grad = prob.A.T @ (ranked * p * res ** (p - 1.0) * np.sign(signed))
         norm = float(np.linalg.norm(grad))
         if norm < 1e-14:
             break
-        v = v - (step0 / math.sqrt(it)) * grad / norm
-        v = prob.project(v)
+        v = prob.project(v - (step0 / math.sqrt(it)) * grad / norm)
         signed = prob.A @ v + prob.c
         res = np.abs(signed)
-        val = value(res)
+        val = float(np.sort(res) ** p @ lam)
         if val < best_val - 1e-12 * max(1.0, abs(best_val)):
             best_val, best_v = val, v.copy()
             since_improved = 0
         else:
             since_improved += 1
-            if patience is not None and since_improved >= patience:
+            if since_improved >= DESCENT_PATIENCE:
                 break
     return best_val, best_v
 
@@ -842,15 +829,17 @@ def _route(criterion: Criterion, n_params: int) -> str:
     lam = criterion.lam
     p = criterion.p_float
     n = lam.size
-    if p == 1.0 and is_monotone(criterion):
+    one_rank = np.flatnonzero(lam).size == 1
+    # a monotone one-rank weight sits on the largest residual: lam_n max|r|^p
+    if is_monotone(criterion) and (p == 1.0 or one_rank):
         return "lp"
-    if np.flatnonzero(lam).size == 1 and n_params == 2:
+    if one_rank and n_params == 2:
         return "quantile-scan"
     if p == 1.0 and n_params == 2 and (_nonincreasing(lam) or n <= EXACT_ENUM_MAX_N):
         return "exact-enum"
     if p == 1.0 and n <= MILP_MAX_N:
         return "milp"
-    if np.all(lam == lam[0]) and 1.0 < p <= 2.0:
+    if np.all(lam == lam[0]):  # p > 1: constant weights at p = 1 took "lp"
         return "lsq" if p == 2.0 else "irls"
     if is_monotone(criterion):
         return "descent"
@@ -866,7 +855,9 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
     tag = _route(criterion, prob.n_params)
 
     if tag == "lp":
-        val, v = _solve_monotone_p1_lp(prob, lam)
+        # at p != 1 the weights are max-type, whose p = 1 minimizer is optimal
+        _, v = _solve_monotone_p1_lp(prob, lam)
+        val = float(lam @ np.sort(prob.residuals(v)) ** p)
     elif tag == "quantile-scan":
         r = int(np.flatnonzero(lam)[0])
         half, v = _solve_quantile_2param(prob, r + 1)
@@ -880,22 +871,16 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
         val = float(lam[0] * np.sum(prob.residuals(v) ** p))
     elif tag == "descent":
         # convex on the slice: a couple of starts suffice
-        val, v = _solve_descent_multistart(prob, lam, p, rng, min(multistart, 2),
-                                           patience=500)
+        val, v = np.inf, None
+        for v0 in _start_points(prob, lam, rng, min(multistart, 2)):
+            cand_val, cand_v = _subgradient(prob, lam, p, v0)
+            if cand_val < val - 1e-15:
+                val, v = cand_val, cand_v
+        if v is None:
+            raise SolverError("descent failed to produce a candidate")
     else:
         val, v = _solve_concentration(prob, lam, p, rng, multistart)
     return val, v, tag
-
-
-def _solve_descent_multistart(prob, lam, p, rng, multistart, patience=None):
-    best = (np.inf, None)
-    for v0 in _start_points(prob, lam, rng, multistart):
-        val, v = _subgradient(prob, lam, p, v0, patience=patience)
-        if val < best[0] - 1e-15:
-            best = (val, v)
-    if best[1] is None:
-        raise SolverError("descent failed to produce a candidate")
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -1152,31 +1137,6 @@ def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: i
                        count, bounds=(rho, upper))
     result.sd = sd_measure(data, result.hyperplane.beta, norm.tau, poly)
     return result
-
-
-def fit_convex_descent(data: Dataset, criterion: Criterion, norm: NormSpec, *,
-                       disjunct: int | None = None, multistart: int = 16,
-                       seed: int = 0) -> FitResult:
-    """Projected subgradient baseline for convex (monotone-weight) objectives.
-
-    Starts from least-squares and least-absolute fits plus seeded random
-    points; with non-monotone weights this is only a local search.
-    """
-    rng = SplitMix64(seed)
-    lam, p = criterion.lam, criterion.p_float
-
-    def solve(prob):
-        return (*_solve_descent_multistart(prob, lam, p, rng, multistart), "descent")
-
-    if isinstance(norm, Vertical):
-        prob = _vertical_problem(data)
-    elif disjunct is not None:
-        prob = _disjunct_problem(data, _as_block(norm, data.dim).ball, disjunct)
-    else:
-        beta, tag, count = _solve_block(data, [_as_block(norm, data.dim).ball], solve)
-        return _finalize(data, criterion, norm, beta, tag, count)
-    val, v, tag = solve(prob)
-    return _finalize(data, criterion, norm, prob.to_beta(v), tag, 1)
 
 
 def _as_block(norm: NormSpec, d: int) -> Block:

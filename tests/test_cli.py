@@ -122,13 +122,18 @@ def test_dependent_col_reordering(tmp_path, capsys):
     csv = tmp_path / "cols.csv"
     # response stored first; --dependent-col moves it to the last slot
     csv.write_text("y,x1\n1.0,0.0\n3.0,1.0\n5.0,2.0\n")
-    code, out, _ = run_cli([
+    out_path = tmp_path / "record.json"
+    code, _, _ = run_cli([
         "fit", "--input", str(csv), "--criterion", "SUM", "--residual", "vertical",
-        "--dependent-col", "y",
+        "--dependent-col", "y", "--output", str(out_path),
     ], capsys)
     assert code == 0
-    record = json.loads(out)
+    record = json.loads(out_path.read_text())
     assert record["beta_regression"][1] == pytest.approx(2.0, abs=1e-9)
+    # verify re-reads the input with the recorded response column
+    code, out, _ = run_cli(["verify", "--record", str(out_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["match"] is True
 
 
 def test_verify_round_trip(tmp_path, capsys):

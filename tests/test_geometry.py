@@ -399,6 +399,42 @@ def test_inscribed_vertices_on_dual_sphere():
             assert ltau_norm(v, nu) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_inscribed_vertices_match_per_vertex_norms():
+    # the vertices are scaled by one row-wise norm; each must be bit-identical
+    # to scaling by ltau_norm of that vertex alone
+    from fractions import Fraction
+
+    for tau in (1, Fraction(3, 2), 2, 3, math.inf):
+        for N in (4, 32, 320):
+            poly, r = inscribed_polytope(tau, N)
+            angles = 2.0 * math.pi * np.arange(N) / N
+            raw = np.column_stack([np.cos(angles), np.sin(angles)])
+            nu = conjugate_exponent(tau)
+            want = Polytope.from_vertices(
+                raw / np.array([ltau_norm(v, nu) for v in raw])[:, None])
+            assert poly.vertices.tobytes() == want.vertices.tobytes()
+            assert r == min(1.0, min(b / ltau_norm(a, tau) for a, b in
+                                     zip(poly.facet_normals, poly.facet_offsets)))
+
+
+def test_symmetry_check_tolerance():
+    from planefit.geometry import _check_symmetric
+
+    square = np.array(L1_VERTICES)
+    _check_symmetric(square)
+    with pytest.raises(GeometryError, match="symmetric"):
+        _check_symmetric(np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -2.0)]))
+    off = square.copy()
+    off[2, 0] += 2e-12  # the mirror of (1, 0) misses by 2e-12
+    with pytest.raises(GeometryError, match="symmetric"):
+        _check_symmetric(off)
+    with pytest.raises(GeometryError, match="symmetric"):
+        Polytope.from_vertices(off)
+    off[2, 0] = -1.0 + 5e-13
+    _check_symmetric(off)
+    assert Polytope.from_vertices(off).n_vertices == 4
+
+
 def test_inscribed_rejects_odd_or_small():
     with pytest.raises(GeometryError):
         inscribed_polytope(2, 5)

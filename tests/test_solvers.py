@@ -23,7 +23,6 @@ from planefit.solvers import (
     export_formulation,
     fit,
     fit_block_norm,
-    fit_convex_descent,
     fit_lad,
     fit_lss,
     fit_ltau_approx,
@@ -209,14 +208,17 @@ def _slope_problem(data, slope):
     from planefit import solvers
 
     base = solvers._vertical_problem(data)
-    rows = []
+    rows, rhs = [], []
     if slope is not None:
         lo, hi = slope
         if np.isfinite(lo):
-            rows.append((np.array([0.0, -1.0]), -lo))
+            rows.append([0.0, -1.0])
+            rhs.append(-lo)
         if np.isfinite(hi):
-            rows.append((np.array([0.0, 1.0]), hi))
-    return solvers._LinearResiduals.from_rows(base.A, base.c, base.to_beta, rows)
+            rows.append([0.0, 1.0])
+            rhs.append(hi)
+    return solvers._LinearResiduals.from_rows(base.A, base.c, base.to_beta,
+                                              np.reshape(rows, (-1, 2)), np.array(rhs))
 
 
 def test_quantile_scan_matches_reference_loop(rng):
@@ -377,21 +379,7 @@ def test_ltau_exact_cases_route_to_block(stars):
 
 
 # ---------------------------------------------------------------------------
-# descent and oracle
-
-
-def test_descent_sos_matches_lss(rng):
-    data = random_dataset(rng, 12, 2)
-    want = fit_lss(data)
-    got = fit_convex_descent(data, preset("SOS", 12), Vertical(), seed=3)
-    assert got.hyperplane.beta == pytest.approx(want.hyperplane.beta, abs=1e-4)
-
-
-def test_descent_sum_matches_lad(rng):
-    data = random_dataset(rng, 10, 2)
-    want = fit_lad(data)
-    got = fit_convex_descent(data, preset("SUM", 10), Vertical(), seed=3)
-    assert got.phi_star == pytest.approx(want.phi_star, abs=1e-5 * max(1.0, want.phi_star))
+# convexity and oracle
 
 
 def test_descent_objective_is_convex_on_slice(rng):
@@ -600,7 +588,9 @@ def test_slope_interval_is_the_bound_pair_of_the_slope():
     from planefit.solvers import SolverError, _LinearResiduals
 
     def build(rows):
-        return _LinearResiduals.from_rows(np.ones((3, 2)), np.zeros(3), None, rows)
+        return _LinearResiduals.from_rows(np.ones((3, 2)), np.zeros(3), None,
+                                          np.array([row for row, _ in rows]),
+                                          np.array([rhs for _, rhs in rows]))
 
     rows = [(np.array([0.0, 2.0]), 3.0), (np.array([0.0, -1.0]), 1.0),
             (np.array([0.0, 1.0]), 4.0), (np.zeros(2), 0.0)]
@@ -613,6 +603,62 @@ def test_slope_interval_is_the_bound_pair_of_the_slope():
     for row in ([1.0, 1.0], [1.0, 0.0]):  # a general row, a bound on the offset
         with pytest.raises(SolverError, match="offset"):
             build(rows + [(np.array(row), 2.0)]).slope_interval()
+
+
+def _split_reference(rows, rhs, m):
+    """The per-row split ``from_rows`` replaced: (bounds, general rows)."""
+    bounds = np.tile([-np.inf, np.inf], (m, 1))
+    general = []
+    for row, b in zip(rows, rhs):
+        nz = np.flatnonzero(np.abs(row) > 1e-15)
+        if nz.size == 1:
+            j = int(nz[0])
+            if row[j] > 0:
+                bounds[j, 1] = min(bounds[j, 1], b / row[j])
+            else:
+                bounds[j, 0] = max(bounds[j, 0], b / row[j])
+        elif nz.size > 1:
+            general.append((row, b))
+    return bounds, general
+
+
+def test_disjunct_rows_match_the_per_vertex_construction(stars, rng):
+    from planefit.solvers import _disjunct_problem, _LinearResiduals, _sign_distinct
+
+    # the array split is the per-row split, bit for bit
+    for m in (2, 3):
+        rows = rng.normal(size=(40, m)) * (rng.random((40, m)) < 0.4)
+        rhs = rng.random(40) + 0.1
+        prob = _LinearResiduals.from_rows(np.ones((3, m)), np.zeros(3), None, rows, rhs)
+        bounds, general = _split_reference(rows, rhs, m)
+        assert np.array_equal(prob.bounds, bounds)
+        assert len(prob.general) == len(general)
+        for (row, b), (want_row, want_b) in zip(prob.general, general):
+            assert np.array_equal(row, want_row) and b == want_b
+    # the rows beta_-0 . b_h <= 1 of every disjunct, one dot product per
+    # vertex b_h.  One matrix product rounds each two-term product
+    # differently, by up to 2 eps per side of a bound t = rhs / a; rhs =
+    # 1 - base . b_h cancels to about 1e-4 at N = 320, so t moves by up to
+    # 4 eps (1 + |t|) / |a| (a few 1e-12 relative), not by a few eps.
+    eps = np.finfo(float).eps
+    for tau in (Fraction(3, 2), Fraction(2), Fraction(3)):
+        for N in (32, 320):
+            ball = polar_polytope(inscribed_polytope(tau, N)[0])
+            for g in _sign_distinct(ball.vertices):
+                b_g = ball.vertices[g]
+                base = b_g / (b_g @ b_g)
+                Q, _ = np.linalg.qr(np.column_stack([b_g, np.eye(2)]))
+                others = np.delete(ball.vertices, g, axis=0)
+                rows = np.array([np.concatenate([[0.0], Q[:, 1:].T @ b_h]) for b_h in others])
+                rhs = np.array([1.0 - base @ b_h for b_h in others])
+                bounds, general = _split_reference(rows, rhs, 2)
+                assert general == [] and np.isinf(bounds[0]).all()
+                got = _disjunct_problem(stars, ball, g).slope_interval()
+                with np.errstate(divide="ignore"):
+                    quotients = rhs / rows[:, 1]
+                for want, have in zip(bounds[1], got):
+                    a = rows[np.flatnonzero(quotients == want)[0], 1]
+                    assert abs(have - want) <= 4 * eps * (1 + abs(want)) / abs(a)
 
 
 def _exact_enum_reference(prob, lam):
@@ -761,6 +807,55 @@ def test_weight_shape_routes_stay_exact_above_the_enumeration_cap():
     concentration, _ = solvers._solve_concentration(solvers._vertical_problem(data), med.lam,
                                                     1.0, SplitMix64(0), 0)
     assert r.phi_star <= concentration * (1 + 1e-12)
+
+
+def test_route_table_by_weight_shape():
+    from planefit.criteria import Criterion
+    from planefit.solvers import _route
+
+    n = 30
+    kc_squared = Criterion(preset("kC", n).lam, 2)
+    for n_params in (2, 3):  # d = 2 vertical or d = 3 disjunct; d = 3 vertical
+        assert _route(preset("MAX", n), n_params) == "lp"
+        assert _route(preset("LQS", n, r=n), n_params) == "lp"
+        assert _route(Criterion(np.ones(n), 3), n_params) == "irls"
+        assert _route(Criterion(np.ones(n), Fraction(3, 2)), n_params) == "irls"
+        assert _route(preset("SOS", n), n_params) == "lsq"
+        assert _route(kc_squared, n_params) == "descent"
+    assert _route(preset("LMS", n), 2) == "quantile-scan"
+    assert _route(preset("LMS", n), 3) == "heuristic"
+
+
+def test_max_type_fits_take_the_exact_lp_in_d3():
+    # lam_n max|r|^2 has the minimizer of max|r|, so LQS(r = n) is MAX squared
+    from planefit.evaluation import synthetic_generate
+
+    data = synthetic_generate(30, 3, "Y", 1)
+    for norm in (Vertical(), Block(l1_ball(3), linf_ball(3))):
+        top = fit(FitRequest(data, preset("MAX", 30), norm, seed=1))
+        lqs = fit(FitRequest(data, preset("LQS", 30, r=30), norm, seed=1))
+        assert top.solver_tag == lqs.solver_tag == "lp"
+        assert lqs.phi_star == pytest.approx(top.phi_star**2, rel=1e-12)
+
+
+def test_irls_is_never_above_descent_on_constant_weights():
+    # constant weights at p > 2 take irls; projected subgradient descent from
+    # the least-squares start never does better
+    from planefit.evaluation import synthetic_generate
+    from planefit.solvers import (
+        _as_block, _disjunct_problem, _sign_distinct, _subgradient, _vertical_problem,
+        _weighted_fit)
+
+    ball = _as_block(LTau(1), 3).ball
+    for seed in range(1, 6):
+        data = synthetic_generate(30, 3, "Y", seed)
+        ones = np.ones(data.n)
+        for prob in (_vertical_problem(data),
+                     _disjunct_problem(data, ball, _sign_distinct(ball.vertices)[0])):
+            for p in (3.0, 4.0):
+                irls = float(ones @ prob.residuals(_weighted_fit(prob, ones, p)) ** p)
+                descent, _ = _subgradient(prob, ones, p, _weighted_fit(prob, ones, 2.0))
+                assert irls <= descent * (1.0 + 1e-12)
 
 
 def test_project_in_2d_is_a_clip_of_the_slope(stars, rng):
@@ -1071,8 +1166,8 @@ def test_sector_search_matches_flat_scan_at_n32(monkeypatch, stars):
     from planefit.cli import GRID_CRITERIA, build_criterion
 
     calls = _count_solves(monkeypatch)
-    for name in GRID_CRITERIA:
-        crit = build_criterion(name, stars.n, None)
+    for name, param in [(name, None) for name in GRID_CRITERIA] + [("LQS", str(stars.n))]:
+        crit = build_criterion(name, stars.n, param)
         for tau in (Fraction(3, 2), Fraction(2), Fraction(3)):
             poly, _ = inscribed_polytope(tau, 32)
             calls.clear()
