@@ -11,15 +11,30 @@ interval between consecutive breakpoints.  Enumerating that set solves the
 problem exactly, and the optimum normalizes the fitting objective into
 GCoD = 1 - phi/phi0.
 
-The set is found and scored in one pass over the sorted breakpoints, a block
-of about ``_BLOCK_CELLS`` (intervals x points) at a time.  Inside an interval
-the ranking of |x_i - beta0| is fixed, so one row-wise argsort at its
-midpoint gives each point its weight, and f is a convex weighted power sum
-there: f and f' at both exact endpoints are row-wise dot products, and an
-interior minimum (only where f'(a) < 0 < f'(b)) is found by a vectorised
-bisection over those rows.  For p = 1, f is linear on each interval and the
-breakpoints alone are scored, by a blocked row sort.  With O(n^2)
-breakpoints that is O(n^3 log n) time and O(n^2 + block) memory.
+For p = 1 and p = 2 (every preset but 1.5SUM) one sweep over the sorted
+breakpoints scores them all.  With x sorted, a pair x_i < x_j swaps distance
+ranks k = j - i - 1 and k + 1 at its midpoint, because exactly the points
+between them are closer; on p = 1 a point also flips the sign of its
+residual at its own value, at rank 0.  Each such event changes the sums
+that fix f on an interval, (sum w x, sum w x^2) at p = 2 and
+(sum w s, sum w s x) at p = 1 with w the rank weights and s the signs, by a
+closed-form amount that carries lam[k+1] - lam[k].  So one argsort of the
+event locations and one running sum give f on every interval: at p = 1 it
+is linear there and only the breakpoints are scored, at p = 2 it is a
+quadratic whose vertex S/W, when inside, is the interval's stationary
+point.  The sums are taken on values centred at their median.  That is
+O(n^2 log n) time and O(n^2) memory.
+
+For other p, f has no closed form on an interval, and a blocked pass scores
+the breakpoints a block of about ``_BLOCK_CELLS`` (intervals x points) at a
+time: one row-wise argsort at each interval's midpoint gives each point its
+weight, f and f' at both exact endpoints are row-wise dot products, and an
+interior minimum (only where f'(a) < 0 < f'(b), f being convex on an
+interval) is found by a vectorised bisection over those rows.  That is
+O(n^3 log n) time and O(n^2 + block) memory.
+
+Either way the winner, the first minimum so that ties go to the smallest
+beta0, is scored again on the original values by one sort.
 """
 
 from __future__ import annotations
@@ -35,6 +50,8 @@ __all__ = ["OmpResult", "candidate_set", "solve_omp", "gcod"]
 
 _BISECT_ITERS = 60
 _BLOCK_CELLS = 1 << 18  # rows x points held by one block of the pass
+_SWEEP_CHUNK = 1 << 16  # events per chunk of the sweep
+_VERTEX_SLACK = 2.0**-40  # share of the centred range a p = 2 vertex must clear an endpoint by
 
 
 @dataclass(frozen=True)
@@ -44,33 +61,107 @@ class OmpResult:
     candidates_evaluated: int
 
 
-def _breakpoints(values: np.ndarray) -> np.ndarray:
-    """Sorted data values and the pairwise midpoints strictly inside their range."""
-    if values.size == 0:
-        raise ValueError("values must be nonempty")
-    base = np.unique(values)
-    if base.size == 1:
-        return base
-    iu, ju = np.triu_indices(values.size, 1)
-    mids = (values[iu] + values[ju]) / 2.0
-    mids = mids[(mids > base[0]) & (mids < base[-1])]
-    return np.unique(np.concatenate([base, mids]))
+def _checked(values, lam, p) -> tuple[np.ndarray, np.ndarray, float]:
+    values = np.asarray(values, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    pf = float(p)
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("values must be a nonempty vector")
+    if lam.shape != values.shape:
+        raise ValueError(f"lam has shape {lam.shape}, values has shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    if not np.all(np.isfinite(lam)) or np.any(lam < 0):
+        raise ValueError("lam weights must be finite and nonnegative")
+    if not np.any(lam > 0):
+        raise ValueError("at least one lam weight must be positive")
+    if not 1.0 <= pf < np.inf:
+        raise ValueError("p must be a finite number >= 1")
+    return values, lam, pf
+
+
+def _pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs i <= j of x (int32) and their midpoints.  The distinct
+    midpoints are the breakpoints: the data values (i == j) and the pairwise
+    midpoints, which all lie in [min x, max x]."""
+    i, j = (ix.astype(np.int32) for ix in np.triu_indices(x.size))
+    return i, j, (x[i] + x[j]) / 2.0
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _sorted_objective(points: np.ndarray, values: np.ndarray,
-                      lam: np.ndarray) -> np.ndarray:
-    """f at every point for p = 1 (or where every residual is zero)."""
-    rows = max(1, _BLOCK_CELLS // values.size)
-    out = np.empty(points.size)
-    for s in range(0, points.size, rows):
-        res = np.abs(points[s: s + rows, None] - values[None, :])
-        res.sort(axis=1)
-        out[s: s + rows] = res @ lam
-    return out
+def _sweep(x: np.ndarray, lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted candidates and f at each, p in {1, 2}, from sorted values x.
+
+    The events are the pairs i <= j of x, at their midpoints; a pair i == j
+    is point i's sign flip at rank 0.  With step[0] = lam[0] and
+    step[k] = lam[k] - lam[k-1], pair (i, j) moves the centred sums by
+    step[j-i] * (x_i - x_j, x_i^2 - x_j^2) at p = 2, which is zero for i == j,
+    and by -step[j-i] * (2, x_i + x_j) at p = 1.  Tied values need no special
+    case: separating them by tiny offsets shows that the sums after the last
+    event at a location are the exact ones of the interval to its right.
+    """
+    n = x.size
+    i, j, mids = _pairs(x)
+    order = np.argsort(mids)
+    i = i[order]
+    j = j[order]
+    mids = mids[order]
+    del order
+    last = np.append(mids[1:] != mids[:-1], True)  # the last event at each point
+    points = mids[last]
+    del mids
+    c = x[n // 2]
+    xc = x - c
+    step = np.diff(lam, prepend=0.0)
+    total = lam.sum()
+    # a p = 2 vertex on an endpoint (one-rank weights put it on a data value)
+    # must not drift inside by the sums' rounding: it needs a margin
+    slack = _VERTEX_SLACK * np.abs(xc).max()
+    # left of every point, rank k holds the k-th smallest value and every sign is +1
+    carry = np.array([total, lam @ xc] if p == 1.0 else [lam @ xc, lam @ (xc * xc)])
+    f = np.empty(points.size)
+    roots, f_roots, after = [], [], []
+    lo = 0
+    for s in range(0, i.size, _SWEEP_CHUNK):
+        ii, jj = i[s: s + _SWEEP_CHUNK], j[s: s + _SWEEP_CHUNK]
+        a, b = xc[ii], xc[jj]
+        d = step[jj - ii]
+        if p == 1.0:
+            deltas = np.stack((-2.0 * d, -d * (a + b)))
+        else:
+            d *= a - b
+            deltas = np.stack((d, d * (a + b)))
+        np.cumsum(deltas, axis=1, out=deltas)
+        deltas += carry[:, None]
+        carry = deltas[:, -1].copy()
+        # the sums on the interval right of each point that ends in this chunk
+        u, v = deltas[:, np.flatnonzero(last[s: s + _SWEEP_CHUNK])]
+        hi = lo + u.size
+        pc = points[lo:hi] - c
+        if p == 1.0:
+            f[lo:hi] = v - pc * u
+        else:
+            f[lo:hi] = v - pc * (2.0 * u - total * pc)
+            # each interval's quadratic has its vertex at u / total; the last
+            # point has no interval to its right
+            m = min(hi, points.size - 1) - lo
+            vertex = u[:m] / total
+            root = c + vertex
+            left, right = points[lo: lo + m], points[lo + 1: lo + m + 1]
+            k = np.flatnonzero((vertex > left - c + slack) & (vertex < right - c - slack)
+                               & (root > left) & (root < right))
+            roots.append(root[k])
+            f_roots.append(v[k] - u[k] * vertex[k])
+            after.append(lo + 1 + k)
+        lo = hi
+    if p == 1.0:
+        return points, f
+    after = np.concatenate(after)
+    return (np.insert(points, after, np.concatenate(roots)),
+            np.insert(f, after, np.concatenate(f_roots)))
 
 
 def _interval_pass(points: np.ndarray, values: np.ndarray, lam: np.ndarray,
@@ -122,31 +213,36 @@ def _interval_pass(points: np.ndarray, values: np.ndarray, lam: np.ndarray,
     return cands, objs[first]
 
 
+def _scored_candidates(values: np.ndarray, lam: np.ndarray,
+                       p: float) -> tuple[np.ndarray, np.ndarray]:
+    if p in (1.0, 2.0):
+        return _sweep(np.sort(values), lam, p)
+    points = np.unique(_pairs(values)[2])
+    if points.size == 1:
+        return points, np.zeros(1)
+    return _interval_pass(points, values, lam, p)
+
+
 def candidate_set(values, lam, p) -> np.ndarray:
     """Sorted candidate locations guaranteed to contain an optimal beta0."""
-    values = np.asarray(values, dtype=float)
-    points = _breakpoints(values)
-    if float(p) == 1.0 or points.size == 1:
-        # piecewise linear between breakpoints: no interior stationary points
-        return points
-    return _interval_pass(points, values, np.asarray(lam, dtype=float), float(p))[0]
+    return _scored_candidates(*_checked(values, lam, p))[0]
 
 
 def solve_omp(values, lam, p) -> OmpResult:
     """Minimize the ordered-median of |x_i - beta0| by candidate enumeration.
 
-    ``lam`` is nonnegative and ``p >= 1``, as a ``Criterion`` guarantees.
+    ``lam`` is a finite nonnegative vector with a positive entry, one per
+    value, and ``p >= 1``, as a ``Criterion`` guarantees; anything else
+    raises ``ValueError``.  Ties go to the smallest beta0.
     """
-    values = np.asarray(values, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    pf = float(p)
-    cands = _breakpoints(values)
-    if pf == 1.0 or cands.size == 1:
-        objs = _sorted_objective(cands, values, lam)
-    else:
-        cands, objs = _interval_pass(cands, values, lam, pf)
+    values, lam, pf = _checked(values, lam, p)
+    cands, objs = _scored_candidates(values, lam, pf)
     best = int(np.argmin(objs))  # argmin takes the first, i.e. smallest beta0
-    return OmpResult(float(cands[best]), float(objs[best]), int(cands.size))
+    beta0 = float(cands[best])
+    # the sweep's sums are centred and the pass reads each ranking at a rounded
+    # midpoint: score the winner on the original values
+    value = np.sort(np.abs(values - beta0)) ** pf @ lam
+    return OmpResult(beta0, float(value), int(cands.size))
 
 
 def gcod(phi_star: float, data: Dataset, criterion: Criterion, norm: NormSpec) -> float:

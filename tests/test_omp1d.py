@@ -216,3 +216,160 @@ def test_gcod_degenerate_reference():
     assert gcod(0.0, flat, crit, Vertical()) == 1.0
     with pytest.raises(ValueError):
         gcod(1.0, flat, crit, Vertical())
+
+
+# the sweep against the blocked pass it replaced at p = 1 and p = 2 ----------
+
+
+def _blocked_reference(values, lam, p):
+    """The blocked pass the sweep replaced for p in {1, 2}: each block of
+    intervals reads its ranking by an argsort at the midpoints, scores the
+    breakpoints by row dot products (p = 1: a row sort) and bisects for
+    interior roots.  Returns (sorted candidates, f at each)."""
+    base = np.unique(values)
+    if base.size == 1:
+        return base, np.zeros(1)
+    iu, ju = np.triu_indices(values.size, 1)
+    mids = (values[iu] + values[ju]) / 2.0
+    mids = mids[(mids > base[0]) & (mids < base[-1])]
+    points = np.unique(np.concatenate([base, mids]))
+    if p == 1.0:
+        res = np.sort(np.abs(points[:, None] - values[None, :]), axis=1)
+        return points, res @ lam
+    x = np.sort(values)
+    a, b = points[:-1], points[1:]
+    order = np.argsort(np.abs((0.5 * (a + b))[:, None] - x[None, :]), axis=1, kind="stable")
+    weight = np.empty((a.size, x.size))
+    np.put_along_axis(weight, order, lam[None, :], axis=1)
+    diff = points[:, None] - x[None, :]
+    level = np.abs(diff) ** p
+    slope = np.copysign(np.abs(diff) ** (p - 1.0), diff)
+    f_points = np.append(np.einsum("ij,ij->i", weight, level[:-1]), weight[-1] @ level[-1])
+    act = np.flatnonzero((np.einsum("ij,ij->i", weight, slope[:-1]) < 0.0)
+                         & (np.einsum("ij,ij->i", weight, slope[1:]) > 0.0))
+    w, lo, hi = weight[act], a[act], b[act]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        d = mid[:, None] - x[None, :]
+        fm = np.einsum("ij,ij->i", w, np.copysign(np.abs(d) ** (p - 1.0), d))
+        lo = np.where(fm <= 0.0, mid, lo)
+        hi = np.where(fm >= 0.0, mid, hi)
+    root = 0.5 * (lo + hi)
+    f_roots = np.einsum("ij,ij->i", w, np.abs(root[:, None] - x[None, :]) ** p)
+    cands, first = np.unique(np.concatenate([points, root]), return_index=True)
+    return cands, np.concatenate([f_points, f_roots])[first]
+
+
+def _random_case(rng, case):
+    n = int(rng.integers(1, 81))
+    kind = case % 4
+    if kind == 0:
+        vals = rng.integers(0, 6, size=n).astype(float)  # many repeated values
+    elif kind == 1:
+        vals = np.full(n, 2.5)
+    else:
+        vals = rng.normal(size=n)
+    shape = case % 3
+    if shape == 0:  # one rank
+        lam = np.zeros(n)
+        lam[int(rng.integers(0, n))] = 1.0
+    else:
+        lam = rng.integers(0, 4, size=n).astype(float) if kind == 0 else np.abs(rng.normal(size=n))
+        lam[rng.random(n) < 0.3] = 0.0
+        lam[int(rng.integers(0, n))] += 1.0
+        if shape == 1:
+            lam = np.sort(lam)  # monotone; shape 2 is mostly non-monotone
+    return vals, lam
+
+
+def test_omp_sweep_matches_the_blocked_pass():
+    rng = np.random.default_rng(1105)
+    for case in range(300):
+        vals, lam = _random_case(rng, case)
+        for p in (1.0, 2.0):
+            cands, objs = _blocked_reference(vals, lam, p)
+            want = int(np.argmin(objs))
+            got = solve_omp(vals, lam, p)
+            assert got.value == pytest.approx(objs[want], rel=1e-12, abs=1e-300), (case, p)
+            assert got.candidates_evaluated == cands.size, (case, p)
+            got_set = candidate_set(vals, lam, p)
+            np.testing.assert_allclose(got_set, cands, rtol=1e-12, atol=1e-15)
+            assert got.beta0 in got_set
+            if case % 4 == 0 and p == 1.0:
+                # small integers: both sides score exactly, so ties are exact
+                assert got.beta0 == cands[want], case
+
+
+def test_omp_ties_go_to_the_smallest_beta0():
+    # SUM on an even count is flat between the middle values
+    assert solve_omp([9.0, 1.0, 5.0, 0.0], np.ones(4), 1.0).beta0 == 1.0
+    mirror = np.array([0.0, 1.0, 3.0, 4.0])
+    # the second-smallest distance is 1/2 at both pair midpoints
+    assert solve_omp(mirror, np.array([0.0, 1.0, 0.0, 0.0]), 2.0).beta0 == 0.5
+    # the two smallest squared distances sum to 1/2 at both pair midpoints
+    got = solve_omp(mirror, np.array([1.0, 1.0, 0.0, 0.0]), 2.0)
+    assert (got.beta0, got.value) == (0.5, 0.5)
+    # every vertex is on a data value: the breakpoints alone are the candidates
+    assert candidate_set(mirror, np.array([1.0, 0.0, 0.0, 0.0]), 2.0).tolist() == [
+        0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+
+
+def test_omp_badly_conditioned_scores_the_winner_on_the_original_values():
+    from fractions import Fraction
+
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        vals = 1e3 + 1e-3 * rng.normal(size=40)
+        lam = np.abs(rng.normal(size=40))
+        for p in (1.0, 2.0):
+
+            def exact(beta0):
+                dist = sorted(abs(Fraction(v) - Fraction(beta0)) for v in vals)
+                return sum(Fraction(w) * r ** int(p) for w, r in zip(lam, dist))
+
+            got = solve_omp(vals, lam, p)
+            assert got.value == np.sort(np.abs(vals - got.beta0)) ** p @ lam
+            assert got.value == pytest.approx(float(exact(got.beta0)), rel=1e-14)
+            cands, objs = _blocked_reference(vals, lam, p)
+            assert got.candidates_evaluated == cands.size
+            # summed on the raw values near 1e3 instead of centred ones, the
+            # sweep's p = 2 winner ends up to 6e-5 above the best candidate
+            best = min(exact(c) for c in cands[objs <= objs.min() * (1 + 1e-8)])
+            assert got.value == pytest.approx(float(best), rel=1e-12)
+
+
+def test_omp_sweep_memory_at_n_1000():
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=1000)
+    lam = np.ones(1000)
+    for p in (1.0, 2.0):
+        tracemalloc.start()
+        try:
+            solve_omp(vals, lam, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 500,500 events: their int32 pair indices, the breakpoints and f
+        # take about 14 MB, and the deltas are built a chunk at a time
+        assert peak <= 32 * 2**20, (p, peak)
+
+
+@pytest.mark.parametrize("fn", [solve_omp, candidate_set])
+@pytest.mark.parametrize("values, lam, p, match", [
+    ([0.0, 1.0, 2.0], [1.0, 1.0], 1.0, "shape"),
+    ([0.0, 1.0], [1.0, 1.0, 1.0], 2.0, "shape"),
+    ([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 1.0, 1.0, 1.0], 1.0, "nonnegative"),
+    ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0], 2.0, "finite"),
+    ([0.0, 1.0, 2.0], [1.0, np.inf, 1.0], 1.0, "finite"),
+    ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], 1.0, "positive"),
+    ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], 0.5, "p must be"),
+    ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], np.nan, "p must be"),
+    ([0.0, np.nan, 2.0], [1.0, 1.0, 1.0], 1.0, "values must be finite"),
+    ([0.0, np.inf, 2.0], [1.0, 1.0, 1.0], 2.0, "values must be finite"),
+    ([], [], 1.0, "nonempty"),
+])
+def test_omp_rejects_bad_inputs(fn, values, lam, p, match):
+    with pytest.raises(ValueError, match=match):
+        fn(np.array(values), np.array(lam), p)
