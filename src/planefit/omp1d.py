@@ -25,16 +25,24 @@ quadratic whose vertex S/W, when inside, is the interval's stationary
 point.  The sums are taken on values centred at their median.  That is
 O(n^2 log n) time and O(n^2) memory.
 
-For other p, f has no closed form on an interval, and a blocked pass scores
-the breakpoints a block of about ``_BLOCK_CELLS`` (intervals x points) at a
+For other p (1.5SUM), f has no closed form on an interval.  Nondecreasing
+lam make it strictly convex, since it is then a nonnegative sum of k-sums
+of the strictly convex |x_i - beta0|^p, so it has one minimizer: a binary
+search over the sorted breakpoints on the sign of f' at an interval's right
+end finds the interval that holds it, at one argsort, O(n log n), per step,
+and the minimizer is that interval's left end or the root that bisection
+finds inside it.  That is O(n^2 log n) time, for sorting the breakpoints,
+and O(n^2) memory.  Other lam keep a blocked pass that scores the
+breakpoints a block of about ``_BLOCK_CELLS`` (intervals x points) at a
 time: one row-wise argsort at each interval's midpoint gives each point its
 weight, f and f' at both exact endpoints are row-wise dot products, and an
 interior minimum (only where f'(a) < 0 < f'(b), f being convex on an
 interval) is found by a vectorised bisection over those rows.  That is
 O(n^3 log n) time and O(n^2 + block) memory.
 
-Either way the winner, the first minimum so that ties go to the smallest
-beta0, is scored again on the original values by one sort.
+Every path has the same candidate set: the breakpoints and the interior
+stationary points.  The winner, the first minimum so that ties go to the
+smallest beta0, is scored again on the original values by one sort.
 """
 
 from __future__ import annotations
@@ -213,31 +221,87 @@ def _interval_pass(points: np.ndarray, values: np.ndarray, lam: np.ndarray,
     return cands, objs[first]
 
 
-def _scored_candidates(values: np.ndarray, lam: np.ndarray,
-                       p: float) -> tuple[np.ndarray, np.ndarray]:
+def _interval_weights(a: float, b: float, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Each point's weight on the interval (a, b) between two breakpoints,
+    whose ranking of |x - beta0| is fixed: read it at the midpoint."""
+    weight = np.empty_like(lam)
+    weight[np.argsort(np.abs(0.5 * (a + b) - x), kind="stable")] = lam
+    return weight
+
+
+def _slope(beta0: float, x: np.ndarray, weight: np.ndarray, p: float) -> float:
+    """f' / p at beta0 under a fixed weight per point."""
+    d = beta0 - x
+    return float(weight @ np.copysign(np.abs(d) ** (p - 1.0), d))
+
+
+def _bisect_convex(points: np.ndarray, x: np.ndarray, lam: np.ndarray,
+                   p: float) -> tuple[np.ndarray, int]:
+    """Sorted candidates and the index of the minimizer, for nondecreasing
+    lam at p > 1, where f is strictly convex.
+
+    Interval k = (points[k], points[k+1]) has one weight per point, and its
+    one-sided slopes at both ends increase with k.  A binary search finds
+    the first interval whose slope at its right end is positive.  The
+    minimizer is its left end when the slope there is not negative, else
+    the root inside it, which the blocked pass's bisection finds.
+    """
+    lo, hi = 0, points.size - 2
+    while lo < hi:
+        k = (lo + hi) // 2
+        weight = _interval_weights(points[k], points[k + 1], x, lam)
+        if _slope(points[k + 1], x, weight, p) > 0.0:
+            hi = k
+        else:
+            lo = k + 1
+    a, b = points[lo], points[lo + 1]
+    weight = _interval_weights(a, b, x, lam)
+    if _slope(a, x, weight, p) >= 0.0:
+        return points, lo
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (a + b)
+        fm = _slope(mid, x, weight, p)
+        if fm <= 0.0:
+            a = mid
+        if fm >= 0.0:
+            b = mid
+    root = 0.5 * (a + b)
+    # a root that rounds onto a breakpoint is that breakpoint
+    if root in (points[lo], points[lo + 1]):
+        return points, lo + int(root == points[lo + 1])
+    return np.insert(points, lo + 1, root), lo + 1
+
+
+def _minimized(values: np.ndarray, lam: np.ndarray, p: float) -> tuple[np.ndarray, int]:
+    """Sorted candidates and the index of the first minimizer among them."""
     if p in (1.0, 2.0):
-        return _sweep(np.sort(values), lam, p)
+        cands, objs = _sweep(np.sort(values), lam, p)
+        return cands, int(np.argmin(objs))  # the first, i.e. smallest beta0
     points = np.unique(_pairs(values)[2])
     if points.size == 1:
-        return points, np.zeros(1)
-    return _interval_pass(points, values, lam, p)
+        return points, 0
+    if np.all(lam[1:] >= lam[:-1]):
+        return _bisect_convex(points, np.sort(values), lam, p)
+    cands, objs = _interval_pass(points, values, lam, p)
+    return cands, int(np.argmin(objs))
 
 
 def candidate_set(values, lam, p) -> np.ndarray:
     """Sorted candidate locations guaranteed to contain an optimal beta0."""
-    return _scored_candidates(*_checked(values, lam, p))[0]
+    return _minimized(*_checked(values, lam, p))[0]
 
 
 def solve_omp(values, lam, p) -> OmpResult:
-    """Minimize the ordered-median of |x_i - beta0| by candidate enumeration.
+    """Minimize the ordered-median of |x_i - beta0| over its candidate set.
 
     ``lam`` is a finite nonnegative vector with a positive entry, one per
     value, and ``p >= 1``, as a ``Criterion`` guarantees; anything else
     raises ``ValueError``.  Ties go to the smallest beta0.
+    ``candidates_evaluated`` is the size of the candidate set; the bisection
+    for nondecreasing lam at p not in {1, 2} probes O(log n) of them.
     """
     values, lam, pf = _checked(values, lam, p)
-    cands, objs = _scored_candidates(values, lam, pf)
-    best = int(np.argmin(objs))  # argmin takes the first, i.e. smallest beta0
+    cands, best = _minimized(values, lam, pf)
     beta0 = float(cands[best])
     # the sweep's sums are centred and the pass reads each ranking at a rounded
     # midpoint: score the winner on the original values

@@ -13,6 +13,10 @@ its tag:
   LQS with r = n) at any p, whose minimizer is the p = 1 one;
 * ``quantile-scan``: other one-rank objectives (any p) on two parameters,
   the classic pair-slope scan: O(n^2) candidate slopes, O(n^3 log n) time;
+* ``lts-scan``: p = 2 on two parameters with weights that are a leading
+  block of h equal values, 1 < h < n (LTS), Hossjer's exact scan: in each
+  cell of the pair-slope arrangement, every window of h consecutive
+  residual values scored by its least-squares SSE, O(n^3 log n) time;
 * ``exact-enum``: other ``p == 1`` objectives on two free parameters, exact
   enumeration of the breakpoint arrangement of the piecewise-linear
   objective.  Nonincreasing weights need only the O(n^2) crossings of the
@@ -42,13 +46,13 @@ on the slope.  A block-norm fit solves one subproblem per disjunct and
 keeps the best; it is labelled ``incumbent`` when any disjunct stopped at
 the node limit.  An l-tau fit on the inscribed N-gon searches its N / 2
 disjuncts (edges) best first instead, when its route is proven (``lp``,
-``quantile-scan``, ``exact-enum``, ``milp``, ``lsq``): the N/2-, N/4-, ...
-gons are inscribed in it, so a coarse edge's value bounds every finer edge
-inside its sector from below, and a sector is refined only while that bound
-is not above the incumbent.  Every disjunct is solved or pruned by a proven
-bound, and the answer is the flat scan's, from 8-14 of 16 solves at N = 32
-and 15 of 160 at N = 320 on the 47-star sample.  Every public fit scores its
-coefficients once (``_finalize``).
+``quantile-scan``, ``lts-scan``, ``exact-enum``, ``milp``, ``lsq``): the
+N/2-, N/4-, ... gons are inscribed in it, so a coarse edge's value bounds
+every finer edge inside its sector from below, and a sector is refined only
+while that bound is not above the incumbent.  Every disjunct is solved or
+pruned by a proven bound, and the answer is the flat scan's, from 8-14 of 16
+solves at N = 32 and 15 of 160 at N = 320 on the 47-star sample.  Every
+public fit scores its coefficients once (``_finalize``).
 
 Results carry the recomputed residual vector, the objective, the
 goodness-of-fit index, a provenance tag and, for the polyhedral
@@ -111,7 +115,7 @@ EXACT_ENUM_MAX_N = 60
 MILP_MAX_N = 10
 DESCENT_ITERS = 5000
 DESCENT_PATIENCE = 500  # descent steps without improvement before a run stops
-_BLOCK_CELLS = 1 << 18  # rows x points per scored block (quantile scan, zero-line crossings)
+_BLOCK_CELLS = 1 << 18  # rows x points per scored block (pair-slope scans, zero-line crossings)
 
 
 class SolverError(RuntimeError):
@@ -278,10 +282,12 @@ def _disjunct_problem(data: Dataset, ball: Polytope, g: int) -> _LinearResiduals
     def to_beta(v):
         return np.concatenate([[v[0]], base + Y @ np.asarray(v[1:])])
 
-    # one row per other vertex b_h: beta_-0 . b_h <= 1 in the parameters
+    # one row per other vertex b_h: beta_-0 . b_h <= 1 in the parameters.
+    # Its right-hand side 1 - base . b_h is taken as b_g . (b_g - b_h) / |b_g|^2,
+    # since 1 - base . b_h cancels on neighbouring vertices of a fine polygon
     others = np.delete(ball.vertices, g, axis=0)
     rows = np.column_stack([np.zeros(len(others)), others @ Y])
-    return _LinearResiduals.from_rows(A, c, to_beta, rows, 1.0 - others @ base)
+    return _LinearResiduals.from_rows(A, c, to_beta, rows, (b_g - others) @ b_g / (b_g @ b_g))
 
 
 # -- exact LP for p = 1 and monotone weights --------------------------------
@@ -486,7 +492,23 @@ def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray) -> tuple[flo
     return best_val, best_v
 
 
-# -- quantile pair-slope scan (one-rank weights on two parameters) ----------
+# -- pair-slope scans on two parameters (quantile, trimmed squares) --------
+
+
+def _pair_slopes(prob: _LinearResiduals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, w, cuts) of a two-parameter subproblem with residuals
+    |v[0] + u + v[1] w|: ``cuts`` are the sorted distinct slopes at which two
+    values of -(u + t w) cross, so their order is constant between two
+    cuts, clipped to ``slope_interval()``, with its finite ends and 0."""
+    u = prob.c.astype(float)
+    w = prob.A[:, 1].astype(float)
+    t_lo, t_hi = prob.slope_interval()
+    iu, ju = np.triu_indices(u.size, 1)
+    dw = w[iu] - w[ju]
+    mask = np.abs(dw) > 1e-14
+    cuts = -(u[iu] - u[ju])[mask] / dw[mask]
+    extra = [t for t in (t_lo, t_hi, 0.0) if np.isfinite(t)]
+    return u, w, np.unique(np.clip(np.concatenate([cuts, np.array(extra)]), t_lo, t_hi))
 
 
 def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> tuple[float, np.ndarray]:
@@ -502,17 +524,8 @@ def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> tuple[float, np.nd
     scored a block of rows at a time: one row-wise sort, window widths and
     argmin per block, O(n^3 log n) time in all.
     """
-    u = prob.c.astype(float)
-    w = prob.A[:, 1].astype(float)
-    t_lo, t_hi = prob.slope_interval()
+    u, w, cands = _pair_slopes(prob)
     n = u.size
-    iu, ju = np.triu_indices(n, 1)
-    dw = w[iu] - w[ju]
-    mask = np.abs(dw) > 1e-14
-    cands = (-(u[iu] - u[ju])[mask] / dw[mask])
-    extra = [t for t in (t_lo, t_hi, 0.0) if np.isfinite(t)]
-    cands = np.unique(np.clip(np.concatenate([cands, np.array(extra)]), t_lo, t_hi))
-
     best = (np.inf, None)
     rows = max(1, _BLOCK_CELLS // n)
     for s in range(0, cands.size, rows):
@@ -529,6 +542,66 @@ def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> tuple[float, np.nd
     if best[1] is None:
         raise SolverError("quantile scan found no candidate slope")
     return best[0], best[1]
+
+
+def _window_sums(X: np.ndarray, h: int) -> np.ndarray:
+    """Row-wise sums of every h consecutive entries, from one prefix sum."""
+    cs = np.cumsum(X, axis=1)
+    out = cs[:, h - 1:].copy()
+    out[:, 1:] -= cs[:, : X.shape[1] - h]
+    return out
+
+
+def _solve_lts_2param(prob: _LinearResiduals, h: int) -> tuple[float, np.ndarray]:
+    """Exact minimizer over (b0, t) of the sum of the h smallest squared
+    residuals (LTS), and that sum; Hossjer's scan (Hossjer 1995).
+
+    At the optimum the h smallest residuals |b0 - z_i| are h consecutive
+    values of the sorted z = -(u + t w), and that order is constant inside
+    each cell between two cuts of ``_pair_slopes``.  So one slope inside
+    each cell gives an order, and each of its n - h + 1 windows is scored by
+    its least-squares SSE: a convex quadratic in t, minimized with t clipped
+    to the slope interval, from window sums of w, u, w^2, wu and u^2
+    (prefix sums of values centred at their means).  Every window's SSE is
+    at least the objective at its own minimizer and the optimal window is
+    among them, so the best is optimal.  The cells are scored a block at a
+    time, O(n^3 log n) time in all.  The winning window is fitted again by
+    exact least squares and scored on the original residuals.
+    """
+    u, w, cuts = _pair_slopes(prob)
+    t_lo, t_hi = prob.slope_interval()
+    n = u.size
+    slopes = 0.5 * (cuts[1:] + cuts[:-1])
+    if np.isinf(t_lo):
+        slopes = np.insert(slopes, 0, cuts[0] - 1.0 - abs(cuts[0]))
+    if np.isinf(t_hi):
+        slopes = np.append(slopes, cuts[-1] + 1.0 + abs(cuts[-1]))
+    if slopes.size == 0:  # t_lo == t_hi
+        slopes = cuts
+    uc = u - u.mean()
+    wc = w - w.mean()
+    best = (np.inf, None)
+    rows = max(1, _BLOCK_CELLS // (8 * n))  # about eight rows x n arrays held at once
+    for s in range(0, slopes.size, rows):
+        order = np.argsort(-(uc[None, :] + slopes[s: s + rows, None] * wc[None, :]), axis=1)
+        W, U = wc[order], uc[order]
+        sw, su = _window_sums(W, h), _window_sums(U, h)
+        cww = _window_sums(W * W, h) - sw * sw / h
+        cwu = _window_sums(W * U, h) - sw * su / h
+        del sw
+        cuu = _window_sums(U * U, h) - su * su / h
+        del su, W, U
+        t = np.clip(np.divide(-cwu, cww, out=np.zeros_like(cww), where=cww > 0.0), t_lo, t_hi)
+        sse = cuu + t * (2.0 * cwu + t * cww)
+        i, k = np.unravel_index(int(np.argmin(sse)), sse.shape)
+        if sse[i, k] < best[0]:
+            best = (float(sse[i, k]), order[i, k: k + h].copy())
+    if best[1] is None:
+        raise SolverError("trimmed-squares scan found no window")
+    window = np.zeros(n)
+    window[best[1]] = 1.0
+    v = _least_squares(prob, window)
+    return float(np.sum(np.sort(prob.residuals(v))[:h] ** 2)), v
 
 
 # -- big-M assignment MILP (p = 1, arbitrary weights, small n) --------------
@@ -819,7 +892,7 @@ def _solve_concentration(prob: _LinearResiduals, lam: np.ndarray, p: float,
 # dispatch per subproblem
 
 
-PROVEN_ROUTES = frozenset({"lp", "quantile-scan", "exact-enum", "milp", "lsq"})
+PROVEN_ROUTES = frozenset({"lp", "quantile-scan", "lts-scan", "exact-enum", "milp", "lsq"})
 
 
 def _route(criterion: Criterion, n_params: int) -> str:
@@ -835,6 +908,10 @@ def _route(criterion: Criterion, n_params: int) -> str:
         return "lp"
     if one_rank and n_params == 2:
         return "quantile-scan"
+    h = np.flatnonzero(lam).size
+    # a leading block of h equal weights at p = 2: trimmed squares
+    if p == 2.0 and n_params == 2 and h < n and lam[0] > 0 and np.all(lam[:h] == lam[0]):
+        return "lts-scan"
     if p == 1.0 and n_params == 2 and (_nonincreasing(lam) or n <= EXACT_ENUM_MAX_N):
         return "exact-enum"
     if p == 1.0 and n <= MILP_MAX_N:
@@ -862,6 +939,9 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
         r = int(np.flatnonzero(lam)[0])
         half, v = _solve_quantile_2param(prob, r + 1)
         val = float(lam[r]) * half**p
+    elif tag == "lts-scan":
+        sse, v = _solve_lts_2param(prob, np.flatnonzero(lam).size)
+        val = float(lam[0]) * sse
     elif tag == "exact-enum":
         val, v = _solve_p1_exact_2param(prob, lam)
     elif tag == "milp":
@@ -1099,16 +1179,16 @@ def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: i
 
     One disjunct per sign-distinct edge of P_N, N / 2 in all, is either
     solved or pruned by a proven bound.  When the criterion's route is
-    proven (``lp``, ``quantile-scan``, ``exact-enum``, ``milp``, ``lsq``),
-    the edges are searched best first over the halving chain N, N/2, ...
-    (``halving_chain``): a coarse polygon is inscribed in the finer one, so
-    by homogeneity a coarse edge's value bounds from below every finer edge
-    inside its sector, and only sectors whose bound is not above the
-    incumbent are refined (``_solve_block``).  The result is the flat scan's,
-    from 8-14 of the 16 solves at N = 32 (8 for most criteria) and 15 of
-    the 160 at N = 320 on the 47-star sample at tau 3/2, 2 and 3.  Other
-    routes (``irls``, ``descent``, ``heuristic``) and a caller-supplied
-    ``approx_polytope`` solve every edge.
+    proven (``lp``, ``quantile-scan``, ``lts-scan``, ``exact-enum``,
+    ``milp``, ``lsq``), the edges are searched best first over the halving
+    chain N, N/2, ... (``halving_chain``): a coarse polygon is inscribed in
+    the finer one, so by homogeneity a coarse edge's value bounds from below
+    every finer edge inside its sector, and only sectors whose bound is not
+    above the incumbent are refined (``_solve_block``).  The result is the
+    flat scan's, from 8-14 of the 16 solves at N = 32 (8 for most criteria)
+    and 15 of the 160 at N = 320 on the 47-star sample at tau 3/2, 2 and 3.
+    Other routes (``irls``, ``descent``, ``heuristic``) and a
+    caller-supplied ``approx_polytope`` solve every edge.
     """
     if criterion.n != data.n:
         raise ValueError("criterion weight length must match the dataset size")

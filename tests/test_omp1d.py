@@ -222,8 +222,9 @@ def test_gcod_degenerate_reference():
 
 
 def _blocked_reference(values, lam, p):
-    """The blocked pass the sweep replaced for p in {1, 2}: each block of
-    intervals reads its ranking by an argsort at the midpoints, scores the
+    """The blocked pass the sweep replaced for p in {1, 2}, and the
+    bisection for nondecreasing lam at other p: each block of intervals
+    reads its ranking by an argsort at the midpoints, scores the
     breakpoints by row dot products (p = 1: a row sort) and bisects for
     interior roots.  Returns (sorted candidates, f at each)."""
     base = np.unique(values)
@@ -298,6 +299,35 @@ def test_omp_sweep_matches_the_blocked_pass():
             if case % 4 == 0 and p == 1.0:
                 # small integers: both sides score exactly, so ties are exact
                 assert got.beta0 == cands[want], case
+
+
+def test_omp_bisection_matches_the_blocked_pass(monkeypatch):
+    # nondecreasing lam at p not in {1, 2} make f strictly convex: bisected,
+    # with the pass's candidate set; other lam stay on the pass
+    from planefit import omp1d
+
+    passes = []
+    real = omp1d._interval_pass
+
+    def counting(*args):
+        passes.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(omp1d, "_interval_pass", counting)
+    rng = np.random.default_rng(1207)
+    for case in range(240):
+        vals, lam = _random_case(rng, case)
+        monotone = bool(np.all(np.diff(lam) >= 0))
+        for p in (1.25, 1.5, 3.0):
+            passes.clear()
+            cands, objs = _blocked_reference(vals, lam, p)
+            got = solve_omp(vals, lam, p)
+            assert len(passes) == int(not monotone and np.unique(vals).size > 1), (case, p)
+            assert got.value == pytest.approx(objs.min(), rel=1e-12, abs=1e-300), (case, p)
+            assert got.candidates_evaluated == cands.size, (case, p)
+            got_set = candidate_set(vals, lam, p)
+            np.testing.assert_allclose(got_set, cands, rtol=1e-12, atol=1e-15)
+            assert got.beta0 in got_set
 
 
 def test_omp_ties_go_to_the_smallest_beta0():

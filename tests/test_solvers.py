@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -661,6 +662,27 @@ def test_disjunct_rows_match_the_per_vertex_construction(stars, rng):
                     assert abs(have - want) <= 4 * eps * (1 + abs(want)) / abs(a)
 
 
+def test_disjunct_slope_bounds_match_exact_arithmetic(stars):
+    # 1 - base . b_h cancels to about 1e-4 between neighbouring vertices of
+    # the 320-gon; b_g . (b_g - b_h) / |b_g|^2 keeps the slope bounds within a
+    # few ulps of the exact quotients (8 at most here, over 1,000 before)
+    from planefit.solvers import _disjunct_problem
+
+    ball = polar_polytope(inscribed_polytope(Fraction(3), 320)[0])
+    g = 38
+    b_g = ball.vertices[g]
+    Q, _ = np.linalg.qr(np.column_stack([b_g, np.eye(2)]))
+    others = np.delete(ball.vertices, g, axis=0)
+    coef = others @ Q[:, 1]
+    x, y = (Fraction(c) for c in b_g)
+    quotients = [(x * (x - Fraction(bx)) + y * (y - Fraction(by))) / (x * x + y * y) / Fraction(a)
+                 for (bx, by), a in zip(others, coef)]
+    want = (max(q for q, a in zip(quotients, coef) if a < 0),
+            min(q for q, a in zip(quotients, coef) if a > 0))
+    for have, exact in zip(_disjunct_problem(stars, ball, g).slope_interval(), want):
+        assert abs(Fraction(have) - exact) <= 16 * abs(Fraction(np.spacing(float(exact))))
+
+
 def _exact_enum_reference(prob, lam):
     """Pair-array enumeration with a rounded row dedupe per chunk; the
     one-line-at-a-time enumeration must reach the same value."""
@@ -824,6 +846,8 @@ def test_route_table_by_weight_shape():
         assert _route(kc_squared, n_params) == "descent"
     assert _route(preset("LMS", n), 2) == "quantile-scan"
     assert _route(preset("LMS", n), 3) == "heuristic"
+    assert _route(preset("LTS", n, alpha=0.5), 2) == "lts-scan"
+    assert _route(preset("LTS", n, alpha=0.5), 3) == "heuristic"
 
 
 def test_max_type_fits_take_the_exact_lp_in_d3():
@@ -1196,14 +1220,11 @@ def test_sector_search_matches_flat_scan_at_n320(monkeypatch, stars):
 
 
 def test_unproven_routes_keep_their_results(stars):
-    # heuristic (LTS) and irls (1.5SUM) solve all 16 edges in disjunct order,
-    # drawing the same random numbers as before the sector search
+    # irls (1.5SUM) solves all 16 edges in disjunct order, drawing the same
+    # random numbers as before the sector search
     from planefit.cli import build_criterion
 
     want = {
-        "LTS": ("heuristic+inner-32gon", 0.029504032879814932,
-                [-3.3805319180949285, 0.9820683537920377, -0.18852519322413364],
-                [0.02946651215715155, 0.029752353724229033]),
         "1.5SUM": ("irls+inner-32gon", 5.333887647873074,
                    [-4.15199178554076, 0.9991093406954765, -0.042196271577594986],
                    [5.307868676146899, 5.346438998765982]),
@@ -1254,3 +1275,114 @@ def test_sector_search_refines_every_bound_within_the_margin(monkeypatch):
         beta, tag, count = solvers._solve_block(None, balls, solve)
         assert sorted(g for level, g in solved if level == 2) == want_finest
         assert (list(beta), tag, count) == (want_beta, "lp", 8)
+
+
+# -- exact trimmed squares (lts-scan) ----------------------------------------
+
+
+def test_lts_on_ltau_is_proven_by_the_sector_search(monkeypatch, stars):
+    # lts-scan is proven, so LTS x ltau:2 is searched best first and its
+    # bounds are true; the concentration heuristic stopped at this phi*
+    from planefit.cli import build_criterion
+
+    heuristic_phi = 0.029504032879814932
+    crit = build_criterion("LTS", stars.n, "0.5")
+    calls = _count_solves(monkeypatch)
+    r = fit(FitRequest(stars, crit, LTau(2), seed=1, polytope_vertices=32))
+    assert (r.solver_tag, r.subproblem_count) == ("lts-scan+inner-32gon", 16)
+    assert len(calls) <= 14
+    assert r.phi_star <= heuristic_phi * (1 + 1e-12)
+    lo, hi = r.bounds
+    assert lo <= r.phi_star <= hi
+    flat = fit_ltau_approx(stars, crit, 2, 32, seed=1,
+                           approx_polytope=inscribed_polytope(2, 32)[0])
+    _same_fit(r, flat)
+
+
+def _lts_subset_reference(prob, h):
+    """Least sum of h squared residuals by enumerating every h-subset, each
+    fitted by the closed-form least squares with the slope clipped."""
+    u, w = prob.c.astype(float), prob.A[:, 1].astype(float)
+    t_lo, t_hi = prob.slope_interval()
+    best = np.inf
+    for subset in itertools.combinations(range(u.size), h):
+        us, ws = u[list(subset)], w[list(subset)]
+        du, dw = us - us.mean(), ws - ws.mean()
+        cww, cwu, cuu = dw @ dw, dw @ du, du @ du
+        t = float(np.clip(-cwu / cww if cww > 0.0 else 0.0, t_lo, t_hi))
+        best = min(best, cuu + t * (2.0 * cwu + t * cww))
+    return best
+
+
+def test_lts_scan_matches_h_subset_enumeration(rng):
+    from planefit import solvers
+
+    for n in (5, 7, 10):
+        obs = np.round(rng.normal(size=(n, 2)) * 2.0, 1)
+        obs[: n // 2, 0] = obs[0, 0]  # tied x values
+        data = Dataset.from_observations(obs)
+        probs = [solvers._vertical_problem(data)]
+        for ball in (l1_ball(2), linf_ball(2)):
+            probs += [solvers._disjunct_problem(data, ball, g)
+                      for g in solvers._sign_distinct(ball.vertices)]
+        for prob in probs:
+            t_lo, t_hi = prob.slope_interval()
+            for h in range(2, n):
+                sse, v = solvers._solve_lts_2param(prob, h)
+                assert sse == pytest.approx(_lts_subset_reference(prob, h), rel=1e-12, abs=1e-12)
+                assert t_lo <= v[1] <= t_hi
+                assert sse == pytest.approx(np.sum(np.sort(prob.residuals(v))[:h] ** 2),
+                                            rel=1e-15, abs=0)
+
+
+def test_lts_scan_is_never_above_concentration(rng):
+    from planefit import solvers
+    from planefit.rng import SplitMix64
+
+    for n in (30, 60, 100):
+        data = random_dataset(rng, n, 2)
+        crit = preset("LTS", n, alpha=0.5)
+        ball = l1_ball(2)
+        probs = [solvers._vertical_problem(data)] + [
+            solvers._disjunct_problem(data, ball, g)
+            for g in solvers._sign_distinct(ball.vertices)]
+        for prob in probs:
+            val, _, tag = solvers._solve_subproblem(prob, crit, rng=SplitMix64(0),
+                                                    multistart=0, node_limit=1)
+            assert tag == "lts-scan"
+            heuristic, _ = solvers._solve_concentration(prob, crit.lam, 2.0, SplitMix64(n), 16)
+            assert val <= heuristic * (1 + 1e-12)
+
+
+def test_lts_fits_are_not_above_the_planted_line():
+    # LTS(0.5) x vertical cells of synthetic "X" data (d = 2) on which the
+    # concentration heuristic ended above the planted line beta = (0, 1, 1):
+    # (n, data seed, heuristic phi*)
+    from planefit.evaluation import synthetic_generate
+
+    cells = ((100, 15675988078429736603, 586.91), (100, 15103077602957016101, 851.00),
+             (100, 16487015050544192953, 1073.95), (200, 16822691023950484414, 1974.75))
+    planted = Hyperplane(np.array([0.0, 1.0, 1.0]))
+    for n, seed, heuristic in cells:
+        data = synthetic_generate(n, 2, "X", seed)
+        crit = preset("LTS", n, alpha=0.5)
+        r = fit_vertical_general(data, crit, seed=seed)
+        assert r.solver_tag == "lts-scan"
+        assert r.phi_star <= phi_at(data, crit, Vertical(), planted)
+        assert r.phi_star < heuristic
+
+
+def test_lts_scan_memory_is_bounded(rng):
+    import tracemalloc
+
+    from planefit import solvers
+
+    n = 400
+    prob = solvers._vertical_problem(random_dataset(rng, n))
+    tracemalloc.start()
+    try:
+        solvers._solve_lts_2param(prob, n // 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
