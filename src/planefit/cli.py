@@ -38,6 +38,7 @@ from .geometry import (
 )
 from .omp1d import gcod as gcod_index
 from .solvers import (
+    POLYTOPE_VERTICES,
     FitRequest,
     SolverError,
     export_formulation,
@@ -439,9 +440,11 @@ def _add_common(p: argparse.ArgumentParser, with_criterion: bool = True) -> None
                        help="vertical | l1 | linf | ltau:<frac> | block:<file>")
         p.add_argument("--tau", default=None,
                        help="exponent for --residual ltau (fraction or 'inf')")
-    p.add_argument("--N", type=int, default=32,
+    p.add_argument("--N", type=int, default=POLYTOPE_VERTICES,
                    help="polygon vertex count for smooth l-tau approximation")
-    p.add_argument("--multistart", type=int, default=16)
+    p.add_argument("--multistart", type=int, default=16,
+                   help="random starts of the concentration heuristic, the only "
+                        "route that uses them")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--node-limit", type=int, default=100_000)
     p.add_argument("--strip-eps", type=float, default=10.0,

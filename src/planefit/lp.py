@@ -41,6 +41,7 @@ __all__ = [
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 INT_TOL = 1e-9  # a binary this close to 0 or 1 counts as integral
+GAP_TOL = 1e-6  # relative incumbent-to-bound gap at which branch and bound stops
 REDUNDANT_TOL = 1e-12
 
 OPTIMAL = "optimal"
@@ -335,12 +336,11 @@ def _most_fractional(x: np.ndarray, integral) -> int | None:
     return pick
 
 
-def solve_milp(mip: MixedIntegerProgram, gap_tol: float = 1e-6,
-               node_limit: int = 100_000) -> SolveStatus:
+def solve_milp(mip: MixedIntegerProgram, node_limit: int = 100_000) -> SolveStatus:
     """Best-first branch and bound over the binary variables of ``mip``.
 
     Returns optimal once the incumbent matches the best open bound within
-    ``gap_tol`` (relative), or iteration_limit carrying the incumbent when
+    ``GAP_TOL`` (relative), or iteration_limit carrying the incumbent when
     the node budget runs out.
     """
     base = mip.lp
@@ -364,7 +364,7 @@ def solve_milp(mip: MixedIntegerProgram, gap_tol: float = 1e-6,
     while heap:
         bound, _, fixed, sol = heapq.heappop(heap)
         best_bound = bound
-        if incumbent is not None and bound >= incumbent_obj - gap_tol * max(1.0, abs(incumbent_obj)):
+        if incumbent is not None and bound >= incumbent_obj - GAP_TOL * max(1.0, abs(incumbent_obj)):
             break
         branch_var = _most_fractional(sol.x, mip.integral)
         if branch_var is None:
@@ -388,7 +388,7 @@ def solve_milp(mip: MixedIntegerProgram, gap_tol: float = 1e-6,
             child = solve_node(child_fixed)
             nodes += 1
             if child.status == OPTIMAL:
-                if child.objective < incumbent_obj - gap_tol * max(1.0, abs(incumbent_obj)) \
+                if child.objective < incumbent_obj - GAP_TOL * max(1.0, abs(incumbent_obj)) \
                         or incumbent is None:
                     counter += 1
                     heapq.heappush(heap, (child.objective, counter, child_fixed, child))

@@ -25,20 +25,18 @@ its tag:
   (O(n^5) time, O(n^3) memory), and only for n <= EXACT_ENUM_MAX_N;
 * ``milp`` (``incumbent`` at the node limit): ``p == 1`` with arbitrary
   weights and n <= MILP_MAX_N, a big-M assignment MILP;
-* ``lsq``: ``p == 2`` with constant weights, exact least squares on the
-  slice;
-* ``irls``: constant weights with p > 1, p != 2, reweighted least squares;
-* ``descent``: other nondecreasing weights (p > 1, not constant, not
-  max-type; no preset has them), projected subgradient descent;
+* ``lsq``, ``irls``, ``descent``: other nondecreasing weights at p > 1,
+  constant at p = 2, constant at other p, or neither (no preset), by
+  conditional gradient over the permutahedron of the weights;
 * ``heuristic``: everything else, multistart concentration steps (re-fit on
   the currently selected weight assignment).
 
 The route is a function of the criterion and the number of free
-parameters alone (``_route``).  ``lsq``, ``irls`` and the concentration
-re-fits share one fixed-weight solver, ``_weighted_fit``.  Its least
-squares is exact: a clip of the slope in d = 2, an enumeration of active
-constraint sets in d >= 3.  Its IRLS stops at a tolerance, so ``irls``
-proves nothing.
+parameters alone (``_route``).  ``_conditional_gradient`` and the
+concentration re-fits share one fixed-weight solver, ``_weighted_fit``.  Its
+least squares is exact: a clip of the slope in d = 2, an enumeration of
+active constraint sets in d >= 3.  Its IRLS stops at a tolerance, so
+``irls`` proves nothing; nor does ``descent``, whose gap may stay open.
 
 Each subproblem stores its feasible set split once, into per-parameter
 bounds and general rows; in d = 2 a disjunct's facets are just an interval
@@ -113,8 +111,8 @@ __all__ = [
 
 EXACT_ENUM_MAX_N = 60
 MILP_MAX_N = 10
-DESCENT_ITERS = 5000
-DESCENT_PATIENCE = 500  # descent steps without improvement before a run stops
+CG_ITERS = 200  # weighted fits per conditional-gradient solve (``_conditional_gradient``)
+POLYTOPE_VERTICES = 32  # default N of the l-tau polyhedral approximation (API and CLI)
 _BLOCK_CELLS = 1 << 18  # rows x points per scored block (pair-slope scans, zero-line crossings)
 
 
@@ -145,7 +143,7 @@ class FitRequest:
     norm: NormSpec
     seed: int = 0
     multistart: int = 16
-    polytope_vertices: int = 64  # N for the l-tau polyhedral approximation
+    polytope_vertices: int = POLYTOPE_VERTICES  # N for the l-tau polyhedral approximation
     node_limit: int = 100_000
 
     def __post_init__(self):
@@ -682,7 +680,7 @@ def _solve_p1_milp(prob: _LinearResiduals, lam: np.ndarray,
     return float(lam @ np.sort(prob.residuals(v))), v, tag
 
 
-# -- fixed-weight fits, concentration steps and subgradient descent ---------
+# -- fixed-weight fits, conditional gradient, concentration steps ----------
 
 
 def _least_squares(prob: _LinearResiduals, weights: np.ndarray) -> np.ndarray:
@@ -757,9 +755,8 @@ def _weighted_fit(prob: _LinearResiduals, weights: np.ndarray, p: float) -> np.n
     run IRLS on it with weights weights * |r|^(p-2): the full step for
     p < 2 (majorize-minimize), the step 1 / (p - 1) for p > 2, which is the
     Newton step since the Hessian of |r|^p is (p - 1) times the IRLS
-    weight.  IRLS keeps the best iterate
-    and stops at a relative change below 1e-14 or after 80 iterations, so it
-    proves nothing.
+    weight.  IRLS keeps the best iterate and stops at a relative change
+    below 1e-14 or after 80 iterations, so it proves nothing.
     """
     if p == 1.0:
         n, m = prob.A.shape
@@ -787,40 +784,54 @@ def _weighted_fit(prob: _LinearResiduals, weights: np.ndarray, p: float) -> np.n
     return best_v
 
 
-def _subgradient(prob: _LinearResiduals, lam: np.ndarray, p: float,
-                 v0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Projected subgradient with diminishing steps and best-iterate tracking.
+def _ranked(lam: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """lam placed on the points in increasing order of ``res`` (stable)."""
+    w = np.empty_like(lam)
+    w[np.argsort(res, kind="stable")] = lam
+    return w
 
-    A run takes at most DESCENT_ITERS steps and stops once DESCENT_PATIENCE
-    steps in a row have not improved its best value.
+
+def _conditional_gradient(prob: _LinearResiduals, lam: np.ndarray,
+                          p: float) -> tuple[float, np.ndarray]:
+    """(Phi, v) of the best v found for Phi(v) = sum_j lam_j |r(v)|_(j)^p,
+    nondecreasing lam, p > 1, by conditional gradient on the dual.
+
+    By rearrangement Phi(v) = max w . |r(v)|^p over the permutahedron of
+    lam, so min Phi = max of the concave g(w) = min_v w . |r(v)|^p (Frank &
+    Wolfe 1956).  v = ``_weighted_fit(w)`` gives the lower bound g(w) =
+    w . |r(v)|^p and g's gradient |r(v)|^p; s = lam ranked by |r(v)| gives
+    the upper bound s . |r|^p = Phi(v) (Jaggi 2013).  From w = lam ranked by
+    |r(0)|, a convex combination of vertices, each pairwise step
+    (Lacoste-Julien & Jaggi 2015) moves the share of the vertex a with the
+    least a . |r|^p to s, all of it or one secant step on g's slope, until
+    the best bounds agree within 1e-9 relative or CG_ITERS fits are made; a
+    constant lam takes one fit.  At p = 2 the fits are exact and the lower
+    bound is true; at other p it carries IRLS's tolerance.
     """
-    v = prob.project(np.asarray(v0, dtype=float))
-    signed = prob.A @ v + prob.c
-    res = np.abs(signed)
-    best_val = float(np.sort(res) ** p @ lam)
-    best_v = v.copy()
-    since_improved = 0
-    step0 = 0.5 * (1.0 + float(np.linalg.norm(v))) / (1.0 + float(np.abs(prob.A).max()))
-    for it in range(1, DESCENT_ITERS + 1):
-        order = np.argsort(res, kind="stable")
-        ranked = np.empty_like(lam)
-        ranked[order] = lam
-        grad = prob.A.T @ (ranked * p * res ** (p - 1.0) * np.sign(signed))
-        norm = float(np.linalg.norm(grad))
-        if norm < 1e-14:
-            break
-        v = prob.project(v - (step0 / math.sqrt(it)) * grad / norm)
-        signed = prob.A @ v + prob.c
-        res = np.abs(signed)
-        val = float(np.sort(res) ** p @ lam)
-        if val < best_val - 1e-12 * max(1.0, abs(best_val)):
-            best_val, best_v = val, v.copy()
-            since_improved = 0
-        else:
-            since_improved += 1
-            if since_improved >= DESCENT_PATIENCE:
-                break
-    return best_val, best_v
+    w = _ranked(lam, np.abs(prob.c))
+    shares = {w.tobytes(): 1.0}  # w as a convex combination of vertices
+    upper, best_v, lower = np.inf, None, -np.inf
+    v, fits = _weighted_fit(prob, w, p), 1
+    while True:
+        rp = prob.residuals(v) ** p
+        s = _ranked(lam, rp)
+        if s @ rp < upper:
+            upper, best_v = float(s @ rp), v
+        lower = max(lower, float(w @ rp))
+        if upper - lower <= 1e-9 * upper or fits >= CG_ITERS:
+            return upper, best_v
+        key = min(shares, key=lambda k: np.frombuffer(k) @ rp)
+        a, share = np.frombuffer(key), shares.pop(key)
+        # a sum of nonnegative terms, so no weight rounds below zero
+        rest = sum((x * np.frombuffer(k) for k, x in shares.items()), np.zeros_like(lam))
+        v, fits = _weighted_fit(prob, rest + share * s, p), fits + 1
+        slope0, slope1 = (s - a) @ rp, (s - a) @ prob.residuals(v) ** p  # slope0 > 0
+        step = share if slope1 >= 0.0 else share * slope0 / (slope0 - slope1)
+        w = rest + (share - step) * a + step * s
+        if step < share:
+            shares[key] = share - step
+            v, fits = _weighted_fit(prob, w, p), fits + 1
+        shares[s.tobytes()] = shares.get(s.tobytes(), 0.0) + step
 
 
 def _start_points(prob: _LinearResiduals, lam: np.ndarray, rng: SplitMix64,
@@ -869,10 +880,7 @@ def _solve_concentration(prob: _LinearResiduals, lam: np.ndarray, p: float,
     best = (np.inf, None)
     for v in _start_points(prob, lam, rng, multistart):
         for _ in range(60):
-            res = prob.residuals(v)
-            order = np.argsort(res, kind="stable")
-            ranked = np.empty_like(lam)
-            ranked[order] = lam
+            ranked = _ranked(lam, prob.residuals(v))
             if not ranked.any():
                 break
             v_new = _weighted_fit(prob, ranked, p)
@@ -897,8 +905,8 @@ PROVEN_ROUTES = frozenset({"lp", "quantile-scan", "lts-scan", "exact-enum", "mil
 
 def _route(criterion: Criterion, n_params: int) -> str:
     """The route every subproblem of ``criterion`` on ``n_params`` free
-    parameters takes; it depends on nothing else.  ``milp`` may still end
-    as ``incumbent`` at the node limit."""
+    parameters takes; it depends on nothing else.  ``milp`` may end as
+    ``incumbent``; ``lsq``, ``irls`` and ``descent`` share one solver."""
     lam = criterion.lam
     p = criterion.p_float
     n = lam.size
@@ -926,7 +934,8 @@ def _route(criterion: Criterion, n_params: int) -> str:
 def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
                       rng: SplitMix64, multistart: int,
                       node_limit: int) -> tuple[float, np.ndarray, str]:
-    """(value, v, route tag) from the one route that fits the subproblem."""
+    """(value, v, route tag) from the one route that fits the subproblem;
+    ``rng`` and ``multistart`` serve only the concentration ``heuristic``."""
     lam = criterion.lam
     p = criterion.p_float
     tag = _route(criterion, prob.n_params)
@@ -946,18 +955,8 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
         val, v = _solve_p1_exact_2param(prob, lam)
     elif tag == "milp":
         val, v, tag = _solve_p1_milp(prob, lam, node_limit)  # "milp" or "incumbent"
-    elif tag in ("lsq", "irls"):
-        v = _weighted_fit(prob, np.ones(lam.size), p)
-        val = float(lam[0] * np.sum(prob.residuals(v) ** p))
-    elif tag == "descent":
-        # convex on the slice: a couple of starts suffice
-        val, v = np.inf, None
-        for v0 in _start_points(prob, lam, rng, min(multistart, 2)):
-            cand_val, cand_v = _subgradient(prob, lam, p, v0)
-            if cand_val < val - 1e-15:
-                val, v = cand_val, cand_v
-        if v is None:
-            raise SolverError("descent failed to produce a candidate")
+    elif tag in ("lsq", "irls", "descent"):
+        val, v = _conditional_gradient(prob, lam, p)
     else:
         val, v = _solve_concentration(prob, lam, p, rng, multistart)
     return val, v, tag

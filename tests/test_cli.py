@@ -286,3 +286,17 @@ def test_console_script_entry_point():
                            "--seed", "0"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("x1,y")
+
+
+def test_fit_request_and_cli_share_the_default_n():
+    import dataclasses
+
+    from planefit.cli import build_parser
+    from planefit.solvers import FitRequest
+
+    parser = build_parser()
+    fit_args = parser.parse_args(["fit", "--input", "x.csv", "--criterion", "SUM",
+                                  "--residual", "ltau:2"])
+    batch_args = parser.parse_args(["batch", "--input", "x.csv"])
+    default = {f.name: f.default for f in dataclasses.fields(FitRequest)}["polytope_vertices"]
+    assert fit_args.N == batch_args.N == default == 32

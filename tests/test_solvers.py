@@ -862,24 +862,128 @@ def test_max_type_fits_take_the_exact_lp_in_d3():
         assert lqs.phi_star == pytest.approx(top.phi_star**2, rel=1e-12)
 
 
+def _subgradient(prob, lam, p, v0, iters=5000, patience=500):
+    """Test-only reference: projected subgradient descent on the ordered
+    objective with diminishing steps, from ``v0``, keeping the best iterate;
+    it stops after ``iters`` steps or ``patience`` steps without improving."""
+    v = prob.project(np.asarray(v0, dtype=float))
+    signed = prob.A @ v + prob.c
+    res = np.abs(signed)
+    best_val = float(np.sort(res) ** p @ lam)
+    best_v = v.copy()
+    since_improved = 0
+    step0 = 0.5 * (1.0 + float(np.linalg.norm(v))) / (1.0 + float(np.abs(prob.A).max()))
+    for it in range(1, iters + 1):
+        order = np.argsort(res, kind="stable")
+        ranked = np.empty_like(lam)
+        ranked[order] = lam
+        grad = prob.A.T @ (ranked * p * res ** (p - 1.0) * np.sign(signed))
+        norm = float(np.linalg.norm(grad))
+        if norm < 1e-14:
+            break
+        v = prob.project(v - (step0 / math.sqrt(it)) * grad / norm)
+        signed = prob.A @ v + prob.c
+        res = np.abs(signed)
+        val = float(np.sort(res) ** p @ lam)
+        if val < best_val - 1e-12 * max(1.0, abs(best_val)):
+            best_val, best_v = val, v.copy()
+            since_improved = 0
+        else:
+            since_improved += 1
+            if since_improved >= patience:
+                break
+    return best_val, best_v
+
+
+def _vertical_and_l1_problems(data):
+    """The vertical problem and the first sign-distinct l1 disjunct of ``data``."""
+    from planefit.solvers import _as_block, _disjunct_problem, _sign_distinct, _vertical_problem
+
+    ball = _as_block(LTau(1), data.dim).ball
+    return (_vertical_problem(data),
+            _disjunct_problem(data, ball, _sign_distinct(ball.vertices)[0]))
+
+
 def test_irls_is_never_above_descent_on_constant_weights():
     # constant weights at p > 2 take irls; projected subgradient descent from
     # the least-squares start never does better
     from planefit.evaluation import synthetic_generate
-    from planefit.solvers import (
-        _as_block, _disjunct_problem, _sign_distinct, _subgradient, _vertical_problem,
-        _weighted_fit)
+    from planefit.solvers import _weighted_fit
 
-    ball = _as_block(LTau(1), 3).ball
     for seed in range(1, 6):
         data = synthetic_generate(30, 3, "Y", seed)
         ones = np.ones(data.n)
-        for prob in (_vertical_problem(data),
-                     _disjunct_problem(data, ball, _sign_distinct(ball.vertices)[0])):
+        for prob in _vertical_and_l1_problems(data):
             for p in (3.0, 4.0):
                 irls = float(ones @ prob.residuals(_weighted_fit(prob, ones, p)) ** p)
                 descent, _ = _subgradient(prob, ones, p, _weighted_fit(prob, ones, 2.0))
                 assert irls <= descent * (1.0 + 1e-12)
+
+
+def test_conditional_gradient_is_never_above_subgradient_descent():
+    from planefit.evaluation import synthetic_generate
+    from planefit.solvers import _conditional_gradient, _weighted_fit
+
+    n = 30
+    lams = (preset("kC", n).lam, np.sort(np.random.default_rng(1).uniform(size=n)))
+    for d in (2, 3):
+        data = synthetic_generate(n, d, "Y", 1)
+        for prob in _vertical_and_l1_problems(data):
+            start = _weighted_fit(prob, np.ones(n), 2.0)
+            for lam in lams:
+                for p in (1.5, 2.0, 3.0):
+                    got, v = _conditional_gradient(prob, lam, p)
+                    assert prob.feasible(v)
+                    assert got == pytest.approx(float(np.sort(prob.residuals(v)) ** p @ lam),
+                                                rel=1e-12)
+                    reference, _ = _subgradient(prob, lam, p, start)
+                    assert got <= reference * (1.0 + 1e-12)
+
+
+def test_conditional_gradient_is_one_weighted_fit_for_constant_weights(monkeypatch):
+    # lsq and irls keep the single fixed-weight fit they made before sharing
+    # the conditional-gradient branch with descent
+    from planefit import solvers
+    from planefit.criteria import Criterion
+    from planefit.evaluation import synthetic_generate
+
+    weighted_fit = solvers._weighted_fit
+    calls = []
+
+    def counted(prob, weights, p):
+        calls.append(p)
+        return weighted_fit(prob, weights, p)
+
+    monkeypatch.setattr(solvers, "_weighted_fit", counted)
+    n = 30
+    for d in (2, 3):
+        for prob in _vertical_and_l1_problems(synthetic_generate(n, d, "Y", 1)):
+            for crit in (preset("SOS", n), preset("1.5SUM", n), Criterion(np.ones(n), 3)):
+                calls.clear()
+                val, v = solvers._conditional_gradient(prob, crit.lam, crit.p_float)
+                assert calls == [crit.p_float]
+                want = weighted_fit(prob, np.ones(n), crit.p_float)
+                assert v.tobytes() == want.tobytes()
+                assert val == pytest.approx(float(np.sum(prob.residuals(want) ** crit.p_float)),
+                                            rel=1e-14)
+
+
+def test_descent_fit_matches_nested_golden_section():
+    # kC weights at p = 3 take descent; Phi is convex in (b0, slope), so the
+    # nested golden-section search brackets its minimum
+    from planefit.criteria import Criterion
+    from planefit.evaluation import synthetic_generate
+    from planefit.solvers import _vertical_problem
+
+    data = synthetic_generate(100, 2, "Y", 1)
+    crit = Criterion(preset("kC", 100).lam, 3)
+    r = fit(FitRequest(data, crit, Vertical()))
+    assert r.solver_tag == "descent"
+    x, y = data.matrix[:, 1], data.matrix[:, 2]
+    span = 4.0 * (np.ptp(y) + 1.0) / np.ptp(x)
+    reference = _nested_golden_reference(_vertical_problem(data), crit.lam, 3.0,
+                                         ordered=True, slopes=(-span, span))
+    assert r.phi_star == pytest.approx(reference, rel=1e-9)
 
 
 def test_project_in_2d_is_a_clip_of_the_slope(stars, rng):
@@ -961,15 +1065,20 @@ def _golden_min(f, lo, hi):
     return min(f1, f2, f(lo), f(hi))
 
 
-def _nested_golden_reference(prob, weights, p):
+def _nested_golden_reference(prob, weights, p, ordered=False, slopes=None):
     """min over (b0, t) of sum_i weights[i] |b0 + c_i + t A_i1|^p, t in the slope
-    interval.  The objective is jointly convex, so its partial minimum over b0
-    is convex in t; the inner minimum lies between the weighted points."""
-    t_lo, t_hi = prob.slope_interval()
+    interval (or in ``slopes``), with the residuals sorted before weighting
+    when ``ordered`` (for nondecreasing weights).  The objective is jointly
+    convex, so its partial minimum over b0 is convex in t; the inner minimum
+    lies between the weighted points."""
+    t_lo, t_hi = prob.slope_interval() if slopes is None else slopes
     u, a = prob.c, prob.A[:, 1]
 
     def reduced(t):
         s = u + t * a
+        if ordered:
+            return _golden_min(lambda b0: float(weights @ np.sort(np.abs(b0 + s)) ** p),
+                               -s.max(), -s.min())
         pts = -s[weights > 0]
         return _golden_min(lambda b0: float(weights @ np.abs(b0 + s) ** p),
                            pts.min(), pts.max())
