@@ -44,7 +44,6 @@ __all__ = [
     "marginal_variation",
     "kappa",
     "inscribed_polytope",
-    "halving_chain",
 ]
 
 VERTEX_SYMMETRY_TOL = 1e-12
@@ -448,15 +447,14 @@ def polar_polytope(p: Polytope) -> Polytope:
     """{v : v . b_g <= 1 for all vertices b_g}, with its own vertex list.
 
     Polar vertices are the facet normals of p scaled onto the offset-1 level:
-    facet a.x <= b of p maps to vertex a/b of the polar.  Facets of the polar
-    are in turn induced by the vertices of p, so no second enumeration is run.
+    facet a.x <= b of p maps to vertex a/b of the polar, in facet order, so
+    polar vertex b_g of a polygon has b_g . x = 1 on its edge g, from vertex
+    g to vertex g + 1.  Facets of the polar are in turn induced by the
+    vertices of p, so no second enumeration is run.
     """
     if p.dim > 3:
         raise UnsupportedDimensionError("polar computation is limited to d <= 3")
     vertices = p.facet_normals / p.facet_offsets[:, None]
-    # dedupe coincident vertices produced by equivalent facet representations
-    kept = first_of_each_class(vertices, -vertices, 1e-10)
-    vertices = vertices[kept]
     A = p.vertices.copy()
     b = np.ones(len(A))
     # keep only supporting rows (non-extreme vertices of p give slack rows)
@@ -574,6 +572,8 @@ def inscribed_polytope(tau, N: int, d: int = 2) -> tuple[Polytope, float]:
 
     Returns the polygon and its l-nu inradius r_P = min over facets of
     b_i / ||a_i||_tau, the largest r with r*||v||_P <= ||v||_nu <= ||v||_P.
+    Its vertices run counter-clockwise; near tau = 1 nearly collinear ones
+    are pruned (``_hull_order_2d``), so it can have fewer than N.
     """
     if d != 2:
         raise UnsupportedDimensionError("inscribed polytopes are generated for d = 2 only")
@@ -587,26 +587,3 @@ def inscribed_polytope(tau, N: int, d: int = 2) -> tuple[Polytope, float]:
     r_p = float((poly.facet_offsets / _ltau_rows(poly.facet_normals, tau)).min())
     return poly, min(r_p, 1.0)
 
-
-def halving_chain(poly: Polytope) -> list[Polytope]:
-    """A polygon and its inscribed coarsenings, coarsest first, ending with poly.
-
-    Each coarser level keeps every other vertex of the next finer one, taken
-    from poly's own counter-clockwise vertex list, so it is inscribed in that
-    level and its edge k spans the finer edges 2k and 2k + 1.  Halving goes
-    on while the half is even and at least 4 (32, 16, 8, 4 and 320, ..., 10),
-    which keeps every level centrally symmetric.  Other dimensions get the
-    one-level chain [poly].
-    """
-    chain = [poly]
-    if poly.dim != 2:
-        return chain
-    step = 1
-    while poly.n_vertices % (4 * step) == 0 and poly.n_vertices // (2 * step) >= 4:
-        step *= 2
-        sub = poly.vertices[::step]
-        coarse = Polytope.from_vertices(sub)
-        if not np.array_equal(coarse.vertices, sub):
-            break  # a near-collinear vertex was pruned: the edges no longer nest
-        chain.append(coarse)
-    return chain[::-1]

@@ -42,15 +42,16 @@ Each subproblem stores its feasible set split once, into per-parameter
 bounds and general rows; in d = 2 a disjunct's facets are just an interval
 on the slope.  A block-norm fit solves one subproblem per disjunct and
 keeps the best; it is labelled ``incumbent`` when any disjunct stopped at
-the node limit.  An l-tau fit on the inscribed N-gon searches its N / 2
-disjuncts (edges) best first instead, when its route is proven (``lp``,
-``quantile-scan``, ``lts-scan``, ``exact-enum``, ``milp``, ``lsq``): the
-N/2-, N/4-, ... gons are inscribed in it, so a coarse edge's value bounds
-every finer edge inside its sector from below, and a sector is refined only
-while that bound is not above the incumbent.  Every disjunct is solved or
-pruned by a proven bound, and the answer is the flat scan's, from 8-14 of 16
-solves at N = 32 and 15 of 160 at N = 320 on the 47-star sample.  Every
-public fit scores its coefficients once (``_finalize``).
+the node limit.  An l-tau fit on the inscribed polygon searches the first
+half of its edges (one disjunct each) best first instead, when its route is
+proven (``lp``, ``quantile-scan``, ``lts-scan``, ``exact-enum``, ``milp``,
+``lsq``): a sector, a range of edges, is solved on the chord between its end
+vertices, which lies inside the polygon and so bounds every edge of the
+sector from below, and is halved only while that bound is not above the
+incumbent.  Every disjunct is solved or pruned by a proven bound, and the
+answer is the flat scan's, from 8-14 of 16 solves at N = 32 and 15 of 160
+at N = 320 on the 47-star sample.  Every public fit scores its coefficients
+once (``_finalize``).
 
 Results carry the recomputed residual vector, the objective, the
 goodness-of-fit index, a provenance tag and, for the polyhedral
@@ -70,6 +71,7 @@ import numpy as np
 from . import lp as lpmod
 from .criteria import Criterion, evaluate, is_monotone
 from .geometry import (
+    VERTEX_SYMMETRY_TOL,
     Block,
     Dataset,
     DegenerateHyperplaneError,
@@ -81,7 +83,6 @@ from .geometry import (
     conjugate_exponent,
     dual_norm,
     first_of_each_class,
-    halving_chain,
     inscribed_polytope,
     ltau_norm,
     polar_polytope,
@@ -286,6 +287,19 @@ def _disjunct_problem(data: Dataset, ball: Polytope, g: int) -> _LinearResiduals
     others = np.delete(ball.vertices, g, axis=0)
     rows = np.column_stack([np.zeros(len(others)), others @ Y])
     return _LinearResiduals.from_rows(A, c, to_beta, rows, (b_g - others) @ b_g / (b_g @ b_g))
+
+
+def _chord_problem(data: Dataset, p: np.ndarray, q: np.ndarray) -> _LinearResiduals:
+    """Subproblem on the chord beta_-0 = p + s (q - p), 0 <= s <= 1, between
+    two vertices of a polygon; parameters are (beta_0, s)."""
+    X = data.matrix[:, 1:]
+    A = np.column_stack([np.ones(data.n), X @ (q - p)])
+    bounds = np.array([[-np.inf, np.inf], [0.0, 1.0]])
+
+    def to_beta(v):
+        return np.concatenate([[v[0]], p + v[1] * (q - p)])
+
+    return _LinearResiduals(A, X @ p, to_beta, bounds, [])
 
 
 # -- exact LP for p = 1 and monotone weights --------------------------------
@@ -1070,76 +1084,75 @@ def fit_vertical_general(data: Dataset, criterion: Criterion, *, seed: int = 0,
     return _finalize(data, criterion, Vertical(), prob.to_beta(v), tag, 1)
 
 
-def _solve_block(data: Dataset, balls: list[Polytope], solve) -> tuple[np.ndarray, str, int]:
-    """(beta, route tag, disjunct count) of the best disjunct of ``balls[-1]``.
+def _solve_block(data: Dataset, block: Block, solve,
+                 sectors: list[tuple[int, int]] | None = None) -> tuple[np.ndarray, str, int]:
+    """(beta, route tag, disjunct count) of the best disjunct of ``block``.
 
-    ``balls`` holds the disjunct balls of a halving chain of polygons,
-    coarsest first (``halving_chain``): disjunct k of a level (an edge of its
-    polygon) spans disjuncts 2k and 2k + 1 of the next, and the sign-distinct
-    disjuncts of every level are its first half, so the children of a
-    sign-distinct disjunct are sign-distinct too.  ``solve(prob) -> (value,
-    v, tag)`` solves one disjunct subproblem; a chain of more than one level
-    needs a proven ``solve``, whose value bounds every finer disjunct inside
-    it from below (the coarser polygon is inscribed in the finer one and the
-    objective is positively homogeneous in beta).
+    ``sectors`` are disjoint ranges [a, b) of disjuncts holding one of each
+    sign pair, by default each sign-distinct disjunct alone; ``solve(prob)
+    -> (value, v, tag)`` solves one subproblem.  A one-wide sector is a
+    disjunct, on a polygon ball the edge a of ``block.polar`` (vertex a to
+    a + 1).  A wider one is solved on the chord from vertex a to vertex b
+    (``_chord_problem``) and needs a proven ``solve``: the chord lies inside
+    the polygon and the objective is positively homogeneous in beta, so its
+    value bounds every edge of the sector from below.
 
-    Best-first sector search: every sign-distinct disjunct of the coarsest
-    level is solved in disjunct order and queued by its value (a coarse
-    solve that stopped at the node limit bounds nothing and is queued at
-    -inf).  The lowest queued disjunct is popped and its two children one
-    level finer are solved, while its key is not above the incumbent, the
-    best finest value so far, by more than 1e-9 relative plus 1e-12 (LP
-    round-off).  Since keys are popped in increasing order, every ancestor of
-    the optimal disjunct (each with a key at most the optimum) is popped
-    before any key above the optimum, so the search expands exactly the
-    sectors whose bound is not above the optimum, and an incumbent from the
-    coarse solutions would prune nothing more.  A one-level chain solves
-    every disjunct: the flat scan.
+    Best-first search: the given sectors are solved in order and the wider
+    ones queued by value (at -inf when the solve stopped at the node limit,
+    which bounds nothing).  The lowest queued sector is popped and its two
+    halves solved while its key is not above the incumbent, the best
+    disjunct value so far, by more than 1e-9 relative plus 1e-12 (LP
+    round-off).  Keys pop in increasing order, so every sector holding the
+    optimal edge is popped before any key above the optimum: the search
+    expands exactly the sectors whose bound is not above the optimum.
 
-    The winner is picked among the solved finest disjuncts in disjunct
-    order; a later one wins only when better by more than 1e-12.  The tag is
-    the winner's, or ``incumbent`` when any solved finest disjunct stopped
-    at the node limit, since the fit is then not proven optimal over all of
-    them.  The count is the number of sign-distinct finest disjuncts, all of
-    which the result covers.
+    The winner is the first best solved disjunct in disjunct order (a later
+    one wins only when better by more than 1e-12).  The tag is its route,
+    or ``incumbent`` when any solved disjunct stopped at the node limit,
+    since the fit is then not proven optimal over all of them.  The count
+    is the number of disjuncts the sectors hold, all of them covered.
     """
-    finest = len(balls) - 1
+    if sectors is None:
+        sectors = [(g, g + 1) for g in _sign_distinct(block.ball.vertices)]
     solved = {}
     queue = []
     incumbent = math.inf
 
-    def visit(level, g):
+    def visit(a, b):
         nonlocal incumbent
-        prob = _disjunct_problem(data, balls[level], g)
-        val, v, tag = solve(prob)
-        if level == finest:
-            solved[g] = (val, prob.to_beta(v), tag)
+        if b - a == 1:
+            prob = _disjunct_problem(data, block.ball, a)
+            val, v, tag = solve(prob)
+            solved[a] = (val, prob.to_beta(v), tag)
             incumbent = min(incumbent, val)
         else:
-            heapq.heappush(queue, (-math.inf if tag == "incumbent" else val, level, g))
+            corners = block.polar.vertices
+            val, _, tag = solve(_chord_problem(data, corners[a], corners[b % len(corners)]))
+            # equal keys pop the wider sector first, then in edge order
+            heapq.heappush(queue, (-math.inf if tag == "incumbent" else val, a - b, a, b))
 
-    for g in _sign_distinct(balls[0].vertices):
-        visit(0, g)
+    for a, b in sectors:
+        visit(a, b)
     while queue and queue[0][0] <= incumbent * (1.0 + 1e-9) + 1e-12:
-        _, level, g = heapq.heappop(queue)
-        visit(level + 1, 2 * g)
-        visit(level + 1, 2 * g + 1)
+        *_, a, b = heapq.heappop(queue)
+        visit(a, (a + b) // 2)
+        visit((a + b) // 2, b)
 
     best = None
     stopped = False
-    chosen = _sign_distinct(balls[-1].vertices)
-    for val, beta, tag in (solved[g] for g in chosen if g in solved):
+    for val, beta, tag in (solved[g] for g in sorted(solved)):
         stopped = stopped or tag == "incumbent"
         if best is None or val < best[0] - 1e-12:
             best = (val, beta, tag)
     if best is None:
         raise SolverError("all disjuncts failed")
-    return best[1], "incumbent" if stopped else best[2], len(chosen)
+    return best[1], "incumbent" if stopped else best[2], sum(b - a for a, b in sectors)
 
 
-def _solve_block_norm(data: Dataset, criterion: Criterion, balls: list[Polytope], *,
+def _solve_block_norm(data: Dataset, criterion: Criterion, block: Block,
+                      sectors: list[tuple[int, int]] | None = None, *,
                       seed: int, multistart: int, node_limit: int) -> tuple[np.ndarray, str, int]:
-    """Routed subproblem solves over the disjuncts of a chain of balls (see
+    """Routed subproblem solves over the sectors of ``block`` (see
     ``_solve_block``), drawing from one random stream in solve order."""
     rng = SplitMix64(seed)
 
@@ -1147,7 +1160,7 @@ def _solve_block_norm(data: Dataset, criterion: Criterion, balls: list[Polytope]
         return _solve_subproblem(prob, criterion, rng=rng, multistart=multistart,
                                  node_limit=node_limit)
 
-    return _solve_block(data, balls, solve)
+    return _solve_block(data, block, solve, sectors)
 
 
 def fit_block_norm(data: Dataset, criterion: Criterion, norm: Block, *, seed: int = 0,
@@ -1155,15 +1168,16 @@ def fit_block_norm(data: Dataset, criterion: Criterion, norm: Block, *, seed: in
     """Block-norm residual fit by solving one subproblem per sign-distinct vertex."""
     if criterion.n != data.n:
         raise ValueError("criterion weight length must match the dataset size")
-    beta, tag, count = _solve_block_norm(data, criterion, [norm.ball], seed=seed,
+    beta, tag, count = _solve_block_norm(data, criterion, norm, seed=seed,
                                          multistart=multistart, node_limit=node_limit)
     return _finalize(data, criterion, norm, beta, tag, count)
 
 
 def _sign_distinct(vertices: np.ndarray) -> list[int]:
-    """The first vertex of each +-pair (mirror images within 1e-9), in order."""
+    """The first vertex of each +-pair (mirror images within
+    ``VERTEX_SYMMETRY_TOL``, as ``Polytope`` checks them), in order."""
     vertices = np.asarray(vertices, dtype=float)
-    return first_of_each_class(vertices, vertices, 1e-9)
+    return first_of_each_class(vertices, vertices, VERTEX_SYMMETRY_TOL)
 
 
 def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: int = 0,
@@ -1176,18 +1190,17 @@ def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: i
     and the returned coefficients are re-scored under the true l-tau
     distance, giving the certified bracket [rho*, rho* / r_P**p].
 
-    One disjunct per sign-distinct edge of P_N, N / 2 in all, is either
-    solved or pruned by a proven bound.  When the criterion's route is
-    proven (``lp``, ``quantile-scan``, ``lts-scan``, ``exact-enum``,
-    ``milp``, ``lsq``), the edges are searched best first over the halving
-    chain N, N/2, ... (``halving_chain``): a coarse polygon is inscribed in
-    the finer one, so by homogeneity a coarse edge's value bounds from below
-    every finer edge inside its sector, and only sectors whose bound is not
-    above the incumbent are refined (``_solve_block``).  The result is the
-    flat scan's, from 8-14 of the 16 solves at N = 32 (8 for most criteria)
-    and 15 of the 160 at N = 320 on the 47-star sample at tau 3/2, 2 and 3.
-    Other routes (``irls``, ``descent``, ``heuristic``) and a
-    caller-supplied ``approx_polytope`` solve every edge.
+    One disjunct per sign-distinct edge of P_N is either solved or pruned
+    by a proven bound.  The internal P_N has n_v counter-clockwise vertices
+    (fewer than N where nearly collinear ones are pruned, near tau = 1), and
+    its first n_v / 2 edges are the sign-distinct ones.  When the route is
+    proven (``PROVEN_ROUTES``), they are searched best first on chords
+    (``_solve_block``), starting from the edges of the coarsest polygon on
+    every k-th vertex, n_v halved while the half is even and at least 4
+    (the 4-gon at N = 32, the 10-gon at N = 320).  The result is the flat
+    scan's, from 8-14 of the 16 solves at N = 32 and 15 of the 160 at
+    N = 320 on the 47-star sample at tau 3/2, 2 and 3.  Other routes and a
+    caller-supplied ``approx_polytope`` solve every sign-distinct edge.
     """
     if criterion.n != data.n:
         raise ValueError("criterion weight length must match the dataset size")
@@ -1204,10 +1217,14 @@ def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: i
             for a, b in zip(poly.facet_normals, poly.facet_offsets)
         )
     block = Block(polar_polytope(poly), poly)
-    balls = [block.ball]
-    if approx_polytope is None and _route(criterion, data.dim) in PROVEN_ROUTES:
-        balls = [polar_polytope(coarse) for coarse in halving_chain(poly)[:-1]] + balls
-    beta, tag, count = _solve_block_norm(data, criterion, balls, seed=seed,
+    sectors = None
+    if approx_polytope is None:
+        n_v, width = poly.n_vertices, 1
+        if _route(criterion, data.dim) in PROVEN_ROUTES:
+            while n_v % (4 * width) == 0 and n_v // (2 * width) >= 4:
+                width *= 2
+        sectors = [(a, a + width) for a in range(0, n_v // 2, width)]
+    beta, tag, count = _solve_block_norm(data, criterion, block, sectors, seed=seed,
                                          multistart=multistart, node_limit=node_limit)
     beta, _ = _canonical_beta(beta, block)
     rho = phi_at(data, criterion, block, Hyperplane(beta, "dual-unit"))

@@ -1201,16 +1201,19 @@ def test_least_squares_is_exact_on_d3_block_disjuncts():
 
 def _sign_distinct_reference(vertices):
     """The pairwise loop ``_sign_distinct`` replaced."""
+    from planefit.geometry import VERTEX_SYMMETRY_TOL
+
     chosen = []
     for g, v in enumerate(vertices):
-        if any(np.abs(vertices[h] + v).max() < 1e-9 for h in chosen):
+        if any(np.abs(vertices[h] + v).max() < VERTEX_SYMMETRY_TOL for h in chosen):
             continue
         chosen.append(g)
     return chosen
 
 
 def _polar_dedupe_reference(vertices):
-    """The pairwise loop ``polar_polytope`` used to drop coincident vertices."""
+    """A pairwise loop that drops coincident vertices: ``first_of_each_class``
+    with b = -a, and a no-op on the polars of these polytopes."""
     uniq = []
     for v in vertices:
         if not any(np.abs(v - u).max() < 1e-10 for u in uniq):
@@ -1235,25 +1238,33 @@ def test_vertex_dedupes_match_reference_loops(rng):
     for _ in range(20):
         base = rng.normal(size=(12, 2))
         pts = np.vstack([base, base[:6] + 6e-11, -base[3:9], base[:4] + 1.2e-10,
-                         -base[:5] + 8e-10, -base[:5] - 1.5e-9])
+                         -base[:5] + 8e-13, -base[:5] - 1.5e-12])
         pts = pts[rng.permutation(len(pts))]
         kept = first_of_each_class(pts, -pts, 1e-10)
         assert np.array_equal(pts[kept], _polar_dedupe_reference(pts))
         assert _sign_distinct(pts) == _sign_distinct_reference(pts)
 
 
-def _chain_values(data, crit, tau, N):
-    """Value of every disjunct (edge) of every level of the halving chain."""
-    from planefit.geometry import halving_chain
-    from planefit.solvers import _disjunct_problem, _solve_subproblem
+def _sector_values(data, crit, tau, N):
+    """Value of every sector of the inscribed N-gon, by width: widths above
+    one on the chord between the end vertices, width one on the edge's
+    disjunct."""
+    from planefit.solvers import _chord_problem, _disjunct_problem, _solve_subproblem
     from planefit.rng import SplitMix64
 
-    out = []
-    for poly in halving_chain(inscribed_polytope(tau, N)[0]):
-        ball = polar_polytope(poly)
-        out.append([_solve_subproblem(_disjunct_problem(data, ball, g), crit, rng=SplitMix64(0),
-                                      multistart=4, node_limit=1000)[0]
-                    for g in range(ball.n_vertices)])
+    poly, _ = inscribed_polytope(tau, N)
+    ball = polar_polytope(poly)
+    V = poly.vertices
+    out = {}
+    for width in (8, 4, 2, 1):
+        out[width] = []
+        for a in range(0, N, width):
+            if width == 1:
+                prob = _disjunct_problem(data, ball, a)
+            else:
+                prob = _chord_problem(data, V[a], V[(a + width) % N])
+            out[width].append(_solve_subproblem(prob, crit, rng=SplitMix64(0), multistart=4,
+                                                node_limit=1000)[0])
     return out
 
 
@@ -1263,11 +1274,11 @@ def test_coarse_edge_value_bounds_its_children(stars, rng):
         for name in ("SUM", "AkC", "SOS"):
             crit = preset(name, data.n, K=data.n // 3) if name == "AkC" else preset(name, data.n)
             for tau in (Fraction(3, 2), Fraction(2), Fraction(3)):
-                levels = _chain_values(data, crit, tau, 32)
-                assert [len(v) for v in levels] == [4, 8, 16, 32]
-                for coarse, fine in zip(levels, levels[1:]):
-                    for k, val in enumerate(coarse):
-                        for child in (fine[2 * k], fine[2 * k + 1]):
+                values = _sector_values(data, crit, tau, 32)
+                assert [len(values[w]) for w in (8, 4, 2, 1)] == [4, 8, 16, 32]
+                for coarse, fine in ((8, 4), (4, 2), (2, 1)):
+                    for k, val in enumerate(values[coarse]):
+                        for child in (values[fine][2 * k], values[fine][2 * k + 1]):
                             assert val <= child * (1.0 + 1e-9) + 1e-12
 
 
@@ -1283,13 +1294,18 @@ def _count_solves(monkeypatch):
     from planefit import solvers
 
     calls = []
-    real = solvers._disjunct_problem
+    real_disjunct, real_chord = solvers._disjunct_problem, solvers._chord_problem
 
-    def counting(*args):
+    def disjunct(*args):
         calls.append(args[2])
-        return real(*args)
+        return real_disjunct(*args)
 
-    monkeypatch.setattr(solvers, "_disjunct_problem", counting)
+    def chord(*args):
+        calls.append("chord")
+        return real_chord(*args)
+
+    monkeypatch.setattr(solvers, "_disjunct_problem", disjunct)
+    monkeypatch.setattr(solvers, "_chord_problem", chord)
     return calls
 
 
@@ -1348,23 +1364,29 @@ def test_unproven_routes_keep_their_results(stars):
 
 
 def test_sector_search_refines_every_bound_within_the_margin(monkeypatch):
-    # scripted disjunct values on the 4-, 8- and 16-gon chain, each coarse
-    # value a lower bound of its children: a key within 1e-9 relative of the
-    # incumbent is refined, one above it is pruned, a coarse node-limit stop
-    # is always refined, and the winner keeps the sequential 1e-12 rule
+    # scripted values on the sectors of the 16-gon, keyed (level, k): level 0
+    # holds the chords of width 4, level 1 those of width 2 and level 2 the
+    # edges, each coarse value a lower bound of its halves: a key within
+    # 1e-9 relative of the incumbent is refined, one above it is pruned, a
+    # coarse node-limit stop is always refined, and the winner keeps the
+    # sequential 1e-12 rule
     from types import SimpleNamespace
 
     from planefit import solvers
-    from planefit.geometry import halving_chain
 
-    balls = [polar_polytope(p) for p in halving_chain(inscribed_polytope(2, 16)[0])]
-    level_of = {id(ball): k for k, ball in enumerate(balls)}
+    poly, _ = inscribed_polytope(2, 16)
+    block = Block(polar_polytope(poly), poly)
+    index = {tuple(v): a for a, v in enumerate(poly.vertices)}
 
-    def problem(data, ball, g):
-        key = (level_of[id(ball)], g)
+    def problem(key):
         return SimpleNamespace(key=key, to_beta=lambda v: np.array(key, dtype=float))
 
-    monkeypatch.setattr(solvers, "_disjunct_problem", problem)
+    def chord(data, p, q):
+        a, b = index[tuple(p)], index[tuple(q)]
+        return problem(({4: 0, 2: 1}[b - a], a // (b - a)))
+
+    monkeypatch.setattr(solvers, "_disjunct_problem", lambda data, ball, g: problem((2, g)))
+    monkeypatch.setattr(solvers, "_chord_problem", chord)
     base = {(0, 0): 0.5, (0, 1): 1.0 - 1e-12,
             (1, 0): 0.6, (1, 1): 1.0 + 2e-9, (1, 2): 1.0 - 1e-12, (1, 3): 1.0 + 5e-10,
             (2, 0): 1.0 + 1e-11, (2, 4): 1.0, (2, 5): 1.0 - 5e-13}
@@ -1381,9 +1403,46 @@ def test_sector_search_refines_every_bound_within_the_margin(monkeypatch):
             solved.append(prob.key)
             return values.get(prob.key, 9.0), None, tags.get(prob.key, "lp")
 
-        beta, tag, count = solvers._solve_block(None, balls, solve)
+        beta, tag, count = solvers._solve_block(None, block, solve, [(0, 4), (4, 8)])
+        assert solved[:2] == [(0, 0), (0, 1)]
         assert sorted(g for level, g in solved if level == 2) == want_finest
         assert (list(beta), tag, count) == (want_beta, "lp", 8)
+
+
+def _edge_chord_minimum(data, crit, poly):
+    """Lowest value over the first half of the edges of ``poly``, each
+    solved on its own chord beta_-0 = V[g] + s (V[g + 1] - V[g]), s in [0, 1]."""
+    from planefit.rng import SplitMix64
+    from planefit.solvers import _LinearResiduals, _solve_subproblem
+
+    V, X = poly.vertices, data.matrix[:, 1:]
+    best = math.inf
+    for g in range(len(V) // 2):
+        p, q = V[g], V[g + 1]
+        A = np.column_stack([np.ones(data.n), X @ (q - p)])
+        prob = _LinearResiduals.from_rows(A, X @ p, lambda v: v, np.array([[0.0, 1.0], [0.0, -1.0]]),
+                                          np.array([1.0, 0.0]))
+        best = min(best, _solve_subproblem(prob, crit, rng=SplitMix64(0), multistart=4,
+                                           node_limit=1000)[0])
+    return best
+
+
+def test_ltau_fits_near_tau_one_cover_every_edge(stars):
+    # near tau = 1 the inscribed polygon loses nearly collinear vertices (a
+    # 292-gon at tau = 11/10, N = 320) and neighbouring facet normals lie
+    # within 1.6e-11: every edge is still one disjunct, and a proven lower
+    # bound is the minimum over all of them
+    for name in ("SUM", "MED", "SOS", "1.5SUM"):
+        crit = preset(name, stars.n)
+        for tau in (Fraction(101, 100), Fraction(21, 20), Fraction(11, 10)):
+            for N in (64, 128, 320):
+                poly, _ = inscribed_polytope(tau, N)
+                r = fit_ltau_approx(stars, crit, tau, N, seed=1)
+                assert r.solver_tag.endswith(f"+inner-{poly.n_vertices}gon")
+                assert r.subproblem_count == poly.n_vertices // 2
+                if name != "1.5SUM":  # irls proves no bound
+                    assert r.bounds[0] == pytest.approx(_edge_chord_minimum(stars, crit, poly),
+                                                        rel=1e-9)
 
 
 # -- exact trimmed squares (lts-scan) ----------------------------------------
