@@ -118,7 +118,7 @@ def _load_block_file(path: str) -> Polytope:
     if arr.ndim != 2:
         raise InputError(f"{path}: vertices must share a dimension")
     # complete missing mirror images, warning once
-    missing = -arr[~(_sum_gap(arr, arr) < 1e-12).any(axis=1)]
+    missing = -arr[~(_sum_gap(arr) < 1e-12).any(axis=1)]
     if len(missing):
         print(f"warning: {path}: added {len(missing)} mirrored vertices for symmetry",
               file=sys.stderr)

@@ -180,7 +180,7 @@ class Hyperplane:
 
 
 def _check_symmetric(vertices: np.ndarray) -> None:
-    gap = _sum_gap(vertices, vertices)
+    gap = _sum_gap(vertices)
     if not np.all((gap <= VERTEX_SYMMETRY_TOL).any(axis=1)):
         raise GeometryError("polytope vertices are not symmetric about the origin")
 
@@ -415,25 +415,24 @@ def dual_norm(v: np.ndarray, norm: NormSpec) -> float:
     raise GeometryError("the vertical residual has no dual norm")
 
 
-def _sum_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The G x H matrix of max_k |a[g, k] + b[h, k]|, one coordinate at a
-    time (b = a: distance to a mirror image; b = -a: to a coincident row)."""
-    gap = np.abs(a[:, 0, None] + b[None, :, 0])
+def _sum_gap(a: np.ndarray) -> np.ndarray:
+    """The G x G matrix of max_k |a[g, k] + a[h, k]|, the distance from row g
+    to the mirror image of row h, one coordinate at a time."""
+    gap = np.abs(a[:, 0, None] + a[None, :, 0])
     for k in range(1, a.shape[1]):
-        np.maximum(gap, np.abs(a[:, k, None] + b[None, :, k]), out=gap)
+        np.maximum(gap, np.abs(a[:, k, None] + a[None, :, k]), out=gap)
     return gap
 
 
-def first_of_each_class(a: np.ndarray, b: np.ndarray, tol: float) -> list[int]:
-    """Greedy first-occurrence choice of class representatives.
+def first_of_each_class(a: np.ndarray, tol: float) -> list[int]:
+    """Greedy first-occurrence choice of one row of each mirror pair.
 
-    Index g is close to index h when every coordinate of a[g] + b[h] is
-    below ``tol`` in absolute value (b = -a: coincident rows; b = a: mirror
-    images); the relation must be symmetric.  Index g is kept unless it is
-    close to an index kept before it.  The G x G closeness matrix is
-    computed once (``_sum_gap``).
+    Row g is close to row h when every coordinate of a[g] + a[h] is below
+    ``tol`` in absolute value.  Row g is kept unless it is close to a row
+    kept before it.  The G x G closeness matrix is computed once
+    (``_sum_gap``).
     """
-    close = _sum_gap(a, b) < tol
+    close = _sum_gap(a) < tol
     kept = []
     taken = np.zeros(len(a), dtype=bool)
     for g in range(len(a)):

@@ -1,18 +1,21 @@
 """Dense linear programming and a small branch-and-bound layer.
 
 The solver is a two-phase primal simplex on a dense numpy tableau with
-Bland's anti-cycling rule permanently on: the entering column is the lowest
-index with reduced cost below -1e-9, and ratio-test ties leave the row whose
-basic variable has the smallest index.  General bounds are handled by
-substituting fixed variables (lo == hi) as constants, shifting finite lower
-bounds to zero, reflecting upper-bounded-only variables and splitting free
-variables; the other finite upper bounds become rows.
+Bland's anti-cycling rule permanently on: the entering variable is the
+lowest index with reduced cost below -1e-9, and ratio-test ties leave the
+row whose basic variable has the smallest index.  General bounds are handled
+by substituting fixed variables (lo == hi) as constants, shifting finite
+lower bounds to zero, reflecting upper-bounded-only variables and splitting
+free variables; the other finite upper bounds become rows.
 
 Phase 1 starts from the slack basis: after rows are flipped to a
 nonnegative rhs, each "<=" row (and each ">=" row with zero rhs, negated)
 starts with its slack basic, and only "=" rows and ">=" rows with positive
-rhs get an artificial.  Artificials have no tableau columns, so both phases
-work on one (rows + 1) x (columns + slacks + 1) tableau.
+rhs get an artificial.  The tableau keeps a column for nonbasic variables
+only, (rows + 1) x (nonbasic columns + 1): a leaving variable takes the
+entering one's column, and a leaving artificial's column is dropped.  Every
+pivot is the one a full tableau, with a column per slack, would make, bit
+for bit.
 
 Problem sizes here stay in the hundreds of rows, where a dense tableau is
 simple and fast enough.  Binaries are solved by best-first branch and bound
@@ -194,9 +197,56 @@ class _Transform:
         return x
 
 
-def _bland_entering(obj_row: np.ndarray) -> int | None:
-    neg = np.flatnonzero(obj_row[:-1] < -PIVOT_TOL)
-    return int(neg[0]) if neg.size else None
+class _Tableau:
+    """Constraint rows and the objective row over the nonbasic variables only.
+
+    ``T`` holds one column per nonbasic variable, then the right-hand side;
+    ``var[j]`` is the variable in column j and ``basis[i]`` the variable
+    basic in row i.  A basic variable's column in a full tableau is a unit
+    vector, so it is left out: a pivot writes the leaving variable's unit
+    column into the entering variable's slot and then pivots as a full
+    tableau does, which makes every kept column bit for bit the full
+    tableau's (but for the sign of a zero in the phase-1 objective row,
+    which only comparisons read).  ``held[v]`` is the objective entry of
+    basic variable v's unit column: zero, except for a cost too small to
+    price out in phase 2.  An artificial (index >= ``art_start``) has no
+    column, so when one leaves the last column moves into the freed slot.
+    """
+
+    def __init__(self, T: np.ndarray, var: np.ndarray, basis: np.ndarray, art_start: int):
+        self.T = T
+        self.var = var
+        self.basis = basis
+        self.art_start = art_start
+        self.held = np.zeros(art_start)
+
+    def pivot(self, row: int, col: int) -> None:
+        T = self.T
+        piv = T[row, col]
+        factors = T[:, col].copy()
+        factors[row] = 0.0
+        leaving = self.basis[row]
+        self.basis[row] = self.var[col]
+        if leaving >= self.art_start:
+            T[:, col] = T[:, -2]
+            T[:, -2] = T[:, -1]
+            self.var[col] = self.var[-1]
+            T = self.T = T[:, :-1]
+            self.var = self.var[:-1]
+        else:
+            T[:, col] = 0.0
+            T[row, col] = 1.0
+            T[-1, col] = self.held[leaving]
+            self.held[leaving] = 0.0
+            self.var[col] = leaving
+        T[row] /= piv
+        T -= np.outer(factors, T[row])
+
+
+def _bland_entering(tab: _Tableau) -> int | None:
+    """Column of the lowest-index variable with reduced cost below -PIVOT_TOL."""
+    neg = np.flatnonzero(tab.T[-1, :-1] < -PIVOT_TOL)
+    return int(neg[np.argmin(tab.var[neg])]) if neg.size else None
 
 
 def _bland_leaving(T: np.ndarray, basis: np.ndarray, col: int) -> int | None:
@@ -212,23 +262,15 @@ def _bland_leaving(T: np.ndarray, basis: np.ndarray, col: int) -> int | None:
     return int(contenders[np.argmin(basis[contenders])])
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    basis[row] = col
-
-
-def _run_simplex(T: np.ndarray, basis: np.ndarray, max_iters: int) -> str:
+def _run_simplex(tab: _Tableau, max_iters: int) -> str:
     for _ in range(max_iters):
-        col = _bland_entering(T[-1])
+        col = _bland_entering(tab)
         if col is None:
             return OPTIMAL
-        row = _bland_leaving(T, basis, col)
+        row = _bland_leaving(tab.T, tab.basis, col)
         if row is None:
             return UNBOUNDED
-        _pivot(T, basis, row, col)
+        tab.pivot(row, col)
     return ITERATION_LIMIT
 
 
@@ -260,64 +302,81 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
         return SolveStatus(OPTIMAL, x, float(lp.objective @ x))
 
     # Rows get rhs >= 0.  A "<=" row, or a ">=" row with zero rhs negated,
-    # starts with its slack basic; the others start with an artificial.  An
-    # artificial is a basis index >= art_start with no column, so once it
-    # leaves the basis it never re-enters.
-    n_slack = sum(1 for _, rel, _ in rows if rel != "=")
-    art_start = n + n_slack
-    T = np.zeros((m + 1, art_start + 1))
-    basis = np.empty(m, dtype=int)
-    s = 0
-    for i, (r, rel, rhs) in enumerate(rows):
+    # starts with its slack basic; the others start with an artificial.
+    # Variables are numbered structural, then one slack per inequality row,
+    # then an artificial per row from art_start; only the nonbasic ones,
+    # the structural columns and the slacks of ">=" rows, get a column.
+    flipped = []
+    for r, rel, rhs in rows:
         if rhs < 0 or (rhs == 0 and rel == ">="):
             r, rhs = -r, -rhs
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        flipped.append((r, rel, rhs))
+    n_slack = sum(1 for _, rel, _ in flipped if rel != "=")
+    art_start = n + n_slack
+    n_ge = sum(1 for _, rel, _ in flipped if rel == ">=")
+    T = np.zeros((m + 1, n + n_ge + 1))
+    var = np.arange(n + n_ge)
+    basis = np.empty(m, dtype=int)
+    s = g = 0
+    for i, (r, rel, rhs) in enumerate(flipped):
         T[i, :n] = r
         T[i, -1] = rhs
         basis[i] = art_start + i
         if rel == "<=":
-            T[i, n + s] = 1.0
             basis[i] = n + s
             s += 1
         elif rel == ">=":
-            T[i, n + s] = -1.0
+            T[i, n + g] = -1.0
+            var[n + g] = n + s
             s += 1
+            g += 1
     # phase-1 tests are relative to the rhs: round-off grows with the data
     feas_tol = FEAS_TOL * max(1.0, float(T[:-1, -1].max()))
 
     # phase 1: minimize the sum of the artificials, reduced against the basis
-    T[-1] = -T[:-1][basis >= art_start].sum(axis=0)
-    status = _run_simplex(T, basis, max_iters)
+    art_rows = T[:-1][basis >= art_start]
+    if art_rows.shape[1] == 1 and n_slack:
+        # numpy sums a one-column array pairwise but a wider one row after
+        # row, as the full tableau with its slack columns was summed
+        art_rows = np.repeat(art_rows, 2, axis=1)
+    T[-1] = -art_rows.sum(axis=0)[:T.shape[1]]
+    tab = _Tableau(T, var, basis, art_start)
+    status = _run_simplex(tab, max_iters)
     if status == ITERATION_LIMIT:
         return SolveStatus(ITERATION_LIMIT)
-    if T[-1, -1] < -feas_tol:
+    if tab.T[-1, -1] < -feas_tol:
         return SolveStatus(INFEASIBLE)
 
     # drive surviving artificials out of the basis where possible
     for i in np.flatnonzero(basis >= art_start):
-        candidates = np.flatnonzero(np.abs(T[i, :-1]) > PIVOT_TOL)
+        candidates = np.flatnonzero(np.abs(tab.T[i, :-1]) > PIVOT_TOL)
         if candidates.size:
-            _pivot(T, basis, i, int(candidates[0]))
+            tab.pivot(i, int(candidates[np.argmin(tab.var[candidates])]))
     keep = basis < art_start  # rows still on an artificial are all zero: redundant
-    if np.any(np.abs(T[:-1, -1][~keep]) > feas_tol):
+    if np.any(np.abs(tab.T[:-1, -1][~keep]) > feas_tol):
         return SolveStatus(INFEASIBLE)
-    T = T[np.append(np.flatnonzero(keep), m)]
-    basis = basis[keep]
+    T = tab.T[np.append(np.flatnonzero(keep), m)]
+    tab = _Tableau(T, tab.var, basis[keep], art_start)
 
     # phase 2 with the true objective
+    cost = np.zeros(art_start)
+    cost[:n] = c_std
     T[-1] = 0.0
-    T[-1, :n] = c_std
-    for i, bv in enumerate(basis):
-        coef = T[-1, bv]
+    T[-1, :-1] = cost[tab.var]
+    for i, bv in enumerate(tab.basis):
+        coef = cost[bv]
         if abs(coef) > REDUNDANT_TOL:
             T[-1] -= coef * T[i]
+        else:
+            tab.held[bv] = coef
 
-    status = _run_simplex(T, basis, max_iters)
+    status = _run_simplex(tab, max_iters)
     if status != OPTIMAL:
         return SolveStatus(status)
 
     xstd = np.zeros(art_start)
-    xstd[basis] = T[:-1, -1]
+    xstd[tab.basis] = tab.T[:-1, -1]
     x = tr.recover(xstd[:n], lp)
     return SolveStatus(OPTIMAL, x, float(lp.objective @ x))
 

@@ -1177,7 +1177,7 @@ def _sign_distinct(vertices: np.ndarray) -> list[int]:
     """The first vertex of each +-pair (mirror images within
     ``VERTEX_SYMMETRY_TOL``, as ``Polytope`` checks them), in order."""
     vertices = np.asarray(vertices, dtype=float)
-    return first_of_each_class(vertices, vertices, VERTEX_SYMMETRY_TOL)
+    return first_of_each_class(vertices, VERTEX_SYMMETRY_TOL)
 
 
 def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: int = 0,

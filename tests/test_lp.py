@@ -1,15 +1,23 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import planefit.lp as lpmod
 from planefit.lp import (
+    FEAS_TOL,
     INFEASIBLE,
     ITERATION_LIMIT,
     OPTIMAL,
+    PIVOT_TOL,
+    REDUNDANT_TOL,
     UNBOUNDED,
     LinearProgram,
     MixedIntegerProgram,
+    SolveStatus,
     export_lp_file,
     parse_lp_file,
     solve_lp,
@@ -254,6 +262,218 @@ def test_determinism(rng):
     assert np.array_equal(a.x, b.x)
 
 
+# full-tableau reference -------------------------------------------------------
+# The simplex with one column per structural variable and per slack, basic or
+# not.  solve_lp keeps only the nonbasic columns and must reproduce every
+# status, x and objective of this reference bit for bit.
+
+
+def _reference_leaving(T, basis, col):
+    column = T[:-1, col]
+    rhs = T[:-1, -1]
+    eligible = column > PIVOT_TOL
+    if not np.any(eligible):
+        return None
+    ratios = np.full(column.shape, np.inf)
+    ratios[eligible] = rhs[eligible] / column[eligible]
+    best = ratios.min()
+    contenders = np.flatnonzero(ratios <= best + PIVOT_TOL)
+    return int(contenders[np.argmin(basis[contenders])])
+
+
+def _reference_pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    basis[row] = col
+
+
+def _reference_simplex(T, basis, max_iters):
+    for _ in range(max_iters):
+        neg = np.flatnonzero(T[-1, :-1] < -PIVOT_TOL)
+        if not neg.size:
+            return OPTIMAL
+        col = int(neg[0])
+        row = _reference_leaving(T, basis, col)
+        if row is None:
+            return UNBOUNDED
+        _reference_pivot(T, basis, row, col)
+    return ITERATION_LIMIT
+
+
+def _reference_solve_lp(lp, max_iters=None):
+    tr = lpmod._Transform(lp)
+    coeffs = np.array([r for r, _, _ in lp.rows], dtype=float).reshape(len(lp.rows), lp.n_vars)
+    std, offsets = tr.std_rows(coeffs)
+    rows = [[r, rel, rhs - off] for r, (_, rel, rhs), off in zip(std, lp.rows, offsets)]
+    for j, width in tr.extra_rows:
+        r = np.zeros(tr.n_std)
+        r[tr.column[j]] = 1.0
+        rows.append([r, "<=", width])
+
+    m = len(rows)
+    n = tr.n_std
+    if max_iters is None:
+        max_iters = 50 * (m + n)
+    c_std = tr.std_rows(lp.objective[None, :])[0][0]
+
+    if m == 0:
+        if np.any(c_std < -PIVOT_TOL):
+            return SolveStatus(UNBOUNDED)
+        x = tr.recover(np.zeros(n), lp)
+        return SolveStatus(OPTIMAL, x, float(lp.objective @ x))
+
+    n_slack = sum(1 for _, rel, _ in rows if rel != "=")
+    art_start = n + n_slack
+    T = np.zeros((m + 1, art_start + 1))
+    basis = np.empty(m, dtype=int)
+    s = 0
+    for i, (r, rel, rhs) in enumerate(rows):
+        if rhs < 0 or (rhs == 0 and rel == ">="):
+            r, rhs = -r, -rhs
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        T[i, :n] = r
+        T[i, -1] = rhs
+        basis[i] = art_start + i
+        if rel == "<=":
+            T[i, n + s] = 1.0
+            basis[i] = n + s
+            s += 1
+        elif rel == ">=":
+            T[i, n + s] = -1.0
+            s += 1
+    feas_tol = FEAS_TOL * max(1.0, float(T[:-1, -1].max()))
+
+    T[-1] = -T[:-1][basis >= art_start].sum(axis=0)
+    status = _reference_simplex(T, basis, max_iters)
+    if status == ITERATION_LIMIT:
+        return SolveStatus(ITERATION_LIMIT)
+    if T[-1, -1] < -feas_tol:
+        return SolveStatus(INFEASIBLE)
+
+    for i in np.flatnonzero(basis >= art_start):
+        candidates = np.flatnonzero(np.abs(T[i, :-1]) > PIVOT_TOL)
+        if candidates.size:
+            _reference_pivot(T, basis, i, int(candidates[0]))
+    keep = basis < art_start
+    if np.any(np.abs(T[:-1, -1][~keep]) > feas_tol):
+        return SolveStatus(INFEASIBLE)
+    T = T[np.append(np.flatnonzero(keep), m)]
+    basis = basis[keep]
+
+    T[-1] = 0.0
+    T[-1, :n] = c_std
+    for i, bv in enumerate(basis):
+        coef = T[-1, bv]
+        if abs(coef) > REDUNDANT_TOL:
+            T[-1] -= coef * T[i]
+
+    status = _reference_simplex(T, basis, max_iters)
+    if status != OPTIMAL:
+        return SolveStatus(status)
+
+    xstd = np.zeros(art_start)
+    xstd[basis] = T[:-1, -1]
+    x = tr.recover(xstd[:n], lp)
+    return SolveStatus(OPTIMAL, x, float(lp.objective @ x))
+
+
+def _assert_same_solve(got, want):
+    assert got.status == want.status
+    assert (got.x is None) == (want.x is None)
+    if want.x is not None:
+        assert got.x.tobytes() == want.x.tobytes()
+    assert repr(got.objective) == repr(want.objective)
+
+
+# small integers make ties and degenerate pivots common; the values next to
+# PIVOT_TOL and REDUNDANT_TOL sit at the pricing and phase-2 thresholds
+_COEFF = st.integers(-3, 3).map(float) | st.floats(-5.0, 5.0)
+_COST = _COEFF | st.sampled_from([1e-13, -1e-13, 1e-9, -1e-9, 2e-9, -2e-9])
+
+
+@st.composite
+def _lps(draw):
+    """LPs with every relation, any rhs sign, and every kind of bound."""
+    n = draw(st.integers(1, 5))
+    bounds = []
+    for _ in range(n):
+        lo = draw(st.integers(-2, 2).map(float) | st.floats(-3.0, 3.0))
+        hi = lo + draw(st.sampled_from([0.5, 1.0, 4.0]))
+        bounds.append(draw(st.sampled_from([(0.0, None), (lo, None), (None, None), (lo, lo),
+                                            (lo, hi), (None, lo)])))
+    lp = LinearProgram(np.array(draw(st.lists(_COST, min_size=n, max_size=n))), bounds=bounds)
+    for _ in range(draw(st.integers(0, 6))):
+        lp.add_row(draw(st.lists(_COEFF, min_size=n, max_size=n)),
+                   draw(st.sampled_from(["<=", "=", ">="])), draw(_COEFF))
+    if lp.rows and draw(st.booleans()):
+        # an equality and its double: the double's artificial stays basic on
+        # an all-zero row, which is dropped
+        row, _, rhs = lp.rows[draw(st.integers(0, len(lp.rows) - 1))]
+        lp.add_row(row, "=", rhs)
+        lp.add_row(2.0 * row, "=", 2.0 * rhs)
+    return lp
+
+
+def _lp(cost, rows, bounds=None):
+    lp = LinearProgram(np.array(cost, dtype=float), bounds=bounds)
+    for coeffs, rel, rhs in rows:
+        lp.add_row(coeffs, rel, rhs)
+    return lp
+
+
+# eleven equality rows on a fixed variable, whose artificials sum to 1e-7 in
+# turn and to 1.0000000000000001e-07 pairwise, next to a slack row: a full
+# tableau sums row after row and finds the sum above FEAS_TOL
+_RHS_SUMMING_TO_FEAS_TOL = [
+    9.491103907940031e-09, 4.885055705901077e-09, 1.0990207278267941e-08, 3.262995234568911e-09,
+    1.5407882862929456e-08, 5.971230674580433e-09, 1.7253330752782055e-09, 1.0288812032163158e-08,
+    1.5163241642843994e-08, 7.202192114408712e-09, 1.5611945471118074e-08]
+
+
+@given(_lps(), st.none() | st.integers(1, 4))
+@example(_lp([1.0], [([1.0], "<=", 1.0), ([1.0], ">=", 2.0)]), None)  # infeasible
+@example(_lp([-1.0, 0.0], [([1.0, -1.0], ">=", 1.0)]), None)  # unbounded
+@example(_lp([-1.0, -1.0], [([1.0, 2.0], "<=", 10.0), ([2.0, 1.0], "<=", 10.0)] * 2), 1)
+@example(_lp([1.0, 1.0], [([1.0, 1.0], "=", 2.0), ([2.0, 2.0], "=", 4.0)]), None)  # redundant row
+@example(_lp([-2.0, 2.0, 2.0], [([2.0, 0.0, 1.0], ">=", 2.0), ([1.0, 2.0, -1.0], "<=", 2.0),
+                                ([1.0, -1.0, 1.0], "<=", 0.0), ([2.0, 0.0, 1.0], "=", 2.0),
+                                ([4.0, 0.0, 2.0], "=", 4.0)]), None)  # a drive-out with a choice
+@example(_lp([-2e-9, 1e-12, -2e-9], [([-2.0, 1.0, 0.0], "=", -2.0), ([0.0, 3.0, 1.0], ">=", 3.0)],
+             [(0.0, 5.0)] * 3), None)  # x1's cost of 1e-12 is never priced out
+@example(_lp([1.0], [([1.0], "=", r) for r in _RHS_SUMMING_TO_FEAS_TOL] + [([1.0], "<=", 1.0)],
+             [(0.0, 0.0)]), None)
+@settings(max_examples=400, deadline=None)
+def test_solve_lp_matches_full_tableau_reference(lp, max_iters):
+    _assert_same_solve(solve_lp(lp, max_iters), _reference_solve_lp(lp, max_iters))
+
+
+def test_tableau_memory_on_a_wide_disjunct_lp():
+    """Peak memory of the n = 100, d = 3 kC x linf disjunct LP (305 rows).
+
+    A full tableau, a column per standard-form variable and per slack, is
+    306 x 513 doubles (1.26 MB), and each pivot's outer product as large:
+    that solve peaked at 3.72 MB.  With nonbasic columns only, 306 x 309 in
+    phase 1 and 306 x 208 in phase 2, the peak is 2.93 MB.
+    """
+    from planefit import synthetic_generate
+    from planefit.cli import build_criterion, parse_residual
+    from planefit.solvers import _build_monotone_lp, _disjunct_problem
+
+    data = synthetic_generate(100, 3, "Y", 1)
+    prob = _disjunct_problem(data, parse_residual("linf", 3).ball, 0)
+    lp = _build_monotone_lp(prob, build_criterion("kC", data.n, None).lam)
+    tracemalloc.start()
+    try:
+        out = solve_lp(lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.status == OPTIMAL
+    assert peak < 3.3e6
+
+
 # branch and bound -----------------------------------------------------------
 
 
@@ -267,8 +487,8 @@ def test_milp_without_binaries_is_lp():
     assert a.objective == pytest.approx(b.objective)
 
 
-def test_assignment_milp_matches_permutation_enumeration():
-    # three items to three sorted slots; costs force a unique assignment
+def _assignment_mip():
+    """Three items to three sorted slots; the costs force a unique assignment."""
     vals = np.array([3.0, 1.0, 2.0])
     lam = np.array([0.0, 1.0, 2.0])
     n = 3
@@ -298,17 +518,37 @@ def test_assignment_milp_matches_permutation_enumeration():
         row[j - 1] = 1.0
         row[j] = -1.0
         lp.add_row(row, "<=", 0.0)
-    mip = MixedIntegerProgram(lp, frozenset(range(n, nv)))
-    out = solve_milp(mip)
-    assert out.status == OPTIMAL
-
-    import itertools as it
-
     best = min(
         sum(lam[j] * sorted_vals[j] for j in range(n))
-        for perm in it.permutations(vals)
+        for perm in itertools.permutations(vals)
         if (sorted_vals := list(perm)) == sorted(perm)
     )
+    return MixedIntegerProgram(lp, frozenset(range(n, nv))), best
+
+
+def _knapsack_mip(values, weights, share):
+    lp = LinearProgram(-values, bounds=[(0.0, 1.0)] * values.size)
+    lp.add_row(weights, "<=", float(weights.sum() * share))
+    return MixedIntegerProgram(lp, frozenset(range(values.size)))
+
+
+def _two_binaries_mip():
+    """Relaxation (1, 0.5); fixing x2 = 1 forces x1 <= 0.5, and fixing both
+    to 1 leaves the constant row 2 <= 1.5, which is infeasible."""
+    lp = LinearProgram(np.array([-1.0, -1.0]), bounds=[(0.0, 1.0)] * 2)
+    lp.add_row([1.0, 1.0], "<=", 1.5)
+    return MixedIntegerProgram(lp, frozenset([0, 1]))
+
+
+def _node_limit_mip():
+    rng = np.random.default_rng(5)
+    return _knapsack_mip(rng.uniform(1.0, 5.0, size=10), rng.uniform(1.0, 4.0, size=10), 0.5)
+
+
+def test_assignment_milp_matches_permutation_enumeration():
+    mip, best = _assignment_mip()
+    out = solve_milp(mip)
+    assert out.status == OPTIMAL
     assert out.objective == pytest.approx(best, abs=1e-6)
 
 
@@ -316,11 +556,9 @@ def test_knapsack_against_exhaustive(rng):
     for _ in range(6):
         values = rng.uniform(1.0, 5.0, size=5)
         weights = rng.uniform(1.0, 4.0, size=5)
-        cap = float(weights.sum() * 0.55)
-        lp = LinearProgram(-values, bounds=[(0.0, 1.0)] * 5)
-        lp.add_row(weights, "<=", cap)
-        out = solve_milp(MixedIntegerProgram(lp, frozenset(range(5))))
+        out = solve_milp(_knapsack_mip(values, weights, 0.55))
         assert out.status == OPTIMAL
+        cap = float(weights.sum() * 0.55)
         best = min(
             -float(values @ np.array(bits))
             for bits in itertools.product([0, 1], repeat=5)
@@ -330,25 +568,17 @@ def test_knapsack_against_exhaustive(rng):
 
 
 def test_milp_prunes_infeasible_fixing():
-    # relaxation (1, 0.5); fixing x2 = 1 forces x1 <= 0.5, and fixing both
-    # to 1 leaves the constant row 2 <= 1.5, which is infeasible
-    lp = LinearProgram(np.array([-1.0, -1.0]), bounds=[(0.0, 1.0)] * 2)
-    lp.add_row([1.0, 1.0], "<=", 1.5)
-    fixed_both = LinearProgram(lp.objective, list(lp.rows), [(1.0, 1.0)] * 2)
+    mip = _two_binaries_mip()
+    fixed_both = LinearProgram(mip.lp.objective, list(mip.lp.rows), [(1.0, 1.0)] * 2)
     assert solve_lp(fixed_both).status == INFEASIBLE
-    out = solve_milp(MixedIntegerProgram(lp, frozenset([0, 1])))
+    out = solve_milp(mip)
     assert out.status == OPTIMAL
     assert out.objective == pytest.approx(-1.0)
     assert out.nodes == 5
 
 
 def test_milp_node_limit_returns_incumbent():
-    rng = np.random.default_rng(5)
-    values = rng.uniform(1.0, 5.0, size=10)
-    weights = rng.uniform(1.0, 4.0, size=10)
-    lp = LinearProgram(-values, bounds=[(0.0, 1.0)] * 10)
-    lp.add_row(weights, "<=", float(weights.sum() * 0.5))
-    out = solve_milp(MixedIntegerProgram(lp, frozenset(range(10))), node_limit=3)
+    out = solve_milp(_node_limit_mip(), node_limit=3)
     assert out.status == ITERATION_LIMIT
     assert out.nodes <= 5
 
@@ -357,11 +587,27 @@ def test_milp_incumbent_soundness(rng):
     for _ in range(5):
         values = rng.uniform(0.5, 3.0, size=6)
         weights = rng.uniform(0.5, 3.0, size=6)
-        lp = LinearProgram(-values, bounds=[(0.0, 1.0)] * 6)
-        lp.add_row(weights, "<=", float(weights.sum() * 0.6))
-        out = solve_milp(MixedIntegerProgram(lp, frozenset(range(6))))
+        out = solve_milp(_knapsack_mip(values, weights, 0.6))
         assert out.status == OPTIMAL
         assert out.best_bound <= out.objective + 1e-6 * max(1.0, abs(out.objective))
+
+
+def test_milp_matches_full_tableau_reference(rng, monkeypatch):
+    """The oracle cases above keep their node count, best bound and bitwise x."""
+    cases = [(_assignment_mip()[0], 100_000), (_two_binaries_mip(), 100_000),
+             (_node_limit_mip(), 3), (_node_limit_mip(), 100_000)]
+    for size, low, high, share in ((5, 1.0, 5.0, 0.55), (6, 0.5, 3.0, 0.6)):
+        cases += [(_knapsack_mip(rng.uniform(low, high, size=size),
+                                 rng.uniform(low, high - 1.0, size=size), share), 100_000)
+                  for _ in range(6)]
+    for mip, node_limit in cases:
+        got = solve_milp(mip, node_limit)
+        with monkeypatch.context() as patch:
+            patch.setattr(lpmod, "solve_lp", _reference_solve_lp)
+            want = solve_milp(mip, node_limit)
+        _assert_same_solve(got, want)
+        assert got.nodes == want.nodes
+        assert repr(got.best_bound) == repr(want.best_bound)
 
 
 # LP-file format --------------------------------------------------------------

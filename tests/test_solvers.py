@@ -1212,8 +1212,8 @@ def _sign_distinct_reference(vertices):
 
 
 def _polar_dedupe_reference(vertices):
-    """A pairwise loop that drops coincident vertices: ``first_of_each_class``
-    with b = -a, and a no-op on the polars of these polytopes."""
+    """A pairwise loop that drops coincident vertices, a no-op on the polars
+    of these polytopes."""
     uniq = []
     for v in vertices:
         if not any(np.abs(v - u).max() < 1e-10 for u in uniq):
@@ -1222,7 +1222,6 @@ def _polar_dedupe_reference(vertices):
 
 
 def test_vertex_dedupes_match_reference_loops(rng):
-    from planefit.geometry import first_of_each_class
     from planefit.solvers import _sign_distinct
 
     polys = [inscribed_polytope(Fraction(3, 2), N)[0] for N in (4, 32, 320)]
@@ -1240,8 +1239,6 @@ def test_vertex_dedupes_match_reference_loops(rng):
         pts = np.vstack([base, base[:6] + 6e-11, -base[3:9], base[:4] + 1.2e-10,
                          -base[:5] + 8e-13, -base[:5] - 1.5e-12])
         pts = pts[rng.permutation(len(pts))]
-        kept = first_of_each_class(pts, -pts, 1e-10)
-        assert np.array_equal(pts[kept], _polar_dedupe_reference(pts))
         assert _sign_distinct(pts) == _sign_distinct_reference(pts)
 
 
