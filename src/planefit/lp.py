@@ -13,9 +13,12 @@ nonnegative rhs, each "<=" row (and each ">=" row with zero rhs, negated)
 starts with its slack basic, and only "=" rows and ">=" rows with positive
 rhs get an artificial.  The tableau keeps a column for nonbasic variables
 only, (rows + 1) x (nonbasic columns + 1): a leaving variable takes the
-entering one's column, and a leaving artificial's column is dropped.  Every
-pivot is the one a full tableau, with a column per slack, would make, bit
-for bit.
+entering one's column, and a leaving artificial's column is dropped.  A
+pivot's rank-1 update touches only the columns where the pivot row is
+nonzero (the rhs included); any other column would only lose ``f * 0.0``.
+Every pivot is the one a full tableau, with a column per slack and an
+update of every column, would make, bit for bit; at most the sign of a zero
+entry differs, which no comparison sees.
 
 Problem sizes here stay in the hundreds of rows, where a dense tableau is
 simple and fast enough.  Binaries are solved by best-first branch and bound
@@ -117,6 +120,7 @@ class SolveStatus:
     objective: float = None
     best_bound: float = None  # branch-and-bound lower bound at termination
     nodes: int = 0
+    pivots: int = 0  # simplex pivots; solve_milp sums those of its node LPs
 
     @property
     def is_optimal(self) -> bool:
@@ -205,12 +209,15 @@ class _Tableau:
     basic in row i.  A basic variable's column in a full tableau is a unit
     vector, so it is left out: a pivot writes the leaving variable's unit
     column into the entering variable's slot and then pivots as a full
-    tableau does, which makes every kept column bit for bit the full
-    tableau's (but for the sign of a zero in the phase-1 objective row,
-    which only comparisons read).  ``held[v]`` is the objective entry of
-    basic variable v's unit column: zero, except for a cost too small to
-    price out in phase 2.  An artificial (index >= ``art_start``) has no
-    column, so when one leaves the last column moves into the freed slot.
+    tableau does, except that the rank-1 update skips the columns where the
+    divided pivot row is zero.  That makes every kept column bit for bit the
+    full tableau's, but for the sign of a zero, which no comparison sees: a
+    zero in the phase-1 objective row, or a zero in a skipped column, which
+    a full update could have turned from -0.0 to 0.0.  ``held[v]`` is
+    the objective entry of basic variable v's unit column: zero, except for
+    a cost too small to price out in phase 2.  An artificial (index >=
+    ``art_start``) has no column, so when one leaves the last column moves
+    into the freed slot.  ``pivots`` counts the pivots made.
     """
 
     def __init__(self, T: np.ndarray, var: np.ndarray, basis: np.ndarray, art_start: int):
@@ -219,8 +226,10 @@ class _Tableau:
         self.basis = basis
         self.art_start = art_start
         self.held = np.zeros(art_start)
+        self.pivots = 0
 
     def pivot(self, row: int, col: int) -> None:
+        self.pivots += 1
         T = self.T
         piv = T[row, col]
         factors = T[:, col].copy()
@@ -240,26 +249,26 @@ class _Tableau:
             self.held[leaving] = 0.0
             self.var[col] = leaving
         T[row] /= piv
-        T -= np.outer(factors, T[row])
+        nz = T[row].nonzero()[0]
+        T[:, nz] -= factors[:, None] * T[row, nz]
 
 
 def _bland_entering(tab: _Tableau) -> int | None:
     """Column of the lowest-index variable with reduced cost below -PIVOT_TOL."""
-    neg = np.flatnonzero(tab.T[-1, :-1] < -PIVOT_TOL)
-    return int(neg[np.argmin(tab.var[neg])]) if neg.size else None
+    neg = (tab.T[-1, :-1] < -PIVOT_TOL).nonzero()[0]
+    return int(neg[tab.var[neg].argmin()]) if neg.size else None
 
 
 def _bland_leaving(T: np.ndarray, basis: np.ndarray, col: int) -> int | None:
     column = T[:-1, col]
     rhs = T[:-1, -1]
     eligible = column > PIVOT_TOL
-    if not np.any(eligible):
+    if not eligible.any():
         return None
-    ratios = np.full(column.shape, np.inf)
-    ratios[eligible] = rhs[eligible] / column[eligible]
+    ratios = np.divide(rhs, column, out=np.full(column.shape, np.inf), where=eligible)
     best = ratios.min()
-    contenders = np.flatnonzero(ratios <= best + PIVOT_TOL)
-    return int(contenders[np.argmin(basis[contenders])])
+    contenders = (ratios <= best + PIVOT_TOL).nonzero()[0]
+    return int(contenders[basis[contenders].argmin()])
 
 
 def _run_simplex(tab: _Tableau, max_iters: int) -> str:
@@ -344,9 +353,9 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
     tab = _Tableau(T, var, basis, art_start)
     status = _run_simplex(tab, max_iters)
     if status == ITERATION_LIMIT:
-        return SolveStatus(ITERATION_LIMIT)
+        return SolveStatus(ITERATION_LIMIT, pivots=tab.pivots)
     if tab.T[-1, -1] < -feas_tol:
-        return SolveStatus(INFEASIBLE)
+        return SolveStatus(INFEASIBLE, pivots=tab.pivots)
 
     # drive surviving artificials out of the basis where possible
     for i in np.flatnonzero(basis >= art_start):
@@ -355,9 +364,9 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
             tab.pivot(i, int(candidates[np.argmin(tab.var[candidates])]))
     keep = basis < art_start  # rows still on an artificial are all zero: redundant
     if np.any(np.abs(tab.T[:-1, -1][~keep]) > feas_tol):
-        return SolveStatus(INFEASIBLE)
-    T = tab.T[np.append(np.flatnonzero(keep), m)]
-    tab = _Tableau(T, tab.var, basis[keep], art_start)
+        return SolveStatus(INFEASIBLE, pivots=tab.pivots)
+    T = tab.T = tab.T[np.append(np.flatnonzero(keep), m)]
+    tab.basis = basis[keep]
 
     # phase 2 with the true objective
     cost = np.zeros(art_start)
@@ -373,12 +382,12 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
 
     status = _run_simplex(tab, max_iters)
     if status != OPTIMAL:
-        return SolveStatus(status)
+        return SolveStatus(status, pivots=tab.pivots)
 
     xstd = np.zeros(art_start)
     xstd[tab.basis] = tab.T[:-1, -1]
     x = tr.recover(xstd[:n], lp)
-    return SolveStatus(OPTIMAL, x, float(lp.objective @ x))
+    return SolveStatus(OPTIMAL, x, float(lp.objective @ x), pivots=tab.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +423,9 @@ def solve_milp(mip: MixedIntegerProgram, node_limit: int = 100_000) -> SolveStat
     incumbent_obj = np.inf
     nodes = 1
     root = solve_node({})
+    pivots = root.pivots
     if root.status != OPTIMAL:
-        return SolveStatus(root.status, nodes=nodes)
+        return SolveStatus(root.status, nodes=nodes, pivots=pivots)
 
     counter = 0
     heap = [(root.objective, counter, {}, root)]
@@ -440,24 +450,26 @@ def solve_milp(mip: MixedIntegerProgram, node_limit: int = 100_000) -> SolveStat
                 incumbent_obj if incumbent is not None else None,
                 best_bound=bound,
                 nodes=nodes,
+                pivots=pivots,
             )
         for value in (0, 1):  # down branch first
             child_fixed = dict(fixed)
             child_fixed[branch_var] = value
             child = solve_node(child_fixed)
             nodes += 1
+            pivots += child.pivots
             if child.status == OPTIMAL:
                 if child.objective < incumbent_obj - GAP_TOL * max(1.0, abs(incumbent_obj)) \
                         or incumbent is None:
                     counter += 1
                     heapq.heappush(heap, (child.objective, counter, child_fixed, child))
             elif child.status in (UNBOUNDED, ITERATION_LIMIT):
-                return SolveStatus(child.status, nodes=nodes)
+                return SolveStatus(child.status, nodes=nodes, pivots=pivots)
 
     if incumbent is None:
-        return SolveStatus(INFEASIBLE, nodes=nodes)
+        return SolveStatus(INFEASIBLE, nodes=nodes, pivots=pivots)
     return SolveStatus(OPTIMAL, incumbent, incumbent_obj, best_bound=min(best_bound, incumbent_obj),
-                       nodes=nodes)
+                       nodes=nodes, pivots=pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -264,8 +264,10 @@ def test_determinism(rng):
 
 # full-tableau reference -------------------------------------------------------
 # The simplex with one column per structural variable and per slack, basic or
-# not.  solve_lp keeps only the nonbasic columns and must reproduce every
-# status, x and objective of this reference bit for bit.
+# not, that updates every column on each pivot.  solve_lp keeps only the
+# nonbasic columns and updates only those the pivot row touches, and must
+# reproduce every status, x, objective and pivot count of this reference bit
+# for bit.
 
 
 def _reference_leaving(T, basis, col):
@@ -290,16 +292,17 @@ def _reference_pivot(T, basis, row, col):
 
 
 def _reference_simplex(T, basis, max_iters):
-    for _ in range(max_iters):
+    """(status, pivots made)."""
+    for k in range(max_iters):
         neg = np.flatnonzero(T[-1, :-1] < -PIVOT_TOL)
         if not neg.size:
-            return OPTIMAL
+            return OPTIMAL, k
         col = int(neg[0])
         row = _reference_leaving(T, basis, col)
         if row is None:
-            return UNBOUNDED
+            return UNBOUNDED, k
         _reference_pivot(T, basis, row, col)
-    return ITERATION_LIMIT
+    return ITERATION_LIMIT, max_iters
 
 
 def _reference_solve_lp(lp, max_iters=None):
@@ -346,19 +349,20 @@ def _reference_solve_lp(lp, max_iters=None):
     feas_tol = FEAS_TOL * max(1.0, float(T[:-1, -1].max()))
 
     T[-1] = -T[:-1][basis >= art_start].sum(axis=0)
-    status = _reference_simplex(T, basis, max_iters)
+    status, pivots = _reference_simplex(T, basis, max_iters)
     if status == ITERATION_LIMIT:
-        return SolveStatus(ITERATION_LIMIT)
+        return SolveStatus(ITERATION_LIMIT, pivots=pivots)
     if T[-1, -1] < -feas_tol:
-        return SolveStatus(INFEASIBLE)
+        return SolveStatus(INFEASIBLE, pivots=pivots)
 
     for i in np.flatnonzero(basis >= art_start):
         candidates = np.flatnonzero(np.abs(T[i, :-1]) > PIVOT_TOL)
         if candidates.size:
             _reference_pivot(T, basis, i, int(candidates[0]))
+            pivots += 1
     keep = basis < art_start
     if np.any(np.abs(T[:-1, -1][~keep]) > feas_tol):
-        return SolveStatus(INFEASIBLE)
+        return SolveStatus(INFEASIBLE, pivots=pivots)
     T = T[np.append(np.flatnonzero(keep), m)]
     basis = basis[keep]
 
@@ -369,14 +373,15 @@ def _reference_solve_lp(lp, max_iters=None):
         if abs(coef) > REDUNDANT_TOL:
             T[-1] -= coef * T[i]
 
-    status = _reference_simplex(T, basis, max_iters)
+    status, phase2 = _reference_simplex(T, basis, max_iters)
+    pivots += phase2
     if status != OPTIMAL:
-        return SolveStatus(status)
+        return SolveStatus(status, pivots=pivots)
 
     xstd = np.zeros(art_start)
     xstd[basis] = T[:-1, -1]
     x = tr.recover(xstd[:n], lp)
-    return SolveStatus(OPTIMAL, x, float(lp.objective @ x))
+    return SolveStatus(OPTIMAL, x, float(lp.objective @ x), pivots=pivots)
 
 
 def _assert_same_solve(got, want):
@@ -385,6 +390,7 @@ def _assert_same_solve(got, want):
     if want.x is not None:
         assert got.x.tobytes() == want.x.tobytes()
     assert repr(got.objective) == repr(want.objective)
+    assert got.pivots == want.pivots
 
 
 # small integers make ties and degenerate pivots common; the values next to
@@ -449,21 +455,74 @@ def test_solve_lp_matches_full_tableau_reference(lp, max_iters):
     _assert_same_solve(solve_lp(lp, max_iters), _reference_solve_lp(lp, max_iters))
 
 
-def test_tableau_memory_on_a_wide_disjunct_lp():
-    """Peak memory of the n = 100, d = 3 kC x linf disjunct LP (305 rows).
-
-    A full tableau, a column per standard-form variable and per slack, is
-    306 x 513 doubles (1.26 MB), and each pivot's outer product as large:
-    that solve peaked at 3.72 MB.  With nonbasic columns only, 306 x 309 in
-    phase 1 and 306 x 208 in phase 2, the peak is 2.93 MB.
-    """
+def _wide_disjunct_lp():
+    """The n = 100, d = 3 kC x linf disjunct LP, lp-scale's widest (305 rows)."""
     from planefit import synthetic_generate
     from planefit.cli import build_criterion, parse_residual
     from planefit.solvers import _build_monotone_lp, _disjunct_problem
 
     data = synthetic_generate(100, 3, "Y", 1)
     prob = _disjunct_problem(data, parse_residual("linf", 3).ball, 0)
-    lp = _build_monotone_lp(prob, build_criterion("kC", data.n, None).lam)
+    return _build_monotone_lp(prob, build_criterion("kC", data.n, None).lam)
+
+
+def _stars_chord_lp():
+    """A stars-grid MAX x ltau:2 LP: the chord from vertex 0 to vertex 8 of
+    the 32-gon, the first coarse sector the l-tau search solves."""
+    from planefit.cli import build_criterion
+    from planefit.data import cyg_ob1
+    from planefit.geometry import inscribed_polytope, polar_polytope
+    from planefit.solvers import _build_monotone_lp, _chord_problem
+
+    stars = cyg_ob1()
+    corners = polar_polytope(inscribed_polytope(2, 32)[0]).vertices
+    prob = _chord_problem(stars, corners[0], corners[8])
+    return _build_monotone_lp(prob, build_criterion("MAX", stars.n, None).lam)
+
+
+class _Captured(Exception):
+    pass
+
+
+def _assignment_root_lp():
+    """The root relaxation of a milp-d3 assignment MILP (MED x vertical,
+    n = 5, d = 3), as ``_solve_p1_milp`` scales and builds it."""
+    from planefit import synthetic_generate
+    from planefit.cli import build_criterion
+    from planefit.solvers import _solve_p1_milp, _vertical_problem
+
+    def capture(mip, node_limit):
+        raise _Captured(mip)
+
+    data = synthetic_generate(5, 3, "Y", 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lpmod, "solve_milp", capture)
+        with pytest.raises(_Captured) as caught:
+            _solve_p1_milp(_vertical_problem(data), build_criterion("MED", 5, None).lam, 100)
+    return caught.value.args[0].lp
+
+
+@pytest.mark.parametrize("build", [_wide_disjunct_lp, _stars_chord_lp, _assignment_root_lp])
+def test_real_lps_match_full_tableau_reference(build):
+    """LPs the benchmark solves, whose pivot rows are mostly zero (the
+    generated LPs above have at most five variables, so theirs rarely are)."""
+    lp = build()
+    got = solve_lp(lp)
+    assert got.status == OPTIMAL
+    assert got.pivots > 0
+    _assert_same_solve(got, _reference_solve_lp(lp))
+
+
+def test_tableau_memory_on_a_wide_disjunct_lp():
+    """Peak memory of the n = 100, d = 3 kC x linf disjunct LP (305 rows).
+
+    The tableau keeps nonbasic columns only, 306 x 309 in phase 1 and
+    306 x 208 in phase 2, and a pivot's outer product is rows x the pivot
+    row's nonzeros (41 of 224 columns on average over its 981 pivots): the
+    solve peaks at 2.81 MB.  With an outer product over every column, as
+    wide as the tableau, it peaked at 3.18 MB.
+    """
+    lp = _wide_disjunct_lp()
     tracemalloc.start()
     try:
         out = solve_lp(lp)
@@ -471,7 +530,7 @@ def test_tableau_memory_on_a_wide_disjunct_lp():
     finally:
         tracemalloc.stop()
     assert out.status == OPTIMAL
-    assert peak < 3.3e6
+    assert peak < 3.0e6
 
 
 # branch and bound -----------------------------------------------------------
