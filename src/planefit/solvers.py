@@ -1,9 +1,9 @@
 """Fitting algorithms for every criterion/residual combination.
 
 Normalizing the coefficients makes each residual family linear in beta:
-vertical residuals fix beta_d = -1, and a block norm restricted to the
-disjunct ``beta_-0 . b_g = 1`` (one per sign-distinct extreme point of the
-unit ball) turns the distance into |beta . x_i|.  ``_solve_subproblem``
+vertical residuals fix beta_d = -1, and a block norm restricted to a
+disjunct, a facet of the polar of its unit ball on which the dual norm of
+beta_-0 is 1, turns the distance into |beta . x_i|.  ``_solve_subproblem``
 sends each subproblem on that linear form down exactly one route, named by
 its tag:
 
@@ -39,19 +39,22 @@ active constraint sets in d >= 3.  Its IRLS stops at a tolerance, so
 ``irls`` proves nothing; nor does ``descent``, whose gap may stay open.
 
 Each subproblem stores its feasible set split once, into per-parameter
-bounds and general rows; in d = 2 a disjunct's facets are just an interval
-on the slope.  A block-norm fit solves one subproblem per disjunct and
-keeps the best; it is labelled ``incumbent`` when any disjunct stopped at
-the node limit.  An l-tau fit on the inscribed polygon searches the first
-half of its edges (one disjunct each) best first instead, when its route is
-proven (``lp``, ``quantile-scan``, ``lts-scan``, ``exact-enum``, ``milp``,
-``lsq``): a sector, a range of edges, is solved on the chord between its end
-vertices, which lies inside the polygon and so bounds every edge of the
-sector from below, and is halved only while that bound is not above the
-incumbent.  Every disjunct is solved or pruned by a proven bound, and the
-answer is the flat scan's, from 8-14 of 16 solves at N = 32 and 15 of 160
-at N = 320 on the 47-star sample.  Every public fit scores its coefficients
-once (``_finalize``).
+bounds and general rows.  A block-norm fit has one disjunct per sign pair
+of facets of the polar of its ball, the set beta_-0 ranges over, and keeps
+the best; it is labelled ``incumbent`` when any disjunct stopped at the node
+limit.  In d >= 3 every disjunct is solved on its slice.  In d = 2 the polar
+is a polygon and a disjunct is an edge of it, on which beta_-0 = V[a] +
+s (V[a + 1] - V[a]) with 0 <= s <= 1.  Every d = 2 block fit, l1, linf, a
+block-file ball or the inscribed polygon of an l-tau fit, searches the
+first half of these edges, one formulation for every sector: a sector, a
+range of edges, is solved on the chord between its end vertices.  When the
+route is proven (``lp``, ``quantile-scan``, ``lts-scan``, ``exact-enum``,
+``milp``, ``lsq``), the search is best first: a wider chord lies inside the
+polygon and so bounds every edge of its sector from below, and is halved
+only while that bound is not above the incumbent.  Every disjunct is solved
+or pruned by a proven bound, and the answer is the flat scan's, from 8-14 of
+16 solves at N = 32 and 15 of 160 at N = 320 on the 47-star sample.  Every
+public fit scores its coefficients once (``_finalize``).
 
 Results carry the recomputed residual vector, the objective, the
 goodness-of-fit index, a provenance tag and, for the polyhedral
@@ -69,12 +72,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import lp as lpmod
-from .criteria import Criterion, evaluate, is_monotone
+from .criteria import Criterion, evaluate, is_monotone, preset
 from .geometry import (
     VERTEX_SYMMETRY_TOL,
     Block,
     Dataset,
     DegenerateHyperplaneError,
+    GeometryError,
     Hyperplane,
     LTau,
     NormSpec,
@@ -1064,10 +1068,7 @@ def fit_lss(data: Dataset) -> FitResult:
 
 def fit_lad(data: Dataset) -> FitResult:
     """Least absolute deviation on vertical residuals, as a split-variable LP."""
-    crit = Criterion(np.ones(data.n), Fraction(1), "SUM")
-    prob = _vertical_problem(data)
-    val, v = _solve_monotone_p1_lp(prob, crit.lam)
-    return _finalize(data, crit, Vertical(), prob.to_beta(v), "lp", 1)
+    return fit_vertical_general(data, preset("SUM", data.n))
 
 
 def fit_vertical_general(data: Dataset, criterion: Criterion, *, seed: int = 0,
@@ -1085,23 +1086,32 @@ def fit_vertical_general(data: Dataset, criterion: Criterion, *, seed: int = 0,
 
 
 def _solve_block(data: Dataset, block: Block, solve,
-                 sectors: list[tuple[int, int]] | None = None) -> tuple[np.ndarray, str, int]:
+                 proven: bool) -> tuple[np.ndarray, str, int]:
     """(beta, route tag, disjunct count) of the best disjunct of ``block``.
 
-    ``sectors`` are disjoint ranges [a, b) of disjuncts holding one of each
-    sign pair, by default each sign-distinct disjunct alone; ``solve(prob)
-    -> (value, v, tag)`` solves one subproblem.  A one-wide sector is a
-    disjunct, on a polygon ball the edge a of ``block.polar`` (vertex a to
-    a + 1).  A wider one is solved on the chord from vertex a to vertex b
-    (``_chord_problem``) and needs a proven ``solve``: the chord lies inside
-    the polygon and the objective is positively homogeneous in beta, so its
-    value bounds every edge of the sector from below.
+    ``solve(prob) -> (value, v, tag)`` solves one subproblem.  There is one
+    disjunct per sign pair of facets of ``block.polar``, the set on whose
+    boundary beta_-0 has dual norm 1.  In d >= 3 each is solved on the slice
+    beta_-0 . b_g = 1 of its ball vertex b_g (``_disjunct_problem``), in
+    the order of ``_sign_distinct``.
 
-    Best-first search: the given sectors are solved in order and the wider
-    ones queued by value (at -inf when the solve stopped at the node limit,
-    which bounds nothing).  The lowest queued sector is popped and its two
-    halves solved while its key is not above the incumbent, the best
-    disjunct value so far, by more than 1e-9 relative plus 1e-12 (LP
+    A polygon's n_v polar vertices V are put in counter-clockwise order
+    (``_polygon_vertices``), so its first n_v / 2 edges, from V[a] to
+    V[a + 1], are the disjuncts.  A sector [a, b), one edge wide or more,
+    is solved on the chord from V[a] to V[b] (``_chord_problem``); one edge
+    wide, the chord is the edge.  The chord lies inside the polygon and the objective
+    is positively homogeneous in beta, so a wider sector's value bounds
+    every edge it holds from below once ``solve`` is proven.  The search
+    then starts from the edges of the coarsest polygon on every k-th
+    vertex, n_v halved while the half is even and at least 4 (the 4-gon of
+    a 32-gon, the 10-gon of a 320-gon, the 6-gon of a 24-gon); otherwise it
+    starts, and ends, with every edge alone, in order.
+
+    Best-first search: the starting sectors are solved in order and the
+    wider ones queued by value (at -inf when the solve stopped at the node
+    limit, which bounds nothing).  The lowest queued sector is popped and
+    its two halves solved while its key is not above the incumbent, the
+    best edge value so far, by more than 1e-9 relative plus 1e-12 (LP
     round-off).  Keys pop in increasing order, so every sector holding the
     optimal edge is popped before any key above the optimum: the search
     expands exactly the sectors whose bound is not above the optimum.
@@ -1110,33 +1120,41 @@ def _solve_block(data: Dataset, block: Block, solve,
     one wins only when better by more than 1e-12).  The tag is its route,
     or ``incumbent`` when any solved disjunct stopped at the node limit,
     since the fit is then not proven optimal over all of them.  The count
-    is the number of disjuncts the sectors hold, all of them covered.
+    is the number of disjuncts, all of them solved or pruned.
     """
-    if sectors is None:
-        sectors = [(g, g + 1) for g in _sign_distinct(block.ball.vertices)]
     solved = {}
-    queue = []
-    incumbent = math.inf
-
-    def visit(a, b):
-        nonlocal incumbent
-        if b - a == 1:
-            prob = _disjunct_problem(data, block.ball, a)
+    if block.polar.dim != 2:
+        for g in _sign_distinct(block.ball.vertices):
+            prob = _disjunct_problem(data, block.ball, g)
             val, v, tag = solve(prob)
-            solved[a] = (val, prob.to_beta(v), tag)
-            incumbent = min(incumbent, val)
-        else:
-            corners = block.polar.vertices
-            val, _, tag = solve(_chord_problem(data, corners[a], corners[b % len(corners)]))
-            # equal keys pop the wider sector first, then in edge order
-            heapq.heappush(queue, (-math.inf if tag == "incumbent" else val, a - b, a, b))
+            solved[g] = (val, prob.to_beta(v), tag)
+        count = len(solved)
+    else:
+        V = _polygon_vertices(block)
+        count = len(V) // 2
+        width = 1
+        while proven and count % (2 * width) == 0 and count // width >= 4:
+            width *= 2
+        queue = []
+        incumbent = math.inf
 
-    for a, b in sectors:
-        visit(a, b)
-    while queue and queue[0][0] <= incumbent * (1.0 + 1e-9) + 1e-12:
-        *_, a, b = heapq.heappop(queue)
-        visit(a, (a + b) // 2)
-        visit((a + b) // 2, b)
+        def visit(a, b):
+            nonlocal incumbent
+            prob = _chord_problem(data, V[a], V[b % len(V)])
+            val, v, tag = solve(prob)
+            if b - a == 1:
+                solved[a] = (val, prob.to_beta(v), tag)
+                incumbent = min(incumbent, val)
+            else:
+                # equal keys pop the wider sector first, then in edge order
+                heapq.heappush(queue, (-math.inf if tag == "incumbent" else val, a - b, a, b))
+
+        for a in range(0, count, width):
+            visit(a, a + width)
+        while queue and queue[0][0] <= incumbent * (1.0 + 1e-9) + 1e-12:
+            *_, a, b = heapq.heappop(queue)
+            visit(a, (a + b) // 2)
+            visit((a + b) // 2, b)
 
     best = None
     stopped = False
@@ -1146,13 +1164,26 @@ def _solve_block(data: Dataset, block: Block, solve,
             best = (val, beta, tag)
     if best is None:
         raise SolverError("all disjuncts failed")
-    return best[1], "incumbent" if stopped else best[2], sum(b - a for a, b in sectors)
+    return best[1], "incumbent" if stopped else best[2], count
 
 
-def _solve_block_norm(data: Dataset, criterion: Criterion, block: Block,
-                      sectors: list[tuple[int, int]] | None = None, *,
+def _polygon_vertices(block: Block) -> np.ndarray:
+    """The polar vertices of a d = 2 ``block`` in counter-clockwise order,
+    from the angle nearest -pi.  Each is the normal of a ball edge, so each
+    is extreme and none is dropped, not even where neighbouring normals of
+    a fine ball lie 1e-11 apart; there is one per sign-distinct ball vertex
+    and its mirror."""
+    P = block.polar.vertices
+    V = P[np.argsort(np.arctan2(P[:, 1], P[:, 0]), kind="stable")]
+    if len(V) != 2 * len(_sign_distinct(block.ball.vertices)):
+        raise GeometryError("a polar polygon needs one vertex per ball edge, "
+                            "each extreme, in mirror pairs")
+    return V
+
+
+def _solve_block_norm(data: Dataset, criterion: Criterion, block: Block, *,
                       seed: int, multistart: int, node_limit: int) -> tuple[np.ndarray, str, int]:
-    """Routed subproblem solves over the sectors of ``block`` (see
+    """Routed subproblem solves over the disjuncts of ``block`` (see
     ``_solve_block``), drawing from one random stream in solve order."""
     rng = SplitMix64(seed)
 
@@ -1160,12 +1191,13 @@ def _solve_block_norm(data: Dataset, criterion: Criterion, block: Block,
         return _solve_subproblem(prob, criterion, rng=rng, multistart=multistart,
                                  node_limit=node_limit)
 
-    return _solve_block(data, block, solve, sectors)
+    return _solve_block(data, block, solve, _route(criterion, data.dim) in PROVEN_ROUTES)
 
 
 def fit_block_norm(data: Dataset, criterion: Criterion, norm: Block, *, seed: int = 0,
                    multistart: int = 16, node_limit: int = 100_000) -> FitResult:
-    """Block-norm residual fit by solving one subproblem per sign-distinct vertex."""
+    """Block-norm residual fit with one subproblem per sign-distinct vertex
+    of the ball, each solved or pruned (``_solve_block``)."""
     if criterion.n != data.n:
         raise ValueError("criterion weight length must match the dataset size")
     beta, tag, count = _solve_block_norm(data, criterion, norm, seed=seed,
@@ -1191,16 +1223,14 @@ def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: i
     distance, giving the certified bracket [rho*, rho* / r_P**p].
 
     One disjunct per sign-distinct edge of P_N is either solved or pruned
-    by a proven bound.  The internal P_N has n_v counter-clockwise vertices
-    (fewer than N where nearly collinear ones are pruned, near tau = 1), and
-    its first n_v / 2 edges are the sign-distinct ones.  When the route is
-    proven (``PROVEN_ROUTES``), they are searched best first on chords
-    (``_solve_block``), starting from the edges of the coarsest polygon on
-    every k-th vertex, n_v halved while the half is even and at least 4
-    (the 4-gon at N = 32, the 10-gon at N = 320).  The result is the flat
-    scan's, from 8-14 of the 16 solves at N = 32 and 15 of the 160 at
-    N = 320 on the 47-star sample at tau 3/2, 2 and 3.  Other routes and a
-    caller-supplied ``approx_polytope`` solve every sign-distinct edge.
+    by a proven bound (``_solve_block``).  The internal P_N has n_v
+    counter-clockwise vertices (fewer than N where nearly collinear ones are
+    pruned, near tau = 1).  In d = 2, P_N, internal or supplied, is searched
+    over chords: best first from the edges of a coarser polygon when the
+    route is proven (``PROVEN_ROUTES``), every edge on its own otherwise.
+    The result is the flat scan's, from 8-14 of the 16 solves at N = 32 and
+    15 of the 160 at N = 320 on the 47-star sample at tau 3/2, 2 and 3.  A
+    supplied polytope in d >= 3 solves every sign-distinct facet.
     """
     if criterion.n != data.n:
         raise ValueError("criterion weight length must match the dataset size")
@@ -1217,14 +1247,7 @@ def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: i
             for a, b in zip(poly.facet_normals, poly.facet_offsets)
         )
     block = Block(polar_polytope(poly), poly)
-    sectors = None
-    if approx_polytope is None:
-        n_v, width = poly.n_vertices, 1
-        if _route(criterion, data.dim) in PROVEN_ROUTES:
-            while n_v % (4 * width) == 0 and n_v // (2 * width) >= 4:
-                width *= 2
-        sectors = [(a, a + width) for a in range(0, n_v // 2, width)]
-    beta, tag, count = _solve_block_norm(data, criterion, block, sectors, seed=seed,
+    beta, tag, count = _solve_block_norm(data, criterion, block, seed=seed,
                                          multistart=multistart, node_limit=node_limit)
     beta, _ = _canonical_beta(beta, block)
     rho = phi_at(data, criterion, block, Hyperplane(beta, "dual-unit"))

@@ -1288,57 +1288,122 @@ def _same_fit(a, b):
 
 
 def _count_solves(monkeypatch):
+    """Record the edge range [a, b) of every sector a d = 2 fit solves, as
+    indices into the counter-clockwise polar vertices ``_solve_block``
+    orders; building a disjunct fails the test, since no d = 2 fit may."""
     from planefit import solvers
 
     calls = []
-    real_disjunct, real_chord = solvers._disjunct_problem, solvers._chord_problem
+    index = {}
+    real_order, real_chord = solvers._polygon_vertices, solvers._chord_problem
+
+    def order(block):
+        V = real_order(block)
+        index.clear()
+        index.update({tuple(v): a for a, v in enumerate(V)})
+        return V
+
+    def chord(data, p, q):
+        a, b = index[tuple(p)], index[tuple(q)]
+        calls.append((a, b if b > a else b + len(index)))
+        return real_chord(data, p, q)
 
     def disjunct(*args):
-        calls.append(args[2])
-        return real_disjunct(*args)
+        raise AssertionError("a d = 2 fit built a disjunct")
 
-    def chord(*args):
-        calls.append("chord")
-        return real_chord(*args)
-
-    monkeypatch.setattr(solvers, "_disjunct_problem", disjunct)
+    monkeypatch.setattr(solvers, "_polygon_vertices", order)
     monkeypatch.setattr(solvers, "_chord_problem", chord)
+    monkeypatch.setattr(solvers, "_disjunct_problem", disjunct)
     return calls
 
 
+def _flat(monkeypatch, fit_fn, *args, **kwargs):
+    """``fit_fn(*args, **kwargs)`` with ``_solve_block`` forced to its flat
+    scan, every edge on its own, as for a route that proves nothing."""
+    from planefit import solvers
+
+    real = solvers._solve_block
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_solve_block",
+                  lambda data, block, solve, proven: real(data, block, solve, False))
+        return fit_fn(*args, **kwargs)
+
+
+EDGES_16 = [(g, g + 1) for g in range(16)]
+
+
 def test_sector_search_matches_flat_scan_at_n32(monkeypatch, stars):
-    # a supplied polygon is searched flat, one level; the internal one is
-    # pruned over 4, 8, 16, 32 whenever the route is proven
+    # the flat scan solves the 16 edges in order; the search starts from
+    # the 4-gon and prunes over 4, 8, 16, 32 whenever the route is proven
     from planefit.cli import GRID_CRITERIA, build_criterion
 
     calls = _count_solves(monkeypatch)
     for name, param in [(name, None) for name in GRID_CRITERIA] + [("LQS", str(stars.n))]:
         crit = build_criterion(name, stars.n, param)
         for tau in (Fraction(3, 2), Fraction(2), Fraction(3)):
-            poly, _ = inscribed_polytope(tau, 32)
             calls.clear()
-            flat = fit_ltau_approx(stars, crit, tau, 32, seed=1, approx_polytope=poly)
-            assert len(calls) == 16
+            flat = _flat(monkeypatch, fit_ltau_approx, stars, crit, tau, 32, seed=1)
+            assert calls == EDGES_16
             calls.clear()
             pruned = fit_ltau_approx(stars, crit, tau, 32, seed=1)
             _same_fit(pruned, flat)
             if name == "1.5SUM":  # irls proves nothing: every edge, in order
-                assert calls == list(range(16))
+                assert calls == EDGES_16
             else:
+                assert calls[:2] == [(0, 8), (8, 16)]
                 assert len(calls) <= 14
 
 
 def test_sector_search_matches_flat_scan_at_n320(monkeypatch, stars):
+    # a supplied polygon is searched like the internal one
     calls = _count_solves(monkeypatch)
     poly, _ = inscribed_polytope(2, 320)
     for name in ("SUM", "kC", "MED", "AkC"):
         crit = preset(name, stars.n, K=35) if name in ("kC", "AkC") else preset(name, stars.n)
-        flat = fit_ltau_approx(stars, crit, 2, 320, seed=1, approx_polytope=poly)
+        calls.clear()
+        flat = _flat(monkeypatch, fit_ltau_approx, stars, crit, 2, 320, seed=1)
+        assert calls == [(g, g + 1) for g in range(160)]
         calls.clear()
         pruned = fit_ltau_approx(stars, crit, 2, 320, seed=1)
         _same_fit(pruned, flat)
         assert pruned.subproblem_count == 160
+        assert calls[:5] == [(a, a + 32) for a in range(0, 160, 32)]  # the 10-gon
         assert len(calls) <= 20
+        searched = list(calls)
+        calls.clear()
+        _same_fit(fit_ltau_approx(stars, crit, 2, 320, seed=1, approx_polytope=poly), pruned)
+        assert calls == searched
+
+
+def test_block_polygons_are_searched_on_chords(monkeypatch, stars):
+    # a d = 2 block ball, l1, linf or read from a file, is searched on the
+    # chords of its polar polygon like an l-tau fit, with the flat scan's
+    # answer and one disjunct per sign-distinct ball vertex; the 24-gon
+    # starts from the chords of a 6-gon.  The 292-gon on the l-11 sphere
+    # (tau = 11/10, N = 320) as a ball has edge normals about 1e-11 apart
+    # near the axes, so neighbouring polar vertices are nearly collinear:
+    # every one is still a vertex of the search
+    from planefit.solvers import _sign_distinct
+
+    k = np.arange(24) * math.pi / 12
+    ellipse = Polytope.from_vertices(np.column_stack([2.0 * np.cos(k), np.sin(k)]))
+    fine, _ = inscribed_polytope(Fraction(11, 10), 320)
+    calls = _count_solves(monkeypatch)
+    for ball, n_v in ((ellipse, 24), (HEX, 6), (l1_ball(2), 4), (linf_ball(2), 4), (fine, 292)):
+        block = Block(ball)
+        assert len(_sign_distinct(ball.vertices)) == n_v // 2
+        for name in ("MED", "SUM", "SOS", "1.5SUM"):
+            crit = preset(name, stars.n)
+            calls.clear()
+            flat = _flat(monkeypatch, fit_block_norm, stars, crit, block, seed=1)
+            assert calls == [(g, g + 1) for g in range(n_v // 2)]
+            calls.clear()
+            searched = fit_block_norm(stars, crit, block, seed=1)
+            _same_fit(searched, flat)
+            assert searched.subproblem_count == n_v // 2
+            if n_v == 24 and name != "1.5SUM":
+                assert calls[:3] == [(0, 4), (4, 8), (8, 12)]
+                assert len(calls) <= 9
 
 
 def test_unproven_routes_keep_their_results(stars):
@@ -1363,10 +1428,10 @@ def test_unproven_routes_keep_their_results(stars):
 def test_sector_search_refines_every_bound_within_the_margin(monkeypatch):
     # scripted values on the sectors of the 16-gon, keyed (level, k): level 0
     # holds the chords of width 4, level 1 those of width 2 and level 2 the
-    # edges, each coarse value a lower bound of its halves: a key within
-    # 1e-9 relative of the incumbent is refined, one above it is pruned, a
-    # coarse node-limit stop is always refined, and the winner keeps the
-    # sequential 1e-12 rule
+    # edges (chords one edge wide), each coarse value a lower bound of its
+    # halves: a key within 1e-9 relative of the incumbent is refined, one
+    # above it is pruned, a coarse node-limit stop is always refined, and
+    # the winner keeps the sequential 1e-12 rule
     from types import SimpleNamespace
 
     from planefit import solvers
@@ -1380,9 +1445,12 @@ def test_sector_search_refines_every_bound_within_the_margin(monkeypatch):
 
     def chord(data, p, q):
         a, b = index[tuple(p)], index[tuple(q)]
-        return problem(({4: 0, 2: 1}[b - a], a // (b - a)))
+        return problem(({4: 0, 2: 1, 1: 2}[b - a], a // (b - a)))
 
-    monkeypatch.setattr(solvers, "_disjunct_problem", lambda data, ball, g: problem((2, g)))
+    def disjunct(*args):
+        raise AssertionError("a polygon built a disjunct")
+
+    monkeypatch.setattr(solvers, "_disjunct_problem", disjunct)
     monkeypatch.setattr(solvers, "_chord_problem", chord)
     base = {(0, 0): 0.5, (0, 1): 1.0 - 1e-12,
             (1, 0): 0.6, (1, 1): 1.0 + 2e-9, (1, 2): 1.0 - 1e-12, (1, 3): 1.0 + 5e-10,
@@ -1400,28 +1468,56 @@ def test_sector_search_refines_every_bound_within_the_margin(monkeypatch):
             solved.append(prob.key)
             return values.get(prob.key, 9.0), None, tags.get(prob.key, "lp")
 
-        beta, tag, count = solvers._solve_block(None, block, solve, [(0, 4), (4, 8)])
+        beta, tag, count = solvers._solve_block(None, block, solve, True)
         assert solved[:2] == [(0, 0), (0, 1)]
         assert sorted(g for level, g in solved if level == 2) == want_finest
         assert (list(beta), tag, count) == (want_beta, "lp", 8)
 
 
-def _edge_chord_minimum(data, crit, poly):
-    """Lowest value over the first half of the edges of ``poly``, each
-    solved on its own chord beta_-0 = V[g] + s (V[g + 1] - V[g]), s in [0, 1]."""
+def _edge_chord_values(data, crit, poly):
+    """Value of each of the first half of the edges of ``poly``, solved on
+    its own chord beta_-0 = V[g] + s (V[g + 1] - V[g]), s in [0, 1]."""
     from planefit.rng import SplitMix64
     from planefit.solvers import _LinearResiduals, _solve_subproblem
 
     V, X = poly.vertices, data.matrix[:, 1:]
-    best = math.inf
+    values = []
     for g in range(len(V) // 2):
         p, q = V[g], V[g + 1]
         A = np.column_stack([np.ones(data.n), X @ (q - p)])
         prob = _LinearResiduals.from_rows(A, X @ p, lambda v: v, np.array([[0.0, 1.0], [0.0, -1.0]]),
                                           np.array([1.0, 0.0]))
-        best = min(best, _solve_subproblem(prob, crit, rng=SplitMix64(0), multistart=4,
-                                           node_limit=1000)[0])
-    return best
+        values.append(_solve_subproblem(prob, crit, rng=SplitMix64(0), multistart=4,
+                                        node_limit=1000)[0])
+    return values
+
+
+def test_flat_scan_leaves_are_their_edges_chord_optima(stars):
+    # on the pruned 292-gon (tau = 11/10, N = 320) neighbouring facet
+    # normals lie within 1.6e-11, where a slice beta_-0 . b_g = 1 of the
+    # ball lost up to 6.8e-6 relative of its edge's optimum: every leaf of
+    # the scan is now the chord of its edge
+    from planefit import solvers
+    from planefit.rng import SplitMix64
+
+    poly, _ = inscribed_polytope(Fraction(11, 10), 320)
+    assert poly.n_vertices == 292
+    block = Block(polar_polytope(poly), poly)
+    for name in ("AkC", "MED", "SUM"):
+        crit = preset(name, stars.n)
+        leaves = []
+
+        def solve(prob):
+            out = solvers._solve_subproblem(prob, crit, rng=SplitMix64(0), multistart=4,
+                                            node_limit=1000)
+            leaves.append(out[0])
+            return out
+
+        solvers._solve_block(stars, block, solve, False)
+        want = _edge_chord_values(stars, crit, poly)
+        assert len(leaves) == len(want) == 146
+        for have, exact in zip(leaves, want):
+            assert have == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_ltau_fits_near_tau_one_cover_every_edge(stars):
@@ -1438,7 +1534,7 @@ def test_ltau_fits_near_tau_one_cover_every_edge(stars):
                 assert r.solver_tag.endswith(f"+inner-{poly.n_vertices}gon")
                 assert r.subproblem_count == poly.n_vertices // 2
                 if name != "1.5SUM":  # irls proves no bound
-                    assert r.bounds[0] == pytest.approx(_edge_chord_minimum(stars, crit, poly),
+                    assert r.bounds[0] == pytest.approx(min(_edge_chord_values(stars, crit, poly)),
                                                         rel=1e-9)
 
 
@@ -1459,8 +1555,9 @@ def test_lts_on_ltau_is_proven_by_the_sector_search(monkeypatch, stars):
     assert r.phi_star <= heuristic_phi * (1 + 1e-12)
     lo, hi = r.bounds
     assert lo <= r.phi_star <= hi
-    flat = fit_ltau_approx(stars, crit, 2, 32, seed=1,
-                           approx_polytope=inscribed_polytope(2, 32)[0])
+    calls.clear()
+    flat = _flat(monkeypatch, fit_ltau_approx, stars, crit, 2, 32, seed=1)
+    assert calls == EDGES_16
     _same_fit(r, flat)
 
 
