@@ -583,6 +583,18 @@ def inscribed_polytope(tau, N: int, d: int = 2) -> tuple[Polytope, float]:
     raw = np.column_stack([np.cos(angles), np.sin(angles)])
     vertices = raw / _ltau_rows(raw, nu)[:, None]
     poly = Polytope.from_vertices(vertices)
+    return poly, _inscribed_radius(poly, tau)
+
+
+def _inscribed_radius(poly: Polytope, tau) -> float:
+    """r_P of a polytope inscribed in the l-nu unit ball, nu conjugate to
+    tau: min over facets of b_i / ||a_i||_tau, capped at 1.
+
+    A vertex with ||v||_nu > 1 + 1e-12 lies outside the ball, where r_P
+    bounds nothing: ``GeometryError``.
+    """
+    if np.any(_ltau_rows(poly.vertices, conjugate_exponent(tau)) > 1.0 + 1e-12):
+        raise GeometryError("the polytope is not inscribed in the l-nu unit ball")
     r_p = float((poly.facet_offsets / _ltau_rows(poly.facet_normals, tau)).min())
-    return poly, min(r_p, 1.0)
+    return min(r_p, 1.0)
 

@@ -25,20 +25,19 @@ quadratic whose vertex S/W, when inside, is the interval's stationary
 point.  The sums are taken on values centred at their median.  That is
 O(n^2 log n) time and O(n^2) memory.
 
-For other p (1.5SUM), f has no closed form on an interval.  Nondecreasing
-lam make it strictly convex, since it is then a nonnegative sum of k-sums
-of the strictly convex |x_i - beta0|^p, so it has one minimizer: a binary
-search over the sorted breakpoints on the sign of f' at an interval's right
-end finds the interval that holds it, at one argsort, O(n log n), per step,
-and the minimizer is that interval's left end or the root that bisection
-finds inside it.  That is O(n^2 log n) time, for sorting the breakpoints,
-and O(n^2) memory.  Other lam keep a blocked pass that scores the
-breakpoints a block of about ``_BLOCK_CELLS`` (intervals x points) at a
-time: one row-wise argsort at each interval's midpoint gives each point its
-weight, f and f' at both exact endpoints are row-wise dot products, and an
-interior minimum (only where f'(a) < 0 < f'(b), f being convex on an
-interval) is found by a vectorised bisection over those rows.  That is
-O(n^3 log n) time and O(n^2 + block) memory.
+For other p (1.5SUM), f has no closed form on an interval, but each
+interval between consecutive breakpoints fixes one weight per point, read
+from a ranking at its midpoint, and f is convex there.  Nondecreasing lam
+make f strictly convex on the whole line, since it is then a nonnegative
+sum of k-sums of the strictly convex |x_i - beta0|^p, so it has one
+minimizer: a binary search over the sorted breakpoints on the sign of f' at
+an interval's right end finds the interval that holds it, at one argsort,
+O(n log n), per step, and the minimizer is that interval's left end or the
+root that bisection finds inside it.  That is O(n^2 log n) time, for
+sorting the breakpoints, and O(n^2) memory.  Other lam visit every
+interval: f at its left end, and where f'(a) < 0 < f'(b) the root inside,
+found by the same bisection and scored with the same weights.  That is
+O(n^3 log n) time and O(n^2) memory.
 
 Every path has the same candidate set: the breakpoints and the interior
 stationary points.  The winner, the first minimum so that ties go to the
@@ -57,7 +56,6 @@ from .geometry import Dataset, NormSpec, Vertical, kappa
 __all__ = ["OmpResult", "candidate_set", "solve_omp", "gcod"]
 
 _BISECT_ITERS = 60
-_BLOCK_CELLS = 1 << 18  # rows x points held by one block of the pass
 _SWEEP_CHUNK = 1 << 16  # events per chunk of the sweep
 _VERTEX_SLACK = 2.0**-40  # share of the centred range a p = 2 vertex must clear an endpoint by
 
@@ -94,10 +92,6 @@ def _pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     midpoints, which all lie in [min x, max x]."""
     i, j = (ix.astype(np.int32) for ix in np.triu_indices(x.size))
     return i, j, (x[i] + x[j]) / 2.0
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
 
 
 def _sweep(x: np.ndarray, lam: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -172,55 +166,6 @@ def _sweep(x: np.ndarray, lam: np.ndarray, p: float) -> tuple[np.ndarray, np.nda
             np.insert(f, after, np.concatenate(f_roots)))
 
 
-def _interval_pass(points: np.ndarray, values: np.ndarray, lam: np.ndarray,
-                   p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted candidates (breakpoints and stationary points) and f at each, p > 1."""
-    n = values.size
-    rows = max(1, _BLOCK_CELLS // n)
-    # f does not depend on the order of the points; sorted, each row of
-    # |m - x| is two sorted runs, which a stable sort merges in linear time
-    values = np.sort(values)
-    f_points = np.empty(points.size)
-    roots, f_roots = [], []
-    for s in range(0, points.size - 1, rows):
-        ends = points[s: s + rows + 1]
-        a, b = ends[:-1], ends[1:]
-        # the ranking of |x - beta0| is fixed inside (a, b): read it at the midpoint
-        order = np.argsort(np.abs((0.5 * (a + b))[:, None] - values[None, :]), axis=1,
-                           kind="stable")
-        weight = np.empty((a.size, n))
-        np.put_along_axis(weight, order, lam[None, :], axis=1)
-        del order
-        diff = ends[:, None] - values[None, :]
-        level = np.abs(diff)
-        slope = level ** (p - 1.0)
-        level *= slope                       # |beta0 - x|^p
-        np.copysign(slope, diff, out=slope)  # each point's share of f' / p
-        del diff
-        f_points[s: s + a.size] = _rowdot(weight, level[:-1])
-        # f is convex on [a, b]: an interior minimum needs f'(a) < 0 < f'(b)
-        act = np.flatnonzero((_rowdot(weight, slope[:-1]) < 0.0)
-                             & (_rowdot(weight, slope[1:]) > 0.0))
-        if act.size:
-            w = weight[act]
-            lo, hi = a[act], b[act]
-            for _ in range(_BISECT_ITERS):
-                mid = 0.5 * (lo + hi)
-                d = mid[:, None] - values[None, :]
-                fm = _rowdot(w, np.copysign(np.abs(d) ** (p - 1.0), d))
-                lo = np.where(fm <= 0.0, mid, lo)
-                hi = np.where(fm >= 0.0, mid, hi)
-            root = 0.5 * (lo + hi)
-            roots.append(root)
-            f_roots.append(_rowdot(w, np.abs(root[:, None] - values[None, :]) ** p))
-    f_points[-1] = weight[-1] @ level[-1]
-    cands = np.concatenate([points, *roots])
-    objs = np.concatenate([f_points, *f_roots])
-    # a root that rounds onto a breakpoint is the same candidate; keep the breakpoint
-    cands, first = np.unique(cands, return_index=True)
-    return cands, objs[first]
-
-
 def _interval_weights(a: float, b: float, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Each point's weight on the interval (a, b) between two breakpoints,
     whose ranking of |x - beta0| is fixed: read it at the midpoint."""
@@ -235,6 +180,19 @@ def _slope(beta0: float, x: np.ndarray, weight: np.ndarray, p: float) -> float:
     return float(weight @ np.copysign(np.abs(d) ** (p - 1.0), d))
 
 
+def _root(a: float, b: float, x: np.ndarray, weight: np.ndarray, p: float) -> float:
+    """The root of f' in (a, b) under a fixed weight per point, where
+    f'(a) < 0 < f'(b), by bisection."""
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (a + b)
+        fm = _slope(mid, x, weight, p)
+        if fm <= 0.0:
+            a = mid
+        if fm >= 0.0:
+            b = mid
+    return 0.5 * (a + b)
+
+
 def _bisect_convex(points: np.ndarray, x: np.ndarray, lam: np.ndarray,
                    p: float) -> tuple[np.ndarray, int]:
     """Sorted candidates and the index of the minimizer, for nondecreasing
@@ -244,7 +202,7 @@ def _bisect_convex(points: np.ndarray, x: np.ndarray, lam: np.ndarray,
     one-sided slopes at both ends increase with k.  A binary search finds
     the first interval whose slope at its right end is positive.  The
     minimizer is its left end when the slope there is not negative, else
-    the root inside it, which the blocked pass's bisection finds.
+    the root inside it.
     """
     lo, hi = 0, points.size - 2
     while lo < hi:
@@ -258,18 +216,34 @@ def _bisect_convex(points: np.ndarray, x: np.ndarray, lam: np.ndarray,
     weight = _interval_weights(a, b, x, lam)
     if _slope(a, x, weight, p) >= 0.0:
         return points, lo
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (a + b)
-        fm = _slope(mid, x, weight, p)
-        if fm <= 0.0:
-            a = mid
-        if fm >= 0.0:
-            b = mid
-    root = 0.5 * (a + b)
+    root = _root(a, b, x, weight, p)
     # a root that rounds onto a breakpoint is that breakpoint
-    if root in (points[lo], points[lo + 1]):
-        return points, lo + int(root == points[lo + 1])
+    if root in (a, b):
+        return points, lo + int(root == b)
     return np.insert(points, lo + 1, root), lo + 1
+
+
+def _every_interval(points: np.ndarray, x: np.ndarray, lam: np.ndarray,
+                    p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted candidates and f at each, for any lam at p > 1.
+
+    Each interval scores its left end, the last one also its right end,
+    and, f being convex on it, its root where f'(a) < 0 < f'(b), all with
+    its own weights.
+    """
+    f = np.empty(points.size)
+    roots, f_roots = [], []
+    for k in range(points.size - 1):
+        a, b = points[k], points[k + 1]
+        weight = _interval_weights(a, b, x, lam)
+        f[k] = weight @ np.abs(a - x) ** p
+        if _slope(a, x, weight, p) < 0.0 < _slope(b, x, weight, p):
+            roots.append(_root(a, b, x, weight, p))
+            f_roots.append(weight @ np.abs(roots[-1] - x) ** p)
+    f[-1] = weight @ np.abs(points[-1] - x) ** p
+    # a root that rounds onto a breakpoint is the same candidate; keep the breakpoint
+    cands, first = np.unique(np.concatenate([points, roots]), return_index=True)
+    return cands, np.concatenate([f, f_roots])[first]
 
 
 def _minimized(values: np.ndarray, lam: np.ndarray, p: float) -> tuple[np.ndarray, int]:
@@ -280,9 +254,10 @@ def _minimized(values: np.ndarray, lam: np.ndarray, p: float) -> tuple[np.ndarra
     points = np.unique(_pairs(values)[2])
     if points.size == 1:
         return points, 0
+    x = np.sort(values)
     if np.all(lam[1:] >= lam[:-1]):
-        return _bisect_convex(points, np.sort(values), lam, p)
-    cands, objs = _interval_pass(points, values, lam, p)
+        return _bisect_convex(points, x, lam, p)
+    cands, objs = _every_interval(points, x, lam, p)
     return cands, int(np.argmin(objs))
 
 
@@ -303,8 +278,8 @@ def solve_omp(values, lam, p) -> OmpResult:
     values, lam, pf = _checked(values, lam, p)
     cands, best = _minimized(values, lam, pf)
     beta0 = float(cands[best])
-    # the sweep's sums are centred and the pass reads each ranking at a rounded
-    # midpoint: score the winner on the original values
+    # the sweep's sums are centred and an interval's ranking is read at a
+    # rounded midpoint: score the winner on the original values
     value = np.sort(np.abs(values - beta0)) ** pf @ lam
     return OmpResult(beta0, float(value), int(cands.size))
 

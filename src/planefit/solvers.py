@@ -67,7 +67,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -84,6 +83,7 @@ from .geometry import (
     NormSpec,
     Polytope,
     Vertical,
+    _inscribed_radius,
     conjugate_exponent,
     dual_norm,
     first_of_each_class,
@@ -1047,23 +1047,9 @@ def export_formulation(data: Dataset, criterion: Criterion, norm: NormSpec, path
 # public fitting entry points
 
 
-def _lss_beta(data: Dataset) -> np.ndarray:
-    """Least-squares coefficients on vertical residuals, with beta_d = -1."""
-    n, d = data.n, data.dim
-    if n <= d:
-        raise DegenerateDataError("least squares needs n > d")
-    X = data.matrix[:, :d]
-    y = data.matrix[:, d]
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < d:
-        raise DegenerateDataError("design matrix is rank deficient")
-    return np.concatenate([coef, [-1.0]])
-
-
 def fit_lss(data: Dataset) -> FitResult:
-    """Classical least sum of squares on vertical residuals, by normal equations."""
-    crit = Criterion(np.ones(data.n), Fraction(2), "SOS")
-    return _finalize(data, crit, Vertical(), _lss_beta(data), "normal-equations", 1)
+    """Classical least sum of squares on vertical residuals, the ``lsq`` route."""
+    return fit_vertical_general(data, preset("SOS", data.n))
 
 
 def fit_lad(data: Dataset) -> FitResult:
@@ -1073,12 +1059,19 @@ def fit_lad(data: Dataset) -> FitResult:
 
 def fit_vertical_general(data: Dataset, criterion: Criterion, *, seed: int = 0,
                          multistart: int = 16, node_limit: int = 100_000) -> FitResult:
-    """Any ordered-median criterion with vertical residuals."""
+    """Any ordered-median criterion with vertical residuals.
+
+    Least squares (constant weights at p = 2) has one solution only when
+    n > d and the design has full rank; otherwise ``DegenerateDataError``.
+    """
     if criterion.n != data.n:
         raise ValueError("criterion weight length must match the dataset size")
     lam = criterion.lam
     if criterion.p_float == 2.0 and np.all(lam == lam[0]):
-        return _finalize(data, criterion, Vertical(), _lss_beta(data), "normal-equations", 1)
+        if data.n <= data.dim:
+            raise DegenerateDataError("least squares needs n > d")
+        if np.linalg.matrix_rank(data.matrix[:, :data.dim]) < data.dim:
+            raise DegenerateDataError("design matrix is rank deficient")
     prob = _vertical_problem(data)
     val, v, tag = _solve_subproblem(prob, criterion, rng=SplitMix64(seed),
                                     multistart=multistart, node_limit=node_limit)
@@ -1242,10 +1235,7 @@ def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: i
         poly, r_p = inscribed_polytope(norm.tau, N)
     else:
         poly = approx_polytope
-        r_p = min(
-            b / ltau_norm(a, norm.tau)
-            for a, b in zip(poly.facet_normals, poly.facet_offsets)
-        )
+        r_p = _inscribed_radius(poly, norm.tau)
     block = Block(polar_polytope(poly), poly)
     beta, tag, count = _solve_block_norm(data, criterion, block, seed=seed,
                                          multistart=multistart, node_limit=node_limit)

@@ -222,7 +222,7 @@ def _permutation_enumeration(data: Dataset, crit: Criterion) -> float:
 def test_criterion_07_oracle_equivalence():
     failures = []
     rng = np.random.default_rng(171)
-    exact_tags = PROVEN_ROUTES | {"normal-equations"}
+    exact_tags = PROVEN_ROUTES
     for case in range(50):
         n = int(rng.integers(4, 13))
         data = Dataset.from_observations(rng.normal(size=(n, 2)) * 2.0)

@@ -164,11 +164,13 @@ def test_omp_memory_is_bounded_by_the_block():
 
     rng = np.random.default_rng(3)
     vals = rng.normal(size=300)
-    lam = np.ones(300)
-    for p in (1.0, 2.0):
+    # p = 3/2 with non-monotone lam visits every interval, at n = 200
+    zigzag = np.tile([1.0, 0.0, 2.0, 0.5], 50)
+    for x, lam, p in ((vals, np.ones(300), 1.0), (vals, np.ones(300), 2.0),
+                      (vals[:200], zigzag, 1.5)):
         tracemalloc.start()
         try:
-            solve_omp(vals, lam, p)
+            solve_omp(x, lam, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -303,17 +305,17 @@ def test_omp_sweep_matches_the_blocked_pass():
 
 def test_omp_bisection_matches_the_blocked_pass(monkeypatch):
     # nondecreasing lam at p not in {1, 2} make f strictly convex: bisected,
-    # with the pass's candidate set; other lam stay on the pass
+    # with the pass's candidate set; other lam visit every interval
     from planefit import omp1d
 
     passes = []
-    real = omp1d._interval_pass
+    real = omp1d._every_interval
 
     def counting(*args):
         passes.append(args[2])
         return real(*args)
 
-    monkeypatch.setattr(omp1d, "_interval_pass", counting)
+    monkeypatch.setattr(omp1d, "_every_interval", counting)
     rng = np.random.default_rng(1207)
     for case in range(240):
         vals, lam = _random_case(rng, case)

@@ -9,6 +9,7 @@ from planefit.criteria import evaluate, preset
 from planefit.geometry import (
     Block,
     Dataset,
+    GeometryError,
     Hyperplane,
     LTau,
     Polytope,
@@ -96,6 +97,18 @@ def test_lss_degenerate_data():
     data = Dataset.from_observations(np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]]))
     with pytest.raises(DegenerateDataError):
         fit_lss(data)
+    with pytest.raises(DegenerateDataError):
+        fit(FitRequest(data, preset("SOS", 3), Vertical()))
+
+
+def test_lss_takes_the_lsq_route(stars):
+    from planefit.evaluation import synthetic_generate
+
+    for data in (stars, synthetic_generate(60, 2, "X", 1), synthetic_generate(60, 3, "Y", 2)):
+        direct = fit_lss(data)
+        routed = fit(FitRequest(data, preset("SOS", data.n), Vertical()))
+        assert direct.solver_tag == routed.solver_tag == "lsq"
+        np.testing.assert_array_equal(direct.hyperplane.beta, routed.hyperplane.beta)
 
 
 def test_lad_stars_reference_line(stars):
@@ -523,6 +536,20 @@ def test_ltau_d3_with_supplied_polytope(rng):
     lower, upper = r.bounds
     assert lower <= r.phi_star <= upper + 1e-9
     assert upper == pytest.approx(lower, rel=1e-9)  # r_P = 1 for the exact ball
+
+
+def test_supplied_polytope_must_be_inscribed(stars):
+    # r_P bounds the l-tau optimum only for a polygon inside the l-nu ball
+    crit = preset("SUM", 47)
+    poly, _ = inscribed_polytope(2, 32)
+    with pytest.raises(GeometryError):
+        fit_ltau_approx(stars, crit, 2, 32,
+                        approx_polytope=Polytope.from_vertices(1.5 * poly.vertices))
+    r = fit_ltau_approx(stars, crit, 2, 32,
+                        approx_polytope=Polytope.from_vertices(0.5 * poly.vertices))
+    lower, upper = r.bounds
+    assert type(upper) is float
+    assert lower <= r.phi_star <= upper
 
 
 def test_ltau_inf_routes_to_linf_block(stars):
