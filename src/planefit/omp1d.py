@@ -86,6 +86,23 @@ def _checked(values, lam, p) -> tuple[np.ndarray, np.ndarray, float]:
     return values, lam, pf
 
 
+def _sorted_distinct(values: np.ndarray, first: bool = False):
+    """``np.unique`` of finite 1-d values, bit for bit, without the
+    ``numpy.ma`` import that ``np.unique`` makes on first use: the sorted
+    distinct values and, with ``first``, the index of each one's first
+    occurrence.  The plain sort is numpy's default kind, as in
+    ``np.unique``, so of 0.0 and -0.0 the same one is kept."""
+    if first:
+        order = np.argsort(values, kind="mergesort")
+        values = values[order]
+    else:
+        values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = values[1:] != values[:-1]
+    return (values[keep], order[keep]) if first else values[keep]
+
+
 def _pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index pairs i <= j of x (int32) and their midpoints.  The distinct
     midpoints are the breakpoints: the data values (i == j) and the pairwise
@@ -242,7 +259,7 @@ def _every_interval(points: np.ndarray, x: np.ndarray, lam: np.ndarray,
             f_roots.append(weight @ np.abs(roots[-1] - x) ** p)
     f[-1] = weight @ np.abs(points[-1] - x) ** p
     # a root that rounds onto a breakpoint is the same candidate; keep the breakpoint
-    cands, first = np.unique(np.concatenate([points, roots]), return_index=True)
+    cands, first = _sorted_distinct(np.concatenate([points, roots]), first=True)
     return cands, np.concatenate([f, f_roots])[first]
 
 
@@ -251,7 +268,7 @@ def _minimized(values: np.ndarray, lam: np.ndarray, p: float) -> tuple[np.ndarra
     if p in (1.0, 2.0):
         cands, objs = _sweep(np.sort(values), lam, p)
         return cands, int(np.argmin(objs))  # the first, i.e. smallest beta0
-    points = np.unique(_pairs(values)[2])
+    points = _sorted_distinct(_pairs(values)[2])
     if points.size == 1:
         return points, 0
     x = np.sort(values)

@@ -7,10 +7,12 @@ beta_-0 is 1, turns the distance into |beta . x_i|.  ``_solve_subproblem``
 sends each subproblem on that linear form down exactly one route, named by
 its tag:
 
-* ``lp``: ``p == 1`` with nondecreasing weights, an exact LP (partial sums
-  of the largest residuals enter through their minimax representation, so
-  no binaries are needed), and max-type objectives lam_n max |r|^p (MAX,
-  LQS with r = n) at any p, whose minimizer is the p = 1 one;
+* ``lp``: ``p == 1`` with nondecreasing weights, an exact LP, and
+  max-type objectives lam_n max |r|^p (MAX, LQS with r = n) at any p, whose
+  minimizer is the p = 1 one.  The weights are a sum of centrum terms, w
+  times the sum of the k largest residuals, and each term enters through
+  its minimax representation (no binaries): a pair of rows per residual,
+  with a free column t only when k < n, so MAX, kC and SUM solve 2n rows;
 * ``quantile-scan``: other one-rank objectives (any p) on two parameters,
   the classic pair-slope scan: O(n^2) candidate slopes, O(n^3 log n) time;
 * ``lts-scan``: p = 2 on two parameters with weights that are a leading
@@ -92,8 +94,8 @@ from .geometry import (
     polar_polytope,
     residual_vector,
 )
+from .omp1d import _sorted_distinct, solve_omp
 from .omp1d import gcod as gcod_index
-from .omp1d import solve_omp
 from .rng import SplitMix64
 
 __all__ = [
@@ -310,9 +312,10 @@ def _chord_problem(data: Dataset, p: np.ndarray, q: np.ndarray) -> _LinearResidu
 
 
 def _centrum_blocks(lam: np.ndarray) -> list[tuple[int, float]]:
-    """(k, weight) terms so that Phi = lam[0]*sum + sum_k w_k * (k largest)."""
+    """(k, weight) terms with Phi = sum_k w_k * (sum of the k largest):
+    lam[0] on k = n, when positive, then each rise of lam."""
     n = lam.size
-    blocks = []
+    blocks = [(n, float(lam[0]))] if lam[0] > 0 else []
     for r in range(2, n + 1):
         diff = lam[r - 1] - lam[r - 2]
         if diff > 0:
@@ -321,24 +324,33 @@ def _centrum_blocks(lam: np.ndarray) -> list[tuple[int, float]]:
 
 
 def _abs_value_lp(prob: _LinearResiduals, cost: np.ndarray, bounds: list,
-                  names: list | None = None, rows: list = ()) -> lpmod.LinearProgram:
-    """LP over v | eps | further columns in which eps_i >= |A_i v + c_i|.
+                  names: list | None = None, rows: list = (),
+                  terms: list | None = None) -> lpmod.LinearProgram:
+    """LP over v | further columns in which s_i >= |A_i v + c_i| - t.
 
     v takes ``prob.bounds`` (an infinite side is left open) and the columns
-    after it take ``bounds``.  Rows, in order: the pair A_i v - eps_i <= -c_i
-    and -A_i v - eps_i <= c_i for each i, then ``rows`` ((coeffs, relation,
-    rhs) over all columns), then the general inequality rows of ``prob``.
+    after it take ``bounds``.  ``terms`` holds one (s, t) pair per block of
+    rows: s is the first of the n columns s_1..s_n and t a column, or None
+    for t = 0.  The default, one term (m, None), makes column m + i an
+    eps_i >= |A_i v + c_i|.  Rows, in order: per term, the pair
+    A_i v - t - s_i <= -c_i and -A_i v - t - s_i <= c_i for each i, then
+    ``rows`` ((coeffs, relation, rhs) over all columns), then the general
+    inequality rows of ``prob``.
     """
     n, m = prob.A.shape
     nv = cost.size
     v_bounds = [tuple(None if np.isinf(b) else b for b in pair) for pair in prob.bounds]
     problem = lpmod.LinearProgram(cost, bounds=v_bounds + list(bounds), names=names)
-    for i in range(n):
-        for sign in (1.0, -1.0):
-            row = np.zeros(nv)
-            row[:m] = sign * prob.A[i]
-            row[m + i] = -1.0
-            problem.add_row(row, "<=", -sign * prob.c[i])
+    pairs = np.zeros((n, 2, nv))
+    pairs[:, 0, :m] = prob.A
+    pairs[:, 1, :m] = -prob.A
+    sides = np.column_stack([-prob.c, prob.c]).ravel().tolist()
+    for s, t in [(m, None)] if terms is None else terms:
+        block = pairs.copy()
+        block[np.arange(n), :, s + np.arange(n)] = -1.0
+        if t is not None:
+            block[:, :, t] = -1.0
+        problem.rows.extend(zip(block.reshape(2 * n, nv), itertools.repeat("<="), sides))
     for row, rel, rhs in rows:
         problem.add_row(row, rel, rhs)
     for row, rhs in prob.general:
@@ -349,37 +361,37 @@ def _abs_value_lp(prob: _LinearResiduals, cost: np.ndarray, bounds: list,
 
 
 def _build_monotone_lp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.LinearProgram:
+    """One term per ``_centrum_blocks`` entry (k, w), w times the sum of the
+    k largest |r_i|, which is the minimum over t of k t + sum_i
+    max(|r_i| - t, 0) (Ogryczak and Tamir 2003): a free column t (named
+    t<j>) and s_i >= |r_i| - t, s_i >= 0 (s<j>_i), at cost w (k t + sum_i
+    s_i), in 2n rows.  A k = n term takes t = 0, so it has no t column and
+    its s_i are eps_i >= |r_i| (e_i): SUM is lam[0] sum_i eps_i."""
     n, m = prob.A.shape
-    blocks = _centrum_blocks(lam)
-    nb = len(blocks)
-    # variables: v (m) | eps (n, >=0) | per block: t (free), s_i (>=0)
-    nv = m + n + nb * (1 + n)
-    cost = np.zeros(nv)
-    cost[m: m + n] = lam[0]
-    names = [f"b{j}" for j in range(m)] + [f"e{i + 1}" for i in range(n)]
-    for bi, (k, w) in enumerate(blocks):
-        t_col = m + n + bi * (1 + n)
-        cost[t_col] = w * k
-        cost[t_col + 1: t_col + 1 + n] = w
-        names += [f"t{bi + 1}"] + [f"s{bi + 1}_{i + 1}" for i in range(n)]
-    bounds = [(0.0, None)] * n
-    for _ in blocks:
-        bounds += [(None, None)] + [(0.0, None)] * n
-
-    rows = []
-    for bi in range(nb):
-        t_col = m + n + bi * (1 + n)
-        for i in range(n):
-            row = np.zeros(nv)
-            row[m + i] = 1.0
-            row[t_col] = -1.0
-            row[t_col + 1 + i] = -1.0
-            rows.append((row, "<=", 0.0))
-    return _abs_value_lp(prob, cost, bounds, names, rows)
+    costs = [np.zeros(m)]
+    names = [f"b{j}" for j in range(m)]
+    bounds = []
+    terms = []
+    col, j = m, 0
+    for k, w in _centrum_blocks(lam):
+        if k == n:
+            terms.append((col, None))
+            names += [f"e{i + 1}" for i in range(n)]
+        else:
+            j += 1
+            terms.append((col + 1, col))
+            costs.append(np.array([w * k]))
+            names += [f"t{j}"] + [f"s{j}_{i + 1}" for i in range(n)]
+            bounds.append((None, None))
+            col += 1
+        costs.append(np.full(n, w))
+        bounds += [(0.0, None)] * n
+        col += n
+    return _abs_value_lp(prob, np.concatenate(costs), bounds, names, terms=terms)
 
 
 def _solve_monotone_p1_lp(prob: _LinearResiduals, lam: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact LP: lam[0]*sum(eps) plus centrum terms k*t_k + sum_i max(eps_i - t_k, 0)."""
+    """Exact LP: sum_k w_k (k t_k + sum_i max(|r_i| - t_k, 0)) (``_build_monotone_lp``)."""
     m = prob.A.shape[1]
     problem = _build_monotone_lp(prob, lam)
     status = lpmod.solve_lp(problem)
@@ -524,7 +536,7 @@ def _pair_slopes(prob: _LinearResiduals) -> tuple[np.ndarray, np.ndarray, np.nda
     mask = np.abs(dw) > 1e-14
     cuts = -(u[iu] - u[ju])[mask] / dw[mask]
     extra = [t for t in (t_lo, t_hi, 0.0) if np.isfinite(t)]
-    return u, w, np.unique(np.clip(np.concatenate([cuts, np.array(extra)]), t_lo, t_hi))
+    return u, w, _sorted_distinct(np.clip(np.concatenate([cuts, np.array(extra)]), t_lo, t_hi))
 
 
 def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> tuple[float, np.ndarray]:

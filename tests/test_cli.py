@@ -170,19 +170,29 @@ def test_verify_checks_the_bounds(tmp_path, capsys):
     assert (code, report["match"], report["bounds_ok"]) == (1, True, False)
 
 
-def test_emit_lp(tmp_path, capsys):
+@pytest.mark.parametrize("criterion", ["MAX", "kC"])
+def test_emit_lp(tmp_path, capsys, criterion):
+    """The exported disjunct holds the fitted plane, so its LP, parsed back
+    and solved, reproduces phi*: one centrum term, t1 and s1_i, in a pair
+    of rows per point."""
     lp_path = tmp_path / "model.lp"
+    out_path = tmp_path / "r.json"
     code, _, _ = run_cli([
-        "fit", "--input", str(STARS_CSV), "--criterion", "MAX", "--residual", "l1",
-        "--emit-lp", str(lp_path), "--output", str(tmp_path / "r.json"),
+        "fit", "--input", str(STARS_CSV), "--criterion", criterion, "--residual", "l1",
+        "--emit-lp", str(lp_path), "--output", str(out_path),
     ], capsys)
     assert code == 0
     text = lp_path.read_text()
     assert text.startswith("Minimize")
-    from planefit.lp import parse_lp_file
+    from planefit.lp import parse_lp_file, solve_lp
 
     model = parse_lp_file(lp_path)
-    assert model.n_vars > 47
+    assert model.n_vars == 2 + 1 + 47
+    assert {"t1", "s1_1", "s1_47"} <= set(model.names) and "e1" not in model.names
+    assert 2 * 47 <= len(model.rows) < 3 * 47
+    solved = solve_lp(model)
+    assert solved.is_optimal
+    assert solved.objective == pytest.approx(json.loads(out_path.read_text())["phi_star"], rel=1e-9)
 
 
 def test_block_file_symmetry_completion(tmp_path, capsys):

@@ -456,7 +456,7 @@ def test_solve_lp_matches_full_tableau_reference(lp, max_iters):
 
 
 def _wide_disjunct_lp():
-    """The n = 100, d = 3 kC x linf disjunct LP, lp-scale's widest (305 rows)."""
+    """The n = 100, d = 3 kC x linf disjunct LP, lp-scale's widest (205 rows)."""
     from planefit import synthetic_generate
     from planefit.cli import build_criterion, parse_residual
     from planefit.solvers import _build_monotone_lp, _disjunct_problem
@@ -514,13 +514,15 @@ def test_real_lps_match_full_tableau_reference(build):
 
 
 def test_tableau_memory_on_a_wide_disjunct_lp():
-    """Peak memory of the n = 100, d = 3 kC x linf disjunct LP (305 rows).
+    """Peak memory of the n = 100, d = 3 kC x linf disjunct LP (205 rows).
 
-    The tableau keeps nonbasic columns only, 306 x 309 in phase 1 and
-    306 x 208 in phase 2, and a pivot's outer product is rows x the pivot
-    row's nonzeros (41 of 224 columns on average over its 981 pivots): the
-    solve peaks at 2.81 MB.  With an outer product over every column, as
-    wide as the tableau, it peaked at 3.18 MB.
+    The LP has a pair of rows per residual, one centrum term with one t
+    column and n columns s_i.  The tableau keeps nonbasic columns only,
+    206 x 209 in phase 1 and 206 x 108 in phase 2, and a pivot's outer
+    product is rows x the pivot row's nonzeros (39 of 114 columns on
+    average over its 839 pivots): the solve peaks at 1.21 MB.  With a
+    shared eps_i >= |r_i| column per point and n more rows
+    s_i >= eps_i - t, it had 305 rows and peaked at 2.81 MB.
     """
     lp = _wide_disjunct_lp()
     tracemalloc.start()
@@ -530,7 +532,7 @@ def test_tableau_memory_on_a_wide_disjunct_lp():
     finally:
         tracemalloc.stop()
     assert out.status == OPTIMAL
-    assert peak < 3.0e6
+    assert peak < 1.5e6
 
 
 # branch and bound -----------------------------------------------------------

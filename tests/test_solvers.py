@@ -1,6 +1,11 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +264,36 @@ def test_quantile_scan_matches_reference_loop(rng):
             assert v.tobytes() == want_v.tobytes()
 
 
+def test_distinct_values_leave_numpy_ma_unloaded():
+    """np.unique imports numpy.ma on first use, 1.3 MB of resident memory.
+    The pair-slope scan (MED x vertical) and GCoD at p = 3/2 sort their
+    distinct values without it, so a fresh interpreter that makes both
+    fits never loads it."""
+    import planefit
+
+    script = (
+        "import json, sys\n"
+        "from planefit.criteria import preset\n"
+        "from planefit.data import cyg_ob1\n"
+        "from planefit.geometry import Vertical\n"
+        "from planefit.solvers import FitRequest, fit\n"
+        "stars = cyg_ob1()\n"
+        "tags = [fit(FitRequest(stars, preset(name, stars.n), Vertical())).solver_tag\n"
+        "        for name in ('MED', '1.5SUM')]\n"
+        "print(json.dumps([tags, 'numpy.ma' in sys.modules]))\n"
+    )
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    bare = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    if bare.stdout.strip() == "True":
+        pytest.skip("a bare import numpy loads numpy.ma")
+    env = dict(os.environ, PYTHONPATH=str(Path(planefit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    tags, loaded = json.loads(proc.stdout)
+    assert tags == ["quantile-scan", "irls"]
+    assert not loaded
+
+
 def test_vertical_collinear_perfect():
     x = np.arange(8.0)
     data = Dataset.from_observations(np.column_stack([x, -2.0 * x + 0.5]))
@@ -478,15 +513,43 @@ def test_fit_request_validates_lengths(stars):
 
 
 def test_monotone_lp_agrees_with_arrangement_enumeration(rng):
-    # two independent exact routes for p=1 monotone weights must coincide
-    from planefit.solvers import _solve_monotone_p1_lp, _solve_p1_exact_2param, _vertical_problem
+    # two independent exact routes for p=1 monotone weights must coincide;
+    # the LP has a pair of rows per residual and centrum term, and a t
+    # column only for a term with k < n
+    from planefit.solvers import (
+        _build_monotone_lp,
+        _centrum_blocks,
+        _solve_monotone_p1_lp,
+        _solve_p1_exact_2param,
+        _vertical_problem,
+    )
 
+    def few_step(n, first):
+        lam = np.full(n, first)
+        for cut in rng.choice(np.arange(1, n), size=2, replace=False):
+            lam[cut:] += rng.uniform(0.5, 1.5)
+        return lam
+
+    cases = []
     for _ in range(8):
         n = int(rng.integers(4, 9))
         lam = np.sort(np.abs(rng.normal(size=n)))
         lam[-1] += 0.1
-        data = random_dataset(rng, n, 2)
-        prob = _vertical_problem(data)
+        cases.append((lam, n))
+    for n in (5, 8):
+        K = int(rng.integers(1, n))
+        cases += [(preset("MAX", n).lam, 1), (preset("kC", n, K=K).lam, 1),
+                  (preset("SUM", n).lam, 1), (few_step(n, 0.0), 2), (few_step(n, 0.5), 3)]
+    for lam, n_terms in cases:
+        n = lam.size
+        prob = _vertical_problem(random_dataset(rng, n, 2))
+        terms = _centrum_blocks(lam)
+        assert len(terms) == n_terms
+        problem = _build_monotone_lp(prob, lam)
+        t_cols = [name for name in problem.names if name.startswith("t")]
+        assert len(problem.rows) == 2 * n * n_terms + len(prob.general)
+        assert len(t_cols) == sum(k < n for k, _ in terms) == n_terms - (lam[0] > 0)
+        assert problem.n_vars == prob.n_params + n * n_terms + len(t_cols)
         via_lp, _ = _solve_monotone_p1_lp(prob, lam)
         via_enum, _ = _solve_p1_exact_2param(prob, lam)
         assert via_lp == pytest.approx(via_enum, abs=1e-7 * max(1.0, via_enum))
