@@ -34,9 +34,11 @@ from .geometry import (
     Vertical,
     _sum_gap,
     inscribed_polytope,
+    kappa,
     polar_polytope,
 )
 from .omp1d import gcod as gcod_index
+from .omp1d import solve_omp
 from .solvers import (
     POLYTOPE_VERTICES,
     FitRequest,
@@ -404,7 +406,13 @@ def cmd_verify(args) -> int:
     plane = Hyperplane(beta, record.get("normalization", "raw"))
     phi = phi_at(data, criterion, norm, plane)
     idx = gcod_index(phi, data, criterion, norm)
-    ok_phi = math.isclose(phi, record["phi_star"], rel_tol=1e-6, abs_tol=1e-9)
+    # phi* carries the data's units, so its absolute floor is a share of
+    # phi0, the constant-model objective GCoD divides by
+    kap = kappa(norm, data.dim) if not isinstance(norm, Vertical) else 1.0
+    p = criterion.p_float
+    phi0 = kap**p * solve_omp(data.matrix[:, -1], criterion.lam, p).value
+    ok_phi = math.isclose(phi, record["phi_star"], rel_tol=1e-6,
+                          abs_tol=1e-9 * phi0 if phi0 > 0.0 else 1e-9)
     ok_gcod = math.isclose(idx, record["gcod"], rel_tol=1e-6, abs_tol=1e-9)
     bounds_ok = None
     if record.get("bounds") is not None:

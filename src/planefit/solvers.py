@@ -34,8 +34,11 @@ its tag:
   the currently selected weight assignment).
 
 The route is a function of the criterion and the number of free
-parameters alone (``_route``).  ``_conditional_gradient`` and the
-concentration re-fits share one fixed-weight solver, ``_weighted_fit``.  Its
+parameters alone (``_route``).  Every route solves a unit-scaled
+subproblem and returns only its plane; ``_solve_subproblem``, the one place
+that knows units, scales each subproblem once and scores the plane it gets
+back in data units.  ``_conditional_gradient`` and the concentration
+re-fits share one fixed-weight solver, ``_weighted_fit``.  Its
 least squares is exact: a clip of the slope in d = 2, an enumeration of
 active constraint sets in d >= 3.  Its IRLS stops at a tolerance, so
 ``irls`` proves nothing; nor does ``descent``, whose gap may stay open.
@@ -390,16 +393,12 @@ def _build_monotone_lp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.LinearP
     return _abs_value_lp(prob, np.concatenate(costs), bounds, names, terms=terms)
 
 
-def _solve_monotone_p1_lp(prob: _LinearResiduals, lam: np.ndarray) -> tuple[float, np.ndarray]:
+def _solve_monotone_p1_lp(prob: _LinearResiduals, lam: np.ndarray) -> np.ndarray:
     """Exact LP: sum_k w_k (k t_k + sum_i max(|r_i| - t_k, 0)) (``_build_monotone_lp``)."""
-    m = prob.A.shape[1]
-    problem = _build_monotone_lp(prob, lam)
-    status = lpmod.solve_lp(problem)
+    status = lpmod.solve_lp(_build_monotone_lp(prob, lam))
     if status.status != lpmod.OPTIMAL:
         raise SolverError(f"monotone LP subproblem ended with status {status.status}")
-    v = status.x[:m]
-    value = float(lam @ np.sort(prob.residuals(v)))
-    return value, v
+    return status.x[:prob.n_params]
 
 
 # -- exact enumeration for p = 1, two parameters ----------------------------
@@ -434,7 +433,7 @@ def _nonincreasing(lam: np.ndarray) -> bool:
     return bool(np.all(lam[1:] <= lam[:-1]))
 
 
-def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray) -> tuple[float, np.ndarray]:
+def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray) -> np.ndarray:
     """Exact two-parameter solve for p = 1 and arbitrary nonnegative weights.
 
     The objective is piecewise linear in (b0, t); its minimum sits at a
@@ -517,7 +516,7 @@ def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray) -> tuple[flo
 
     if best_v is None:
         raise SolverError("no feasible point enumerated")
-    return best_val, best_v
+    return best_v
 
 
 # -- pair-slope scans on two parameters (quantile, trimmed squares) --------
@@ -539,18 +538,17 @@ def _pair_slopes(prob: _LinearResiduals) -> tuple[np.ndarray, np.ndarray, np.nda
     return u, w, _sorted_distinct(np.clip(np.concatenate([cuts, np.array(extra)]), t_lo, t_hi))
 
 
-def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> tuple[float, np.ndarray]:
+def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> np.ndarray:
     """Exact minimizer over (b0, t) of the r-th smallest absolute residual.
 
-    Returns the half-width of the narrowest strip holding r points, so it
+    That is the centre line of the narrowest strip holding r points, so it
     solves every one-rank objective lam_r |r|_(r)^p (MED, LQS, LMS) at any
-    p, with value lam_r * half**p.  The optimal strip is supported by three
-    points, two of them on the same boundary, so the optimal t is a
-    crossing of two residual lines (or an endpoint of the feasible
-    interval); for each candidate t the best b0 is the midpoint of the
-    narrowest window spanning r values.  The O(n^2) candidate slopes are
-    scored a block of rows at a time: one row-wise sort, window widths and
-    argmin per block, O(n^3 log n) time in all.
+    p.  The optimal strip is supported by three points, two of them on the
+    same boundary, so the optimal t is a crossing of two residual lines (or
+    an endpoint of the feasible interval); for each candidate t the best b0
+    is the midpoint of the narrowest window spanning r values.  The O(n^2)
+    candidate slopes are scored a block of rows at a time: one row-wise
+    sort, window widths and argmin per block, O(n^3 log n) time in all.
     """
     u, w, cands = _pair_slopes(prob)
     n = u.size
@@ -569,7 +567,7 @@ def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> tuple[float, np.nd
             best = (float(half[i]), np.array([(vals[i, ki] + vals[i, ki + r - 1]) / 2.0, ts[i]]))
     if best[1] is None:
         raise SolverError("quantile scan found no candidate slope")
-    return best[0], best[1]
+    return best[1]
 
 
 def _window_sums(X: np.ndarray, h: int) -> np.ndarray:
@@ -580,9 +578,9 @@ def _window_sums(X: np.ndarray, h: int) -> np.ndarray:
     return out
 
 
-def _solve_lts_2param(prob: _LinearResiduals, h: int) -> tuple[float, np.ndarray]:
+def _solve_lts_2param(prob: _LinearResiduals, h: int) -> np.ndarray:
     """Exact minimizer over (b0, t) of the sum of the h smallest squared
-    residuals (LTS), and that sum; Hossjer's scan (Hossjer 1995).
+    residuals (LTS); Hossjer's scan (Hossjer 1995).
 
     At the optimum the h smallest residuals |b0 - z_i| are h consecutive
     values of the sorted z = -(u + t w), and that order is constant inside
@@ -594,7 +592,7 @@ def _solve_lts_2param(prob: _LinearResiduals, h: int) -> tuple[float, np.ndarray
     at least the objective at its own minimizer and the optimal window is
     among them, so the best is optimal.  The cells are scored a block at a
     time, O(n^3 log n) time in all.  The winning window is fitted again by
-    exact least squares and scored on the original residuals.
+    exact least squares.
     """
     u, w, cuts = _pair_slopes(prob)
     t_lo, t_hi = prob.slope_interval()
@@ -628,8 +626,7 @@ def _solve_lts_2param(prob: _LinearResiduals, h: int) -> tuple[float, np.ndarray
         raise SolverError("trimmed-squares scan found no window")
     window = np.zeros(n)
     window[best[1]] = 1.0
-    v = _least_squares(prob, window)
-    return float(np.sum(np.sort(prob.residuals(v))[:h] ** 2)), v
+    return _least_squares(prob, window)
 
 
 # -- big-M assignment MILP (p = 1, arbitrary weights, small n) --------------
@@ -687,27 +684,17 @@ def _build_assignment_milp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.Mix
 
 
 def _solve_p1_milp(prob: _LinearResiduals, lam: np.ndarray,
-                   node_limit: int) -> tuple[float, np.ndarray, str]:
-    m = prob.A.shape[1]
-    # normalize columns and residuals to O(1) so the big-M stays small and
-    # the node LPs well conditioned; w = diag(col) v / row undoes the scaling
-    col = np.maximum(np.abs(prob.A).max(axis=0), 1e-9)
-    row = max(float(np.abs(prob.c).max()), 1e-9)
-    scaled = _LinearResiduals(
-        prob.A / col[None, :], prob.c / row, prob.to_beta, prob.bounds * col[:, None] / row,
-        [(r_ * row / col, rhs) for r_, rhs in prob.general],
-    )
-    mip = _build_assignment_milp(scaled, lam)
-    status = lpmod.solve_milp(mip, node_limit=node_limit)
+                   node_limit: int) -> tuple[np.ndarray, str]:
+    """(v, tag) of the assignment MILP: ``milp`` when proven optimal,
+    ``incumbent`` when it stopped at the node limit with a feasible point."""
+    status = lpmod.solve_milp(_build_assignment_milp(prob, lam), node_limit=node_limit)
     if status.status == lpmod.OPTIMAL:
         tag = "milp"
     elif status.status == lpmod.ITERATION_LIMIT and status.x is not None:
         tag = "incumbent"
     else:
         raise SolverError(f"assignment MILP ended with status {status.status}")
-    w = status.x[:m]
-    v = w * row / col
-    return float(lam @ np.sort(prob.residuals(v))), v, tag
+    return status.x[:prob.n_params], tag
 
 
 # -- fixed-weight fits, conditional gradient, concentration steps ----------
@@ -821,10 +808,9 @@ def _ranked(lam: np.ndarray, res: np.ndarray) -> np.ndarray:
     return w
 
 
-def _conditional_gradient(prob: _LinearResiduals, lam: np.ndarray,
-                          p: float) -> tuple[float, np.ndarray]:
-    """(Phi, v) of the best v found for Phi(v) = sum_j lam_j |r(v)|_(j)^p,
-    nondecreasing lam, p > 1, by conditional gradient on the dual.
+def _conditional_gradient(prob: _LinearResiduals, lam: np.ndarray, p: float) -> np.ndarray:
+    """The best v found for Phi(v) = sum_j lam_j |r(v)|_(j)^p, nondecreasing
+    lam, p > 1, by conditional gradient on the dual.
 
     By rearrangement Phi(v) = max w . |r(v)|^p over the permutahedron of
     lam, so min Phi = max of the concave g(w) = min_v w . |r(v)|^p (Frank &
@@ -849,7 +835,7 @@ def _conditional_gradient(prob: _LinearResiduals, lam: np.ndarray,
             upper, best_v = float(s @ rp), v
         lower = max(lower, float(w @ rp))
         if upper - lower <= 1e-9 * upper or fits >= CG_ITERS:
-            return upper, best_v
+            return best_v
         key = min(shares, key=lambda k: np.frombuffer(k) @ rp)
         a, share = np.frombuffer(key), shares.pop(key)
         # a sum of nonnegative terms, so no weight rounds below zero
@@ -885,8 +871,7 @@ def _start_points(prob: _LinearResiduals, lam: np.ndarray, rng: SplitMix64,
     if m == 2 and n >= 2:
         # the strip through the last weighted rank is a strong robust start
         try:
-            _, v = _solve_quantile_2param(prob, int(nz[-1]) + 1)
-            starts.append(v)
+            starts.append(_solve_quantile_2param(prob, int(nz[-1]) + 1))
         except skipped:
             pass
     for _ in range(max(0, count)):
@@ -905,7 +890,7 @@ def _start_points(prob: _LinearResiduals, lam: np.ndarray, rng: SplitMix64,
 
 
 def _solve_concentration(prob: _LinearResiduals, lam: np.ndarray, p: float,
-                         rng: SplitMix64, multistart: int) -> tuple[float, np.ndarray]:
+                         rng: SplitMix64, multistart: int) -> np.ndarray:
     """Multistart: re-fit with weights frozen at the current residual ranking."""
     best = (np.inf, None)
     for v in _start_points(prob, lam, rng, multistart):
@@ -923,7 +908,7 @@ def _solve_concentration(prob: _LinearResiduals, lam: np.ndarray, p: float,
             best = (val, v.copy())
     if best[1] is None:
         raise SolverError("concentration search failed to produce a candidate")
-    return best
+    return best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -965,31 +950,42 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
                       rng: SplitMix64, multistart: int,
                       node_limit: int) -> tuple[float, np.ndarray, str]:
     """(value, v, route tag) from the one route that fits the subproblem;
-    ``rng`` and ``multistart`` serve only the concentration ``heuristic``."""
+    ``rng`` and ``multistart`` serve only the concentration ``heuristic``.
+
+    Phi is homogeneous: scaling the residuals by s scales it by s^p, and
+    scaling lam by s scales it by s.  So the route solves the unit problem,
+    each column of A and the offsets c divided by their largest magnitude
+    (at least 1e-9), bounds and general rows moved with them, and lam by its
+    largest weight, on which every route's tolerances are relative.  Its
+    plane w maps back to v = w row / col, scored here once in data units,
+    lam . sort(|A v + c|)^p."""
     lam = criterion.lam
     p = criterion.p_float
     tag = _route(criterion, prob.n_params)
+    col = np.maximum(np.abs(prob.A).max(axis=0), 1e-9)
+    row = max(float(np.abs(prob.c).max()), 1e-9)
+    unit = _LinearResiduals(
+        prob.A / col, prob.c / row, lambda w: prob.to_beta(w * row / col),
+        prob.bounds * col[:, None] / row, [(g * row / col, rhs) for g, rhs in prob.general])
+    weights = lam / lam.max()
 
     if tag == "lp":
         # at p != 1 the weights are max-type, whose p = 1 minimizer is optimal
-        _, v = _solve_monotone_p1_lp(prob, lam)
-        val = float(lam @ np.sort(prob.residuals(v)) ** p)
+        w = _solve_monotone_p1_lp(unit, weights)
     elif tag == "quantile-scan":
-        r = int(np.flatnonzero(lam)[0])
-        half, v = _solve_quantile_2param(prob, r + 1)
-        val = float(lam[r]) * half**p
+        w = _solve_quantile_2param(unit, int(np.flatnonzero(lam)[0]) + 1)
     elif tag == "lts-scan":
-        sse, v = _solve_lts_2param(prob, np.flatnonzero(lam).size)
-        val = float(lam[0]) * sse
+        w = _solve_lts_2param(unit, np.flatnonzero(lam).size)
     elif tag == "exact-enum":
-        val, v = _solve_p1_exact_2param(prob, lam)
+        w = _solve_p1_exact_2param(unit, weights)
     elif tag == "milp":
-        val, v, tag = _solve_p1_milp(prob, lam, node_limit)  # "milp" or "incumbent"
+        w, tag = _solve_p1_milp(unit, weights, node_limit)  # "milp" or "incumbent"
     elif tag in ("lsq", "irls", "descent"):
-        val, v = _conditional_gradient(prob, lam, p)
+        w = _conditional_gradient(unit, weights, p)
     else:
-        val, v = _solve_concentration(prob, lam, p, rng, multistart)
-    return val, v, tag
+        w = _solve_concentration(unit, weights, p, rng, multistart)
+    v = w * row / col
+    return float(lam @ np.sort(prob.residuals(v)) ** p), v, tag
 
 
 # ---------------------------------------------------------------------------
@@ -1122,8 +1118,8 @@ def _solve_block(data: Dataset, block: Block, solve,
     expands exactly the sectors whose bound is not above the optimum.
 
     The winner is the first best solved disjunct in disjunct order (a later
-    one wins only when better by more than 1e-12).  The tag is its route,
-    or ``incumbent`` when any solved disjunct stopped at the node limit,
+    one wins only when lower by more than 1e-12 relative).  The tag is its
+    route, or ``incumbent`` when any solved disjunct stopped at the node limit,
     since the fit is then not proven optimal over all of them.  The count
     is the number of disjuncts, all of them solved or pruned.
     """
@@ -1165,7 +1161,7 @@ def _solve_block(data: Dataset, block: Block, solve,
     stopped = False
     for val, beta, tag in (solved[g] for g in sorted(solved)):
         stopped = stopped or tag == "incumbent"
-        if best is None or val < best[0] - 1e-12:
+        if best is None or val < best[0] - 1e-12 * abs(best[0]):
             best = (val, beta, tag)
     if best is None:
         raise SolverError("all disjuncts failed")

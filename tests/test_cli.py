@@ -153,6 +153,26 @@ def test_verify_round_trip(tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_checks_a_tiny_phi_star(tmp_path, capsys):
+    # at data x 1e-8, SOS x l1 has phi* = 3.7e-16: the check must not pass it
+    # under a fixed absolute floor of 1e-9
+    obs = np.loadtxt(STARS_CSV, delimiter=",", skiprows=1) * 1e-8
+    csv = tmp_path / "tiny.csv"
+    csv.write_text("x,y\n" + "\n".join(f"{a!r},{b!r}" for a, b in obs.tolist()) + "\n")
+    out_path = tmp_path / "record.json"
+    code, _, _ = run_cli(["fit", "--input", str(csv), "--criterion", "SOS", "--residual", "l1",
+                          "--output", str(out_path)], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["verify", "--record", str(out_path)], capsys)
+    assert (code, json.loads(out)["match"]) == (0, True)
+    record = json.loads(out_path.read_text())
+    assert 0.0 < record["phi_star"] < 1e-14
+    record["phi_star"] *= 2.0
+    out_path.write_text(json.dumps(record))
+    code, out, _ = run_cli(["verify", "--record", str(out_path)], capsys)
+    assert (code, json.loads(out)["match"]) == (1, False)
+
+
 def test_verify_checks_the_bounds(tmp_path, capsys):
     out_path = tmp_path / "record.json"
     run_cli(["fit", "--input", str(STARS_CSV), "--criterion", "SUM", "--residual", "ltau:2",

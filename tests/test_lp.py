@@ -486,10 +486,12 @@ class _Captured(Exception):
 
 def _assignment_root_lp():
     """The root relaxation of a milp-d3 assignment MILP (MED x vertical,
-    n = 5, d = 3), as ``_solve_p1_milp`` scales and builds it."""
+    n = 5, d = 3), as ``_solve_subproblem`` scales it and ``_solve_p1_milp``
+    builds it."""
     from planefit import synthetic_generate
     from planefit.cli import build_criterion
-    from planefit.solvers import _solve_p1_milp, _vertical_problem
+    from planefit.rng import SplitMix64
+    from planefit.solvers import _solve_subproblem, _vertical_problem
 
     def capture(mip, node_limit):
         raise _Captured(mip)
@@ -498,7 +500,8 @@ def _assignment_root_lp():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lpmod, "solve_milp", capture)
         with pytest.raises(_Captured) as caught:
-            _solve_p1_milp(_vertical_problem(data), build_criterion("MED", 5, None).lam, 100)
+            _solve_subproblem(_vertical_problem(data), build_criterion("MED", 5, None),
+                              rng=SplitMix64(0), multistart=0, node_limit=100)
     return caught.value.args[0].lp
 
 

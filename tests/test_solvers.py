@@ -240,6 +240,11 @@ def _slope_problem(data, slope):
                                               np.reshape(rows, (-1, 2)), np.array(rhs))
 
 
+def _phi(prob, lam, v, p=1.0):
+    """The objective of the plane v of a subproblem, in its own units."""
+    return float(np.sort(prob.residuals(v)) ** p @ lam)
+
+
 def test_quantile_scan_matches_reference_loop(rng):
     from planefit import solvers
 
@@ -258,9 +263,8 @@ def test_quantile_scan_matches_reference_loop(rng):
         cands = np.unique(np.clip(np.concatenate([cands, np.array(extra)]), t_lo, t_hi))
         assert n < 200 or cands.size > 5 * (solvers._BLOCK_CELLS // n)
         for r in sorted({1, 2, n // 2 + 1, n}):
-            half, v = solvers._solve_quantile_2param(prob, r)
-            want_half, want_v = _quantile_scan_reference(u, w, cands, r)
-            assert half == want_half
+            v = solvers._solve_quantile_2param(prob, r)
+            _, want_v = _quantile_scan_reference(u, w, cands, r)
             assert v.tobytes() == want_v.tobytes()
 
 
@@ -357,8 +361,7 @@ def test_block_disjunct_completeness(rng):
     per_disjunct = []
     for g in _sign_distinct(blk.ball.vertices):
         prob = _disjunct_problem(data, blk.ball, g)
-        val, _ = _solve_monotone_p1_lp(prob, crit.lam)
-        per_disjunct.append(val)
+        per_disjunct.append(_phi(prob, crit.lam, _solve_monotone_p1_lp(prob, crit.lam)))
     assert r.phi_star == pytest.approx(min(per_disjunct), rel=1e-9)
     assert r.subproblem_count == len(per_disjunct)
 
@@ -550,8 +553,8 @@ def test_monotone_lp_agrees_with_arrangement_enumeration(rng):
         assert len(problem.rows) == 2 * n * n_terms + len(prob.general)
         assert len(t_cols) == sum(k < n for k, _ in terms) == n_terms - (lam[0] > 0)
         assert problem.n_vars == prob.n_params + n * n_terms + len(t_cols)
-        via_lp, _ = _solve_monotone_p1_lp(prob, lam)
-        via_enum, _ = _solve_p1_exact_2param(prob, lam)
+        via_lp = _phi(prob, lam, _solve_monotone_p1_lp(prob, lam))
+        via_enum = _phi(prob, lam, _solve_p1_exact_2param(prob, lam))
         assert via_lp == pytest.approx(via_enum, abs=1e-7 * max(1.0, via_enum))
 
 
@@ -773,6 +776,14 @@ def test_disjunct_slope_bounds_match_exact_arithmetic(stars):
         assert abs(Fraction(have) - exact) <= 16 * abs(Fraction(np.spacing(float(exact))))
 
 
+def _enum_phi(prob, lam, v):
+    """The objective of the plane v = (b0, t) of a two-parameter subproblem,
+    scored as the exact enumeration scores its points, |b0 + (u + t w)|."""
+    from planefit.solvers import _omf_rows
+
+    return float(_omf_rows(np.abs(v[0] + (prob.c + v[1] * prob.A[:, 1]))[None, :], lam)[0])
+
+
 def _exact_enum_reference(prob, lam):
     """Pair-array enumeration with a rounded row dedupe per chunk; the
     one-line-at-a-time enumeration must reach the same value."""
@@ -823,7 +834,8 @@ def test_exact_enum_matches_dedupe_reference(rng):
         lams = (preset("MED", n).lam, preset("AkC", n, K=n // 3).lam,
                 rng.random(n) * (rng.random(n) < 0.5) + np.eye(n)[n // 2])
         for lam in lams:
-            val, v = _solve_p1_exact_2param(prob, lam)
+            v = _solve_p1_exact_2param(prob, lam)
+            val = _enum_phi(prob, lam, v)
             want = _exact_enum_reference(prob, lam)
             assert val == pytest.approx(want, rel=1e-12, abs=1e-300)
             assert t_lo <= v[1] <= t_hi
@@ -861,13 +873,15 @@ def test_weight_shape_routes_match_dedupe_reference(rng):
         lam = np.sort(np.round(rng.random(n) * 3.0) / 3.0)[::-1].copy()
         lam[n - int(rng.integers(1, n // 2)):] = 0.0
         lam[0] += 0.5
-        val, v = _solve_p1_exact_2param(prob, lam)
+        v = _solve_p1_exact_2param(prob, lam)
+        val = _enum_phi(prob, lam, v)
         assert val == pytest.approx(_exact_enum_reference(prob, lam), rel=1e-12, abs=1e-300)
         assert t_lo <= v[1] <= t_hi
         assert float(np.sort(prob.residuals(v)) @ lam) == pytest.approx(val, rel=1e-12)
         for r in (1, n // 2 + 1, n - 1):
             one_rank = 1.5 * np.eye(n)[r - 1]
-            half, v = _solve_quantile_2param(prob, r)
+            v = _solve_quantile_2param(prob, r)
+            half = _enum_phi(prob, np.eye(n)[r - 1], v)
             assert 1.5 * half == pytest.approx(_exact_enum_reference(prob, one_rank),
                                                rel=1e-12, abs=1e-300)
             assert t_lo <= v[1] <= t_hi
@@ -909,15 +923,17 @@ def test_weight_shape_routes_stay_exact_above_the_enumeration_cap():
     ball = l1_ball(2)
     r = fit_block_norm(data, akc, Block(ball))
     assert r.solver_tag == "exact-enum"
+    probs = [solvers._disjunct_problem(data, ball, g)
+             for g in solvers._sign_distinct(ball.vertices)]
     concentration = min(
-        solvers._solve_concentration(solvers._disjunct_problem(data, ball, g), akc.lam, 1.0,
-                                     SplitMix64(0), 0)[0]
-        for g in solvers._sign_distinct(ball.vertices))
+        _phi(prob, akc.lam, solvers._solve_concentration(prob, akc.lam, 1.0, SplitMix64(0), 0))
+        for prob in probs)
     assert r.phi_star <= concentration * (1 + 1e-12)
     r = fit_vertical_general(data, med)
     assert r.solver_tag == "quantile-scan"
-    concentration, _ = solvers._solve_concentration(solvers._vertical_problem(data), med.lam,
-                                                    1.0, SplitMix64(0), 0)
+    prob = solvers._vertical_problem(data)
+    concentration = _phi(prob, med.lam,
+                         solvers._solve_concentration(prob, med.lam, 1.0, SplitMix64(0), 0))
     assert r.phi_star <= concentration * (1 + 1e-12)
 
 
@@ -1022,10 +1038,9 @@ def test_conditional_gradient_is_never_above_subgradient_descent():
             start = _weighted_fit(prob, np.ones(n), 2.0)
             for lam in lams:
                 for p in (1.5, 2.0, 3.0):
-                    got, v = _conditional_gradient(prob, lam, p)
+                    v = _conditional_gradient(prob, lam, p)
                     assert prob.feasible(v)
-                    assert got == pytest.approx(float(np.sort(prob.residuals(v)) ** p @ lam),
-                                                rel=1e-12)
+                    got = _phi(prob, lam, v, p)
                     reference, _ = _subgradient(prob, lam, p, start)
                     assert got <= reference * (1.0 + 1e-12)
 
@@ -1050,12 +1065,10 @@ def test_conditional_gradient_is_one_weighted_fit_for_constant_weights(monkeypat
         for prob in _vertical_and_l1_problems(synthetic_generate(n, d, "Y", 1)):
             for crit in (preset("SOS", n), preset("1.5SUM", n), Criterion(np.ones(n), 3)):
                 calls.clear()
-                val, v = solvers._conditional_gradient(prob, crit.lam, crit.p_float)
+                v = solvers._conditional_gradient(prob, crit.lam, crit.p_float)
                 assert calls == [crit.p_float]
                 want = weighted_fit(prob, np.ones(n), crit.p_float)
                 assert v.tobytes() == want.tobytes()
-                assert val == pytest.approx(float(np.sum(prob.residuals(want) ** crit.p_float)),
-                                            rel=1e-14)
 
 
 def test_descent_fit_matches_nested_golden_section():
@@ -1521,7 +1534,8 @@ def test_sector_search_refines_every_bound_within_the_margin(monkeypatch):
     # edges (chords one edge wide), each coarse value a lower bound of its
     # halves: a key within 1e-9 relative of the incumbent is refined, one
     # above it is pruned, a coarse node-limit stop is always refined, and
-    # the winner keeps the sequential 1e-12 rule
+    # the winner keeps the sequential rule, a later edge winning only when
+    # lower by more than 1e-12 relative
     from types import SimpleNamespace
 
     from planefit import solvers
@@ -1548,10 +1562,14 @@ def test_sector_search_refines_every_bound_within_the_margin(monkeypatch):
     stopped = {**base, (1, 1): 9.0}
     # a perfect fit: only the absolute 1e-12 of the margin is left
     zero = {(0, 0): 0.0, (0, 1): 5e-13, (1, 0): 0.0, (1, 1): 2e-12, (1, 2): 5e-13, (2, 0): 0.0}
+    # every leaf below 1e-12: the later edge, 4x lower, wins on the relative rule
+    tiny = {(0, 0): 2e-13, (0, 1): 5e-14, (1, 0): 2e-13, (1, 2): 5e-14, (2, 0): 4e-13,
+            (2, 4): 1e-13}
     for values, tags, want_finest, want_beta in (
             (base, {}, [0, 1, 4, 5, 6, 7], [2.0, 4.0]),
             (stopped, {(1, 1): "incumbent"}, [0, 1, 2, 3, 4, 5, 6, 7], [2.0, 4.0]),
-            (zero, {}, [0, 1, 4, 5], [2.0, 0.0])):
+            (zero, {}, [0, 1, 4, 5], [2.0, 0.0]),
+            (tiny, {}, [0, 1, 4, 5], [2.0, 4.0])):
         solved = []
 
         def solve(prob):
@@ -1680,11 +1698,10 @@ def test_lts_scan_matches_h_subset_enumeration(rng):
         for prob in probs:
             t_lo, t_hi = prob.slope_interval()
             for h in range(2, n):
-                sse, v = solvers._solve_lts_2param(prob, h)
+                v = solvers._solve_lts_2param(prob, h)
+                sse = float(np.sum(np.sort(prob.residuals(v))[:h] ** 2))
                 assert sse == pytest.approx(_lts_subset_reference(prob, h), rel=1e-12, abs=1e-12)
                 assert t_lo <= v[1] <= t_hi
-                assert sse == pytest.approx(np.sum(np.sort(prob.residuals(v))[:h] ** 2),
-                                            rel=1e-15, abs=0)
 
 
 def test_lts_scan_is_never_above_concentration(rng):
@@ -1702,7 +1719,9 @@ def test_lts_scan_is_never_above_concentration(rng):
             val, _, tag = solvers._solve_subproblem(prob, crit, rng=SplitMix64(0),
                                                     multistart=0, node_limit=1)
             assert tag == "lts-scan"
-            heuristic, _ = solvers._solve_concentration(prob, crit.lam, 2.0, SplitMix64(n), 16)
+            heuristic = _phi(prob, crit.lam,
+                             solvers._solve_concentration(prob, crit.lam, 2.0, SplitMix64(n), 16),
+                             2.0)
             assert val <= heuristic * (1 + 1e-12)
 
 
@@ -1738,3 +1757,47 @@ def test_lts_scan_memory_is_bounded(rng):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _scaled(data, s):
+    return Dataset.from_observations(data.matrix[:, 1:] * s)
+
+
+def test_proven_fits_are_scale_equivariant(stars):
+    # Phi is homogeneous: data x s scales phi* by s^p and lam x s scales it
+    # by s, so every proven stars-grid cell must land on the scaled optimum,
+    # with the same tag, from 1e-8 to 1e8 in the data and 1e-12 to 1e9 in lam
+    from planefit.cli import GRID_CRITERIA, GRID_RESIDUALS, build_criterion, parse_residual
+    from planefit.criteria import Criterion
+    from planefit.solvers import PROVEN_ROUTES
+
+    proven = 0
+    for name in GRID_CRITERIA:
+        crit = build_criterion(name, stars.n, None)
+        for spec in GRID_RESIDUALS:
+            norm = parse_residual(spec, stars.dim)
+            base = fit(FitRequest(stars, crit, norm))
+            if base.solver_tag.split("+")[0] not in PROVEN_ROUTES:
+                continue
+            proven += 1
+            cases = [(_scaled(stars, 10.0**k), crit, 10.0 ** (k * crit.p_float))
+                     for k in (-8, -4, 4, 8)]
+            cases += [(stars, Criterion(crit.lam * 10.0**k, crit.p), 10.0**k)
+                      for k in (-12, -9, 9)]
+            for data, scaled, factor in cases:
+                r = fit(FitRequest(data, scaled, norm))
+                assert r.solver_tag == base.solver_tag, (name, spec, factor)
+                assert r.phi_star == pytest.approx(base.phi_star * factor, rel=1e-12, abs=0.0), \
+                    (name, spec, factor)
+    assert proven == 36
+    # d = 3 fits of the 1-norm and the max norm, at 1e4 and 1e5
+    from planefit.evaluation import synthetic_generate
+
+    data = synthetic_generate(60, 3, "Y", 1)
+    for name, spec in (("MAX", "l1"), ("SUM", "linf")):
+        crit, norm = preset(name, data.n), parse_residual(spec, data.dim)
+        base = fit(FitRequest(data, crit, norm))
+        for s in (1e4, 1e5):
+            r = fit(FitRequest(_scaled(data, s), crit, norm))
+            assert r.solver_tag == base.solver_tag == "lp"
+            assert r.phi_star == pytest.approx(base.phi_star * s, rel=1e-12, abs=0.0)
