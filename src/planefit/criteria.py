@@ -64,6 +64,21 @@ def _powered(values: np.ndarray, p: Fraction) -> np.ndarray:
     return np.power(values, float(p))
 
 
+def _ordered_median(res: np.ndarray, lam: np.ndarray, p=1) -> np.ndarray:
+    """sum_i lam[i] * res_(i)^p along the last axis: one value for a vector,
+    one per row for a block of rows.  Every module scores Phi here: one
+    sort, then the power, then ``@ lam``."""
+    return _powered(np.sort(res, axis=-1), p) @ lam
+
+
+def _rank_weights(lam: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """lam placed on the points in increasing order of ``key`` (stable), so
+    that ``_rank_weights(lam, res) @ res**p`` is Phi."""
+    weights = np.empty_like(lam)
+    weights[np.argsort(key, kind="stable")] = lam
+    return weights
+
+
 def evaluate(criterion: Criterion, residuals) -> float:
     """sum_i lam[i] * residual_(i)^p with residuals sorted nondecreasing."""
     eps = np.asarray(residuals, dtype=float)
@@ -73,8 +88,7 @@ def evaluate(criterion: Criterion, residuals) -> float:
         )
     if np.any(eps < 0):
         raise ValueError("residuals must be nonnegative")
-    ordered = np.sort(eps, kind="stable")
-    return float(criterion.lam @ _powered(ordered, criterion.p))
+    return float(_ordered_median(eps, criterion.lam, criterion.p))
 
 
 def evaluate_rcentrum(criterion: Criterion, residuals) -> float:

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import Criterion
-from .geometry import Dataset, NormSpec, Vertical, kappa
+from .criteria import Criterion, _ordered_median, _rank_weights
+from .geometry import Dataset, NormSpec, kappa
 
 __all__ = ["OmpResult", "candidate_set", "solve_omp", "gcod"]
 
@@ -186,9 +186,7 @@ def _sweep(x: np.ndarray, lam: np.ndarray, p: float) -> tuple[np.ndarray, np.nda
 def _interval_weights(a: float, b: float, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Each point's weight on the interval (a, b) between two breakpoints,
     whose ranking of |x - beta0| is fixed: read it at the midpoint."""
-    weight = np.empty_like(lam)
-    weight[np.argsort(np.abs(0.5 * (a + b) - x), kind="stable")] = lam
-    return weight
+    return _rank_weights(lam, np.abs(0.5 * (a + b) - x))
 
 
 def _slope(beta0: float, x: np.ndarray, weight: np.ndarray, p: float) -> float:
@@ -297,25 +295,29 @@ def solve_omp(values, lam, p) -> OmpResult:
     beta0 = float(cands[best])
     # the sweep's sums are centred and an interval's ranking is read at a
     # rounded midpoint: score the winner on the original values
-    value = np.sort(np.abs(values - beta0)) ** pf @ lam
+    value = _ordered_median(np.abs(values - beta0), lam, pf)
     return OmpResult(beta0, float(value), int(cands.size))
 
 
-def gcod(phi_star: float, data: Dataset, criterion: Criterion, norm: NormSpec) -> float:
-    """Goodness of fit 1 - phi_star / phi0 against the best constant model.
+def _phi0(data: Dataset, criterion: Criterion, norm: NormSpec) -> float:
+    """The best constant model's objective.  It applies the scale constant
+    kappa inside the residuals, so kappa enters as kappa**p."""
+    p = criterion.p_float
+    return kappa(norm, data.dim) ** p * solve_omp(data.matrix[:, -1], criterion.lam, p).value
 
-    phi0 applies the scale constant kappa inside the residuals, so it enters
-    the objective as kappa**p.  A dataset whose last coordinate is constant
-    has phi0 == 0; it only admits a perfect fit (phi_star == 0 -> 1).
-    """
+
+def _index(phi_star: float, phi0: float) -> float:
+    """1 - phi_star / phi0.  A dataset whose last coordinate is constant has
+    phi0 == 0; it only admits a perfect fit (phi_star == 0 -> 1)."""
     if phi_star < 0:
         raise ValueError("phi_star must be nonnegative")
-    values = data.matrix[:, -1]
-    kap = kappa(norm, data.dim) if not isinstance(norm, Vertical) else 1.0
-    base = solve_omp(values, criterion.lam, criterion.p_float)
-    phi0 = kap ** criterion.p_float * base.value
     if phi0 <= 0.0:
         if phi_star <= 1e-12:
             return 1.0
         raise ValueError("constant-model objective is zero but phi_star is positive")
     return 1.0 - phi_star / phi0
+
+
+def gcod(phi_star: float, data: Dataset, criterion: Criterion, norm: NormSpec) -> float:
+    """Goodness of fit 1 - phi_star / phi0 against the best constant model."""
+    return _index(phi_star, _phi0(data, criterion, norm))

@@ -21,26 +21,30 @@ its tag:
   residual values scored by its least-squares SSE, O(n^3 log n) time;
 * ``exact-enum``: other ``p == 1`` objectives on two free parameters, exact
   enumeration of the breakpoint arrangement of the piecewise-linear
-  objective.  Nonincreasing weights need only the O(n^2) crossings of the
-  residual zero lines (O(n^3) time, one block of scores in memory); other
-  weights need every crossing of the O(n^2) kink lines, one line at a time
-  (O(n^5) time, O(n^3) memory), and only for n <= EXACT_ENUM_MAX_N;
+  objective: the vertices of its kink lines and of the finite ends of the
+  slope interval, two more lines of the arrangement.  Nonincreasing weights
+  need only the O(n^2) crossings of the residual zero lines (O(n^3) time,
+  one block of scores in memory); other weights need every crossing of the
+  O(n^2) kink lines, one line at a time (O(n^5) time, O(n^3) memory), and
+  only for n <= EXACT_ENUM_MAX_N;
 * ``milp`` (``incumbent`` at the node limit): ``p == 1`` with arbitrary
   weights and n <= MILP_MAX_N, a big-M assignment MILP;
 * ``lsq``, ``irls``, ``descent``: other nondecreasing weights at p > 1,
   constant at p = 2, constant at other p, or neither (no preset), by
   conditional gradient over the permutahedron of the weights;
-* ``heuristic``: everything else, multistart concentration steps (re-fit on
-  the currently selected weight assignment).
+* ``heuristic``: everything else, multistart concentration steps: re-fit on
+  the currently selected weight assignment or, for one-rank weights at rank
+  r, take the minimax fit of the r points with the smallest residuals.
 
 The route is a function of the criterion and the number of free
 parameters alone (``_route``).  Every route solves a unit-scaled
 subproblem and returns only its plane; ``_solve_subproblem``, the one place
 that knows units, scales each subproblem once and scores the plane it gets
-back in data units.  ``_conditional_gradient`` and the concentration
-re-fits share one fixed-weight solver, ``_weighted_fit``.  Its
-least squares is exact: a clip of the slope in d = 2, an enumeration of
-active constraint sets in d >= 3.  Its IRLS stops at a tolerance, so
+back in data units, with ``criteria._ordered_median``, the one scorer of
+Phi.  ``_conditional_gradient`` and the concentration re-fits share one
+fixed-weight solver, ``_weighted_fit``.  Its least squares is exact: a
+clip of the slope in d = 2, an enumeration of active constraint sets in
+d >= 3.  Its IRLS stops at a tolerance, so
 ``irls`` proves nothing; nor does ``descent``, whose gap may stay open.
 
 Each subproblem stores its feasible set split once, into per-parameter
@@ -76,7 +80,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lp as lpmod
-from .criteria import Criterion, evaluate, is_monotone, preset
+from .criteria import Criterion, _ordered_median, _rank_weights, evaluate, is_monotone, preset
 from .geometry import (
     VERTEX_SYMMETRY_TOL,
     Block,
@@ -97,7 +101,8 @@ from .geometry import (
     polar_polytope,
     residual_vector,
 )
-from .omp1d import _sorted_distinct, solve_omp
+# solve_omp is unused here but stays importable: perfbench/tracing.py wraps it by name
+from .omp1d import _sorted_distinct, solve_omp  # noqa: F401
 from .omp1d import gcod as gcod_index
 from .rng import SplitMix64
 
@@ -404,31 +409,6 @@ def _solve_monotone_p1_lp(prob: _LinearResiduals, lam: np.ndarray) -> np.ndarray
 # -- exact enumeration for p = 1, two parameters ----------------------------
 
 
-def _omf_rows(res: np.ndarray, lam: np.ndarray, p: float = 1.0) -> np.ndarray:
-    """Ordered-median value per row, with fast paths for the common shapes."""
-    n = lam.size
-    if p != 1.0:
-        res = res**p
-    nz = np.flatnonzero(lam)
-    if nz.size == 1:
-        r = nz[0]
-        return lam[r] * np.partition(res, r, axis=1)[:, r]
-    first, last = nz[0], nz[-1]
-    if np.all(lam[nz] == lam[nz[0]]):
-        w = lam[nz[0]]
-        if first == 0 and last < n - 1:  # leading block: sum of smallest
-            k = last + 1
-            return w * np.partition(res, k - 1, axis=1)[:, :k].sum(axis=1)
-        if last == n - 1 and first > 0:  # trailing block: sum of largest
-            k = n - first
-            total = res.sum(axis=1)
-            return w * (total - np.partition(res, n - k - 1, axis=1)[:, : n - k].sum(axis=1))
-        if first == 0 and last == n - 1:
-            return w * res.sum(axis=1)
-    ordered = np.sort(res, axis=1)
-    return ordered @ lam
-
-
 def _nonincreasing(lam: np.ndarray) -> bool:
     return bool(np.all(lam[1:] <= lam[:-1]))
 
@@ -437,27 +417,29 @@ def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray) -> np.ndarra
     """Exact two-parameter solve for p = 1 and arbitrary nonnegative weights.
 
     The objective is piecewise linear in (b0, t); its minimum sits at a
-    crossing of two kink lines or on the boundary of the feasible t
-    interval, where it reduces to the exact one-dimensional ordered-median
-    solve.  Which kink lines are needed depends on the weights:
+    crossing of two lines of its arrangement: the kink lines and the finite
+    ends t = t_lo and t = t_hi of the feasible interval.  On an end, the
+    kink lines cross at the breakpoints of the one-dimensional
+    ordered-median problem in b0, one of which is its minimizer.  Which
+    kink lines are needed depends on the weights:
 
     * nonincreasing weights (lam_1 >= ... >= lam_n, e.g. AkC): only the n
       residual zero lines r_i = 0.  By rearrangement, sum_j lam_j |r|_(j)
       is the minimum over permutations pi of the weighted-LAD objectives
       sum_i lam_pi(i) |r_i|.  Each of those is convex and linear on every
       cell of the zero-line arrangement cut to the strip, so it attains its
-      minimum at a crossing of two zero lines or on the strip boundary.
-      The ordered objective is nowhere above any of them, so its minimum
-      is reached at one of those points too.  The O(n^2) crossings are
-      scored a block of ``_BLOCK_CELLS`` cells at a time: O(n^3) time,
+      minimum at a crossing of two zero lines or of a zero line with an
+      end.  The ordered objective is nowhere above any of them, so its
+      minimum is reached at one of those points too.  The O(n^2) crossings
+      are scored a block of ``_BLOCK_CELLS`` cells at a time: O(n^3) time,
       O(n^2) pair indices plus one block in memory.
     * other weights: the zero lines and the matches r_i = +-r_j, L = n^2
       lines in all.  Each line is crossed with every later line in one
       vectorised step and the crossings inside the interval are scored, so
       the O(n^4) crossings cost O(n^5) time and a line's step O(n^3)
       memory.  The r_i = r_j lines come last; they carry no b0 term, are
-      parallel to each other (constant t) and cross only earlier lines, so
-      the loop ends before them.
+      parallel to each other and to the ends (constant t) and cross only
+      earlier lines, so the loop ends before them.
     """
     if prob.n_params != 2:
         raise SolverError("exact enumeration needs exactly two parameters")
@@ -487,31 +469,29 @@ def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray) -> np.ndarra
         if b0s.size == 0:
             return
         res = np.abs(b0s[:, None] + (u[None, :] + ts[:, None] * w[None, :]))
-        vals = _omf_rows(res, lam)
+        vals = _ordered_median(res, lam)
         k = int(np.argmin(vals))
         if vals[k] < best_val:
             best_val = float(vals[k])
             best_v = np.array([b0s[k], ts[k]])
 
-    # boundary of the t interval: exact 1-d ordered-median in b0
-    for t in (t_lo, t_hi):
-        if not np.isfinite(t):
-            continue
-        r = solve_omp(-(u + t * w), lam, 1.0)
-        consider(np.array([r.beta0]), np.array([t]))
-
-    # lines alpha*b0 + beta*t = gamma
-    iu, ju = np.triu_indices(n, 1)
+    # lines alpha*b0 + beta*t = gamma: the finite ends, then the zero lines
+    ends = np.array([t for t in (t_lo, t_hi) if np.isfinite(t)])
+    La = np.concatenate([np.zeros(ends.size), np.ones(n)])
+    Lb = np.concatenate([np.ones(ends.size), w])
+    Lc = np.concatenate([ends, -u])
     if _nonincreasing(lam):
+        pi, pj = np.triu_indices(La.size, 1)
         rows = max(1, _BLOCK_CELLS // n)
-        for s in range(0, iu.size, rows):
-            ii, jj = iu[s: s + rows], ju[s: s + rows]
-            consider(*crossings(1.0, w[ii], -u[ii], 1.0, w[jj], -u[jj]))
+        for s in range(0, pi.size, rows):
+            ii, jj = pi[s: s + rows], pj[s: s + rows]
+            consider(*crossings(La[ii], Lb[ii], Lc[ii], La[jj], Lb[jj], Lc[jj]))
     else:
-        La = np.concatenate([np.ones(n), np.full(iu.size, 2.0), np.zeros(iu.size)])
-        Lb = np.concatenate([w, w[iu] + w[ju], w[iu] - w[ju]])
-        Lc = np.concatenate([-u, -(u[iu] + u[ju]), -(u[iu] - u[ju])])
-        for i in range(n + iu.size):  # every line with a b0 term
+        iu, ju = np.triu_indices(n, 1)
+        La = np.concatenate([La, np.full(iu.size, 2.0), np.zeros(iu.size)])
+        Lb = np.concatenate([Lb, w[iu] + w[ju], w[iu] - w[ju]])
+        Lc = np.concatenate([Lc, -(u[iu] + u[ju]), -(u[iu] - u[ju])])
+        for i in range(La.size - iu.size):  # every line but the r_i = r_j ones
             consider(*crossings(La[i], Lb[i], Lc[i], La[i + 1:], Lb[i + 1:], Lc[i + 1:]))
 
     if best_v is None:
@@ -801,13 +781,6 @@ def _weighted_fit(prob: _LinearResiduals, weights: np.ndarray, p: float) -> np.n
     return best_v
 
 
-def _ranked(lam: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """lam placed on the points in increasing order of ``res`` (stable)."""
-    w = np.empty_like(lam)
-    w[np.argsort(res, kind="stable")] = lam
-    return w
-
-
 def _conditional_gradient(prob: _LinearResiduals, lam: np.ndarray, p: float) -> np.ndarray:
     """The best v found for Phi(v) = sum_j lam_j |r(v)|_(j)^p, nondecreasing
     lam, p > 1, by conditional gradient on the dual.
@@ -824,13 +797,13 @@ def _conditional_gradient(prob: _LinearResiduals, lam: np.ndarray, p: float) -> 
     constant lam takes one fit.  At p = 2 the fits are exact and the lower
     bound is true; at other p it carries IRLS's tolerance.
     """
-    w = _ranked(lam, np.abs(prob.c))
+    w = _rank_weights(lam, np.abs(prob.c))
     shares = {w.tobytes(): 1.0}  # w as a convex combination of vertices
     upper, best_v, lower = np.inf, None, -np.inf
     v, fits = _weighted_fit(prob, w, p), 1
     while True:
         rp = prob.residuals(v) ** p
-        s = _ranked(lam, rp)
+        s = _rank_weights(lam, rp)
         if s @ rp < upper:
             upper, best_v = float(s @ rp), v
         lower = max(lower, float(w @ rp))
@@ -875,9 +848,9 @@ def _start_points(prob: _LinearResiduals, lam: np.ndarray, rng: SplitMix64,
         except skipped:
             pass
     for _ in range(max(0, count)):
-        idx = sorted({rng.next_u64() % n for _ in range(3 * m)})
-        if len(idx) >= m:
-            idx = idx[:m]
+        # the first m distinct of 3m draws, in draw order
+        idx = list(dict.fromkeys(rng.next_u64() % n for _ in range(3 * m)))[:m]
+        if len(idx) == m:
             try:
                 v = np.linalg.solve(prob.A[idx], -prob.c[idx])
             except np.linalg.LinAlgError:
@@ -891,19 +864,29 @@ def _start_points(prob: _LinearResiduals, lam: np.ndarray, rng: SplitMix64,
 
 def _solve_concentration(prob: _LinearResiduals, lam: np.ndarray, p: float,
                          rng: SplitMix64, multistart: int) -> np.ndarray:
-    """Multistart: re-fit with weights frozen at the current residual ranking."""
+    """Multistart concentration steps from ``_start_points``: re-fit with the
+    weights frozen at the current residual ranking or, for one-rank lam at
+    rank r, take the minimax fit of the r points with the smallest residuals
+    (the C-step of Rousseeuw & Van Driessen), whose largest residual is at
+    most the old r-th smallest one and at least the new one, so no step
+    raises Phi."""
+    nz = np.flatnonzero(lam)
+    r = nz[0] + 1 if nz.size == 1 else 0  # the rank of one-rank lam
     best = (np.inf, None)
     for v in _start_points(prob, lam, rng, multistart):
         for _ in range(60):
-            ranked = _ranked(lam, prob.residuals(v))
-            if not ranked.any():
-                break
-            v_new = _weighted_fit(prob, ranked, p)
+            res = prob.residuals(v)
+            if r:
+                keep = np.argsort(res, kind="stable")[:r]
+                v_new = _solve_monotone_p1_lp(replace(prob, A=prob.A[keep], c=prob.c[keep]),
+                                              lam[:r])
+            else:
+                v_new = _weighted_fit(prob, _rank_weights(lam, res), p)
             if np.allclose(v_new, v, atol=1e-12, rtol=0.0):
                 v = v_new
                 break
             v = v_new
-        val = float(_omf_rows(prob.residuals(v)[None, :], lam, p)[0])
+        val = float(_ordered_median(prob.residuals(v), lam, p))
         if val < best[0] - 1e-12:
             best = (val, v.copy())
     if best[1] is None:
@@ -985,7 +968,7 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
     else:
         w = _solve_concentration(unit, weights, p, rng, multistart)
     v = w * row / col
-    return float(lam @ np.sort(prob.residuals(v)) ** p), v, tag
+    return float(_ordered_median(prob.residuals(v), lam, p)), v, tag
 
 
 # ---------------------------------------------------------------------------
@@ -1301,7 +1284,7 @@ def brute_force_fit_2d(data: Dataset, criterion: Criterion, norm: NormSpec,
                 direction = direction / scale
                 proj = data.matrix[:, 1:] @ direction
                 res = np.abs(proj + os_[:, None])
-            vals = _omf_rows(res, criterion.lam, criterion.p_float)
+            vals = _ordered_median(res, criterion.lam, criterion.p_float)
             k = int(np.argmin(vals))
             if vals[k] < best[0]:
                 best = (float(vals[k]), (t, float(os_[k])))

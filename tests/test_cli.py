@@ -153,6 +153,27 @@ def test_verify_round_trip(tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_solves_the_constant_model_once(tmp_path, capsys, monkeypatch):
+    # phi0 serves both the GCoD index and the phi* check
+    from planefit import cli, omp1d
+
+    out_path = tmp_path / "record.json"
+    run_cli(["fit", "--input", str(STARS_CSV), "--criterion", "MED", "--residual", "l1",
+             "--output", str(out_path)], capsys)
+    calls = []
+    solve_omp = omp1d.solve_omp
+
+    def counted(*args):
+        calls.append(args)
+        return solve_omp(*args)
+
+    for module in (omp1d, cli):
+        monkeypatch.setattr(module, "solve_omp", counted, raising=False)
+    code, _, _ = run_cli(["verify", "--record", str(out_path)], capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_checks_a_tiny_phi_star(tmp_path, capsys):
     # at data x 1e-8, SOS x l1 has phi* = 3.7e-16: the check must not pass it
     # under a fixed absolute floor of 1e-9

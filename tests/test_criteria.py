@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planefit.criteria import Criterion, evaluate, evaluate_rcentrum, is_monotone, preset
+from planefit.criteria import (
+    Criterion,
+    _ordered_median,
+    evaluate,
+    evaluate_rcentrum,
+    is_monotone,
+    preset,
+)
 
 
 def crit(lam, p=1):
@@ -76,6 +83,23 @@ def test_rcentrum_equals_evaluate(lams, eps, p):
     a = evaluate(c, vals)
     b = evaluate_rcentrum(c, vals)
     assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [Fraction(1), Fraction(3, 2), Fraction(2)])
+def test_ordered_median_rows_equal_rcentrum(rng, p):
+    # one block of rows, with ties and zeros, under every preset's weight shape
+    n = 9
+    block = np.round(rng.random((50, n)) * 4.0, 1)
+    block[:10, :4] = 0.0
+    shapes = [preset(name, n).lam for name in ("SUM", "MAX", "MED", "kC", "AkC", "LMS")]
+    shapes += [preset("LQS", n, r=3).lam, preset("LTS", n, alpha=0.5).lam,
+               preset("kC", n, K=2).lam, preset("AkC", n, K=7).lam]
+    for lam in shapes:
+        values = _ordered_median(block, lam, p)
+        assert values.shape == (block.shape[0],)
+        for row, value in zip(block, values):
+            assert value == pytest.approx(evaluate_rcentrum(Criterion(lam, p), row),
+                                          rel=1e-12, abs=1e-12)
 
 
 # presets --------------------------------------------------------------------

@@ -678,6 +678,36 @@ def test_start_points_skip_a_failed_lp(monkeypatch, rng):
     assert len(starts) == 2  # least squares and the quantile line; the LAD start is skipped
 
 
+def test_start_points_draw_every_index_alike(monkeypatch):
+    # the elemental starts must not favour low indices: keeping the m
+    # smallest of the draws gave indices 0-5 of 60 28% of the picks
+    from planefit import solvers
+    from planefit.rng import SplitMix64
+
+    def failed(*args, **kwargs):
+        raise solvers.SolverError("skip the least-squares and LAD starts")
+
+    n = 60
+    index = np.arange(n, dtype=float)
+    # three parameters, so no quantile start; column 1 names each row
+    prob = solvers._LinearResiduals.from_rows(
+        np.column_stack([np.ones(n), index, index**2]), np.zeros(n), None)
+    picks = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        picks.extend(a[:, 1].astype(int))
+        return solve(a, b)
+
+    monkeypatch.setattr(solvers, "_weighted_fit", failed)
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    for seed in range(200):
+        solvers._start_points(prob, preset("LMS", n).lam, SplitMix64(seed), 16)
+    share = np.bincount(np.array(picks) // (n // 10), minlength=10) / len(picks)
+    assert len(picks) >= 3 * 200 * 15
+    assert np.all((share >= 0.07) & (share <= 0.13)), share
+
+
 def test_slope_interval_is_the_bound_pair_of_the_slope():
     from planefit.solvers import SolverError, _LinearResiduals
 
@@ -779,16 +809,17 @@ def test_disjunct_slope_bounds_match_exact_arithmetic(stars):
 def _enum_phi(prob, lam, v):
     """The objective of the plane v = (b0, t) of a two-parameter subproblem,
     scored as the exact enumeration scores its points, |b0 + (u + t w)|."""
-    from planefit.solvers import _omf_rows
+    from planefit.criteria import _ordered_median
 
-    return float(_omf_rows(np.abs(v[0] + (prob.c + v[1] * prob.A[:, 1]))[None, :], lam)[0])
+    return float(_ordered_median(np.abs(v[0] + (prob.c + v[1] * prob.A[:, 1])), lam))
 
 
 def _exact_enum_reference(prob, lam):
     """Pair-array enumeration with a rounded row dedupe per chunk; the
-    one-line-at-a-time enumeration must reach the same value."""
+    one-line-at-a-time enumeration must reach the same value.  The ends of
+    the slope interval take the 1-d solver, and every point is scored by a
+    plain sort."""
     from planefit.omp1d import solve_omp
-    from planefit.solvers import _omf_rows
 
     chunk = 200_000
     u = prob.c.astype(float)
@@ -803,7 +834,7 @@ def _exact_enum_reference(prob, lam):
     best = np.inf
     if pts:
         pts = np.array(pts)
-        best = _omf_rows(np.abs(pts[:, :1] + u + pts[:, 1:] * w), lam).min()
+        best = (np.sort(np.abs(pts[:, :1] + u + pts[:, 1:] * w), axis=1) @ lam).min()
     pi, pj = np.triu_indices(La.size, 1)
     for start in range(0, pi.size, chunk):
         ii, jj = pi[start: start + chunk], pj[start: start + chunk]
@@ -817,7 +848,8 @@ def _exact_enum_reference(prob, lam):
         if pts.size:
             _, idx = np.unique(np.round(pts, 12), axis=0, return_index=True)
             pts = pts[idx]
-            best = min(best, _omf_rows(np.abs(pts[:, :1] + u + pts[:, 1:] * w), lam).min())
+            best = min(best, (np.sort(np.abs(pts[:, :1] + u + pts[:, 1:] * w), axis=1)
+                              @ lam).min())
     return float(best)
 
 
@@ -840,6 +872,35 @@ def test_exact_enum_matches_dedupe_reference(rng):
             assert val == pytest.approx(want, rel=1e-12, abs=1e-300)
             assert t_lo <= v[1] <= t_hi
             assert float(np.sort(prob.residuals(v)) @ lam) == pytest.approx(val, rel=1e-12)
+
+
+def test_exact_enum_scores_the_interval_ends_as_lines(monkeypatch, rng):
+    # the ends of the slope interval are lines of the arrangement, so exact
+    # enumeration needs no 1-d solver there; narrow chords put the optimum on
+    # an end
+    from planefit import solvers
+
+    def unused(*args, **kwargs):
+        raise AssertionError("exact enumeration called the 1-d solver")
+
+    monkeypatch.setattr(solvers, "solve_omp", unused)
+    on_end = {True: 0, False: 0}  # by nonincreasing lam
+    for n in (9, 16, 25):
+        data = Dataset.from_observations(np.round(rng.normal(size=(n, 2)) * 2.0, 1))
+        for angle in np.linspace(0.0, math.pi, 7)[:-1]:
+            a, b = angle, angle + 0.01
+            prob = solvers._chord_problem(data, np.array([math.cos(a), math.sin(a)]),
+                                          np.array([math.cos(b), math.sin(b)]))
+            lams = (preset("AkC", n, K=n // 3).lam,  # nonincreasing
+                    np.sort(rng.random(n))[::-1].copy(),
+                    preset("MED", n).lam,  # general
+                    rng.random(n) * (rng.random(n) < 0.5) + np.eye(n)[n // 2])
+            for lam in lams:
+                v = solvers._solve_p1_exact_2param(prob, lam)
+                assert _enum_phi(prob, lam, v) == pytest.approx(
+                    _exact_enum_reference(prob, lam), rel=1e-12, abs=1e-300)
+                on_end[solvers._nonincreasing(lam)] += v[1] in (0.0, 1.0)
+    assert min(on_end.values()) >= 0.9 * 3 * 6 * 2
 
 
 def test_exact_enum_memory_is_bounded(rng):
@@ -935,6 +996,27 @@ def test_weight_shape_routes_stay_exact_above_the_enumeration_cap():
     concentration = _phi(prob, med.lam,
                          solvers._solve_concentration(prob, med.lam, 1.0, SplitMix64(0), 0))
     assert r.phi_star <= concentration * (1 + 1e-12)
+
+
+def test_one_rank_heuristic_steps_to_the_minimax_fit_of_the_r_smallest():
+    # d = 3 vertical fits above MILP_MAX_N take the heuristic; a one-rank
+    # step that re-fit on the single ranked point barely moved, the minimax
+    # fit of the r points with the smallest residuals never raises Phi.
+    # (criterion, n, data seed, phi* with the single-point re-fit)
+    from planefit.evaluation import synthetic_generate
+
+    cells = (("MED", 12, 1, 109.01982114965493), ("MED", 12, 2, 42.00051711468615),
+             ("MED", 30, 1, 5.436424547156641), ("MED", 60, 1, 26.945409098743376),
+             ("LMS", 30, 1, 8208.541887184841), ("LMS", 60, 2, 8522.050004048764),
+             ("AkC", 30, 1, 29.287980983522964))
+    phi = {}
+    for name, n, seed, before in cells:
+        r = fit_vertical_general(synthetic_generate(n, 3, "Y", seed), preset(name, n))
+        assert r.solver_tag == "heuristic"
+        assert r.phi_star <= before * (1 + 1e-12)
+        phi[name, n, seed] = r.phi_star
+    assert phi["MED", 12, 1] < 1.7  # exhaustive elemental search: 1.6216
+    assert phi["LMS", 30, 1] < 20.0
 
 
 def test_route_table_by_weight_shape():
