@@ -14,7 +14,11 @@ its tag:
   its minimax representation (no binaries): a pair of rows per residual,
   with a free column t only when k < n, so MAX, kC and SUM solve 2n rows;
 * ``quantile-scan``: other one-rank objectives (any p) on two parameters,
-  the classic pair-slope scan: O(n^2) candidate slopes, O(n^3 log n) time;
+  the pair-slope scan over the O(n^2) sorted candidate slopes as a branch
+  and bound: the half-width of the narrowest window of r values is
+  Lipschitz in the slope, so rounds of block-scored midpoints skip every
+  slope that a bound between its scored neighbours shows cannot win, and
+  the answer is the full scan's bit for bit;
 * ``lts-scan``: p = 2 on two parameters with weights that are a leading
   block of h equal values, 1 < h < n (LTS), Hossjer's exact scan: in each
   cell of the pair-slope arrangement, every window of h consecutive
@@ -526,28 +530,60 @@ def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> np.ndarray:
     p.  The optimal strip is supported by three points, two of them on the
     same boundary, so the optimal t is a crossing of two residual lines (or
     an endpoint of the feasible interval); for each candidate t the best b0
-    is the midpoint of the narrowest window spanning r values.  The O(n^2)
-    candidate slopes are scored a block of rows at a time: one row-wise
-    sort, window widths and argmin per block, O(n^3 log n) time in all.
+    is the midpoint of the narrowest window spanning r values, and the
+    answer is the first (smallest-t) candidate of least half-width G(t).
+
+    The O(n^2) sorted candidates are scored as a branch and bound on t
+    (Piyavskii 1972), a block of rows at a time: one row-wise sort, window
+    widths and minimum per block.  Every window's width moves at rate at
+    most max w - min w in t, so G is L-Lipschitz with L = (max w - min w) / 2,
+    and between two scored slopes a < b no t has G(t) below
+    (G(a) + G(b) - L (b - a)) / 2.  Round one scores one block of evenly
+    spaced candidates, both ends included; when that is all of them, as at
+    n <= 80 on a vertical fit, the scan ends there.  Each later round keeps
+    the gaps between neighbouring scored candidates whose bound is not above
+    the least G so far times 1 + 1e-12, a gap beside a non-finite G among
+    them, and scores their midpoints; it stops when no kept gap holds an
+    unscored candidate.  So every skipped candidate has G above the final
+    minimum, and the first minimum is the full scan's, bit for bit, from
+    about 8% of the slopes at n = 200 and 0.4% at n = 800 on LMS fits.
     """
     u, w, cands = _pair_slopes(prob)
-    n = u.size
-    best = (np.inf, None)
-    rows = max(1, _BLOCK_CELLS // n)
-    for s in range(0, cands.size, rows):
-        ts = cands[s: s + rows]
+    n, m = u.size, cands.size
+    rows = max(2, _BLOCK_CELLS // n)
+
+    def scan(ts: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+        """Half-width G at each slope of ts, the first least and its line."""
         vals = np.sort(-(u[None, :] + ts[:, None] * w[None, :]), axis=1)
         widths = vals[:, r - 1:] - vals[:, : n - r + 1]
         k = np.argmin(widths, axis=1)
         half = widths[np.arange(ts.size), k] / 2.0
         half[np.isnan(half)] = np.inf  # a NaN window never wins
         i = int(np.argmin(half))  # the first minimum, i.e. the smallest t
-        if half[i] < best[0]:
-            ki = k[i]
-            best = (float(half[i]), np.array([(vals[i, ki] + vals[i, ki + r - 1]) / 2.0, ts[i]]))
-    if best[1] is None:
+        return half, i, np.array([(vals[i, k[i]] + vals[i, k[i] + r - 1]) / 2.0, ts[i]])
+
+    if m <= rows:
+        G, i, v = scan(cands)
+    else:
+        G = np.full(m, np.inf)
+        seen = np.zeros(m, dtype=bool)
+        idx = np.arange(rows) * (m - 1) // (rows - 1)
+        L = (w.max() - w.min()) / 2.0
+        while idx.size:
+            for s in range(0, idx.size, rows):
+                G[idx[s: s + rows]] = scan(cands[idx[s: s + rows]])[0]
+            seen[idx] = True
+            at = np.flatnonzero(seen)
+            a, b = at[:-1], at[1:]
+            low = np.where(np.isfinite(G[at]), G[at], -np.inf)  # non-finite bounds nothing
+            bound = (low[:-1] + low[1:] - L * (cands[b] - cands[a])) / 2.0
+            keep = (b - a > 1) & ~(bound > G.min() * (1.0 + 1e-12))
+            idx = (a[keep] + b[keep]) // 2
+        i = int(np.argmin(G))
+        v = scan(cands[i: i + 1])[2]
+    if not G[i] < np.inf:
         raise SolverError("quantile scan found no candidate slope")
-    return best[1]
+    return v
 
 
 def _window_sums(X: np.ndarray, h: int) -> np.ndarray:
@@ -1095,10 +1131,13 @@ def _solve_block(data: Dataset, block: Block, solve,
     wider ones queued by value (at -inf when the solve stopped at the node
     limit, which bounds nothing).  The lowest queued sector is popped and
     its two halves solved while its key is not above the incumbent, the
-    best edge value so far, by more than 1e-9 relative plus 1e-12 (LP
-    round-off).  Keys pop in increasing order, so every sector holding the
-    optimal edge is popped before any key above the optimum: the search
-    expands exactly the sectors whose bound is not above the optimum.
+    best edge value so far, by more than 1e-9 relative (LP round-off).  The
+    margin has no absolute term, so the search is the same at any scale of
+    the data; at a zero incumbent only keys of 0 are refined, since no value
+    is below 0 and a positive bound cannot hold a better edge.  Keys pop in
+    increasing order, so every sector holding the optimal edge is popped
+    before any key above the optimum: the search expands exactly the sectors
+    whose bound is not above the optimum.
 
     The winner is the first best solved disjunct in disjunct order (a later
     one wins only when lower by more than 1e-12 relative).  The tag is its
@@ -1135,7 +1174,7 @@ def _solve_block(data: Dataset, block: Block, solve,
 
         for a in range(0, count, width):
             visit(a, a + width)
-        while queue and queue[0][0] <= incumbent * (1.0 + 1e-9) + 1e-12:
+        while queue and queue[0][0] <= incumbent * (1.0 + 1e-9):
             *_, a, b = heapq.heappop(queue)
             visit(a, (a + b) // 2)
             visit((a + b) // 2, b)

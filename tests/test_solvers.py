@@ -248,9 +248,11 @@ def _phi(prob, lam, v, p=1.0):
 def test_quantile_scan_matches_reference_loop(rng):
     from planefit import solvers
 
-    # n=200 spans several blocks; rounding to one decimal repeats values
+    # n >= 200 spans many blocks, so the later rounds of the branch and bound
+    # skip slopes (r <= 2 makes the incumbent 0, r = n the widest window);
+    # rounding to one or two decimals repeats values
     for n, slope, decimals in ((8, None, 1), (30, (-0.5, 0.25), 1), (40, (0.1, np.inf), 1),
-                               (200, None, 12)):
+                               (200, None, 12), (300, (-0.5, 0.25), 2), (400, None, 12)):
         data = Dataset.from_observations(np.round(rng.normal(size=(n, 2)) * 2.0, decimals))
         prob = _slope_problem(data, slope)
         u, w = prob.c.astype(float), prob.A[:, 1].astype(float)
@@ -268,22 +270,58 @@ def test_quantile_scan_matches_reference_loop(rng):
             assert v.tobytes() == want_v.tobytes()
 
 
+def test_quantile_scan_scores_few_slopes(monkeypatch):
+    # LMS x vertical at n = 400: the branch and bound sorts under 5% of the
+    # 79,801 candidate slopes (about 1.7%), where a full scan sorts them all
+    from planefit import solvers
+    from planefit.evaluation import synthetic_generate
+
+    scans = []
+    real_scan, real_sort = solvers._solve_quantile_2param, np.sort
+
+    def scan(prob, r):
+        scans.append((prob, r))
+        return real_scan(prob, r)
+
+    monkeypatch.setattr(solvers, "_solve_quantile_2param", scan)
+    data = synthetic_generate(400, 2, "X", 3)
+    r = fit(FitRequest(data, preset("LMS", data.n), Vertical()))
+    assert r.solver_tag == "quantile-scan"
+    (prob, rank), = scans
+    cands = solvers._pair_slopes(prob)[2]
+    sorted_rows = []
+
+    def counting_sort(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            sorted_rows.append(np.shape(a)[0])
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counting_sort)
+    real_scan(prob, rank)
+    monkeypatch.setattr(np, "sort", real_sort)
+    assert 0 < sum(sorted_rows) < 0.05 * cands.size
+
+
 def test_distinct_values_leave_numpy_ma_unloaded():
     """np.unique imports numpy.ma on first use, 1.3 MB of resident memory.
-    The pair-slope scan (MED x vertical) and GCoD at p = 3/2 sort their
-    distinct values without it, so a fresh interpreter that makes both
-    fits never loads it."""
+    The pair-slope scan (MED x vertical on the stars, one round; LMS x
+    vertical at n = 200, several) and GCoD at p = 3/2 sort their distinct
+    values without it, so a fresh interpreter that makes these fits never
+    loads it."""
     import planefit
 
     script = (
         "import json, sys\n"
         "from planefit.criteria import preset\n"
         "from planefit.data import cyg_ob1\n"
+        "from planefit.evaluation import synthetic_generate\n"
         "from planefit.geometry import Vertical\n"
         "from planefit.solvers import FitRequest, fit\n"
         "stars = cyg_ob1()\n"
         "tags = [fit(FitRequest(stars, preset(name, stars.n), Vertical())).solver_tag\n"
         "        for name in ('MED', '1.5SUM')]\n"
+        "tags.append(fit(FitRequest(synthetic_generate(200, 2, 'X', 1), preset('LMS', 200),\n"
+        "                           Vertical())).solver_tag)\n"
         "print(json.dumps([tags, 'numpy.ma' in sys.modules]))\n"
     )
     probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
@@ -294,7 +332,7 @@ def test_distinct_values_leave_numpy_ma_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
     tags, loaded = json.loads(proc.stdout)
-    assert tags == ["quantile-scan", "irls"]
+    assert tags == ["quantile-scan", "irls", "quantile-scan"]
     assert not loaded
 
 
@@ -1642,15 +1680,18 @@ def test_sector_search_refines_every_bound_within_the_margin(monkeypatch):
             (1, 0): 0.6, (1, 1): 1.0 + 2e-9, (1, 2): 1.0 - 1e-12, (1, 3): 1.0 + 5e-10,
             (2, 0): 1.0 + 1e-11, (2, 4): 1.0, (2, 5): 1.0 - 5e-13}
     stopped = {**base, (1, 1): 9.0}
-    # a perfect fit: only the absolute 1e-12 of the margin is left
+    # a perfect fit: the margin is relative, so only bounds <= 0 are refined;
+    # no value is below 0, so a positive bound cannot hold a better edge
     zero = {(0, 0): 0.0, (0, 1): 5e-13, (1, 0): 0.0, (1, 1): 2e-12, (1, 2): 5e-13, (2, 0): 0.0}
-    # every leaf below 1e-12: the later edge, 4x lower, wins on the relative rule
-    tiny = {(0, 0): 2e-13, (0, 1): 5e-14, (1, 0): 2e-13, (1, 2): 5e-14, (2, 0): 4e-13,
+    # every leaf below 1e-12, the first sector's bound equal to the later
+    # edge: both are refined, and the later edge, 4x lower, wins on the
+    # relative rule
+    tiny = {(0, 0): 1e-13, (0, 1): 5e-14, (1, 0): 1e-13, (1, 2): 5e-14, (2, 0): 4e-13,
             (2, 4): 1e-13}
     for values, tags, want_finest, want_beta in (
             (base, {}, [0, 1, 4, 5, 6, 7], [2.0, 4.0]),
             (stopped, {(1, 1): "incumbent"}, [0, 1, 2, 3, 4, 5, 6, 7], [2.0, 4.0]),
-            (zero, {}, [0, 1, 4, 5], [2.0, 0.0]),
+            (zero, {}, [0, 1], [2.0, 0.0]),
             (tiny, {}, [0, 1, 4, 5], [2.0, 4.0])):
         solved = []
 
@@ -1843,6 +1884,23 @@ def test_lts_scan_memory_is_bounded(rng):
 
 def _scaled(data, s):
     return Dataset.from_observations(data.matrix[:, 1:] * s)
+
+
+def test_sector_search_prunes_alike_at_every_data_scale(monkeypatch, stars):
+    # the prune margin is relative, so l-tau fits at N = 320 refine the same
+    # sectors at data x 1e-8, 1e-4 and 1e4 as at x 1, in 15 chord solves for
+    # the 160 edges
+    calls = _count_solves(monkeypatch)
+    for name in ("SOS", "SUM", "MED", "kC"):
+        crit = preset(name, stars.n)
+        counts = []
+        for s in (1.0, 1e-8, 1e-4, 1e4):
+            calls.clear()
+            r = fit(FitRequest(_scaled(stars, s), crit, LTau(2), polytope_vertices=320))
+            assert r.subproblem_count == 160
+            counts.append(len(calls))
+        assert counts == [counts[0]] * 4, (name, counts)
+        assert counts[0] == 15, name
 
 
 def test_proven_fits_are_scale_equivariant(stars):
