@@ -8,6 +8,12 @@ by substituting fixed variables (lo == hi) as constants, shifting finite
 lower bounds to zero, reflecting upper-bounded-only variables and splitting
 free variables; the other finite upper bounds become rows.
 
+Phase 2 prices by one rule at the cost vector's own scale: it divides the
+standard-form costs by their largest magnitude once (when that is
+nonzero), so the -1e-9 is relative to it, and prices out every basic
+variable whose cost is nonzero.  So ``optimal`` means the same at any scale
+of the objective, and an LP without rows needs no case of its own.
+
 Phase 1 starts from the slack basis: after rows are flipped to a
 nonnegative rhs, each "<=" row (and each ">=" row with zero rhs, negated)
 starts with its slack basic, and only "=" rows and ">=" rows with positive
@@ -47,8 +53,7 @@ __all__ = [
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 INT_TOL = 1e-9  # a binary this close to 0 or 1 counts as integral
-GAP_TOL = 1e-6  # relative incumbent-to-bound gap at which branch and bound stops
-REDUNDANT_TOL = 1e-12
+GAP_TOL = 1e-6  # branch and bound stops at a gap of GAP_TOL * max(1, |incumbent|)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -213,11 +218,9 @@ class _Tableau:
     divided pivot row is zero.  That makes every kept column bit for bit the
     full tableau's, but for the sign of a zero, which no comparison sees: a
     zero in the phase-1 objective row, or a zero in a skipped column, which
-    a full update could have turned from -0.0 to 0.0.  ``held[v]`` is
-    the objective entry of basic variable v's unit column: zero, except for
-    a cost too small to price out in phase 2.  An artificial (index >=
-    ``art_start``) has no column, so when one leaves the last column moves
-    into the freed slot.  ``pivots`` counts the pivots made.
+    a full update could have turned from -0.0 to 0.0.  An artificial
+    (index >= ``art_start``) has no column, so when one leaves the last
+    column moves into the freed slot.  ``pivots`` counts the pivots made.
     """
 
     def __init__(self, T: np.ndarray, var: np.ndarray, basis: np.ndarray, art_start: int):
@@ -225,7 +228,6 @@ class _Tableau:
         self.var = var
         self.basis = basis
         self.art_start = art_start
-        self.held = np.zeros(art_start)
         self.pivots = 0
 
     def pivot(self, row: int, col: int) -> None:
@@ -245,8 +247,6 @@ class _Tableau:
         else:
             T[:, col] = 0.0
             T[row, col] = 1.0
-            T[-1, col] = self.held[leaving]
-            self.held[leaving] = 0.0
             self.var[col] = leaving
         T[row] /= piv
         nz = T[row].nonzero()[0]
@@ -272,6 +272,9 @@ def _bland_leaving(T: np.ndarray, basis: np.ndarray, col: int) -> int | None:
 
 
 def _run_simplex(tab: _Tableau, max_iters: int) -> str:
+    """Bland pivots until optimal or unbounded; iteration_limit only when a
+    pivot is still due after ``max_iters`` of them (an LP with neither rows
+    nor columns gets a budget of 0 and is optimal as it starts)."""
     for _ in range(max_iters):
         col = _bland_entering(tab)
         if col is None:
@@ -280,7 +283,7 @@ def _run_simplex(tab: _Tableau, max_iters: int) -> str:
         if row is None:
             return UNBOUNDED
         tab.pivot(row, col)
-    return ITERATION_LIMIT
+    return OPTIMAL if _bland_entering(tab) is None else ITERATION_LIMIT
 
 
 def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
@@ -303,12 +306,6 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
     if max_iters is None:
         max_iters = 50 * (m + n)
     c_std = tr.std_rows(lp.objective[None, :])[0][0]
-
-    if m == 0:
-        if np.any(c_std < -PIVOT_TOL):
-            return SolveStatus(UNBOUNDED)
-        x = tr.recover(np.zeros(n), lp)
-        return SolveStatus(OPTIMAL, x, float(lp.objective @ x))
 
     # Rows get rhs >= 0.  A "<=" row, or a ">=" row with zero rhs negated,
     # starts with its slack basic; the others start with an artificial.
@@ -341,7 +338,7 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
             s += 1
             g += 1
     # phase-1 tests are relative to the rhs: round-off grows with the data
-    feas_tol = FEAS_TOL * max(1.0, float(T[:-1, -1].max()))
+    feas_tol = FEAS_TOL * max(1.0, float(T[:-1, -1].max(initial=0.0)))
 
     # phase 1: minimize the sum of the artificials, reduced against the basis
     art_rows = T[:-1][basis >= art_start]
@@ -368,17 +365,16 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
     T = tab.T = tab.T[np.append(np.flatnonzero(keep), m)]
     tab.basis = basis[keep]
 
-    # phase 2 with the true objective
+    # phase 2 with the true objective, priced at its own scale
     cost = np.zeros(art_start)
-    cost[:n] = c_std
+    top = np.abs(c_std).max(initial=0.0)
+    cost[:n] = c_std / top if top else c_std
     T[-1] = 0.0
     T[-1, :-1] = cost[tab.var]
     for i, bv in enumerate(tab.basis):
         coef = cost[bv]
-        if abs(coef) > REDUNDANT_TOL:
+        if coef != 0.0:
             T[-1] -= coef * T[i]
-        else:
-            tab.held[bv] = coef
 
     status = _run_simplex(tab, max_iters)
     if status != OPTIMAL:
@@ -407,9 +403,10 @@ def _most_fractional(x: np.ndarray, integral) -> int | None:
 def solve_milp(mip: MixedIntegerProgram, node_limit: int = 100_000) -> SolveStatus:
     """Best-first branch and bound over the binary variables of ``mip``.
 
-    Returns optimal once the incumbent matches the best open bound within
-    ``GAP_TOL`` (relative), or iteration_limit carrying the incumbent when
-    the node budget runs out.
+    Returns optimal once the best open bound is within
+    ``GAP_TOL * max(1, |incumbent|)`` of the incumbent, a gap that is
+    absolute below 1, or iteration_limit carrying the incumbent when the
+    node budget runs out.
     """
     base = mip.lp
 

@@ -13,7 +13,6 @@ from planefit.lp import (
     ITERATION_LIMIT,
     OPTIMAL,
     PIVOT_TOL,
-    REDUNDANT_TOL,
     UNBOUNDED,
     LinearProgram,
     MixedIntegerProgram,
@@ -292,17 +291,19 @@ def _reference_pivot(T, basis, row, col):
 
 
 def _reference_simplex(T, basis, max_iters):
-    """(status, pivots made)."""
-    for k in range(max_iters):
+    """(status, pivots made); iteration_limit when a pivot is due after
+    ``max_iters`` of them."""
+    for k in range(max_iters + 1):
         neg = np.flatnonzero(T[-1, :-1] < -PIVOT_TOL)
         if not neg.size:
             return OPTIMAL, k
+        if k == max_iters:
+            return ITERATION_LIMIT, k
         col = int(neg[0])
         row = _reference_leaving(T, basis, col)
         if row is None:
             return UNBOUNDED, k
         _reference_pivot(T, basis, row, col)
-    return ITERATION_LIMIT, max_iters
 
 
 def _reference_solve_lp(lp, max_iters=None):
@@ -320,9 +321,12 @@ def _reference_solve_lp(lp, max_iters=None):
     if max_iters is None:
         max_iters = 50 * (m + n)
     c_std = tr.std_rows(lp.objective[None, :])[0][0]
+    # phase 2 prices the costs divided by their largest magnitude
+    top = np.abs(c_std).max(initial=0.0)
+    cost = c_std / top if top else c_std
 
     if m == 0:
-        if np.any(c_std < -PIVOT_TOL):
+        if np.any(cost < -PIVOT_TOL):
             return SolveStatus(UNBOUNDED)
         x = tr.recover(np.zeros(n), lp)
         return SolveStatus(OPTIMAL, x, float(lp.objective @ x))
@@ -367,10 +371,10 @@ def _reference_solve_lp(lp, max_iters=None):
     basis = basis[keep]
 
     T[-1] = 0.0
-    T[-1, :n] = c_std
+    T[-1, :n] = cost
     for i, bv in enumerate(basis):
         coef = T[-1, bv]
-        if abs(coef) > REDUNDANT_TOL:
+        if coef != 0.0:
             T[-1] -= coef * T[i]
 
     status, phase2 = _reference_simplex(T, basis, max_iters)
@@ -394,7 +398,8 @@ def _assert_same_solve(got, want):
 
 
 # small integers make ties and degenerate pivots common; the values next to
-# PIVOT_TOL and REDUNDANT_TOL sit at the pricing and phase-2 thresholds
+# PIVOT_TOL sit at the pricing threshold beside a cost of order 1, and set the
+# scale when every cost is that small
 _COEFF = st.integers(-3, 3).map(float) | st.floats(-5.0, 5.0)
 _COST = _COEFF | st.sampled_from([1e-13, -1e-13, 1e-9, -1e-9, 2e-9, -2e-9])
 
@@ -429,6 +434,16 @@ def _lp(cost, rows, bounds=None):
     return lp
 
 
+def _small_cost_lps(scale):
+    """Two LPs whose costs are of order 1e-9 times ``scale``.  Priced at an
+    absolute 1e-9, the first stopped at -1.2e-8 at (1, 0, 5) and the second
+    at 0, where (3.5, 5, 5) reaches -1.6995e-8 and (0, 0, 4) -1.2e-9."""
+    return [_lp(np.array([-2e-9, 1e-12, -2e-9]) * scale,
+                [([-2.0, 1.0, 0.0], "=", -2.0), ([0.0, 3.0, 1.0], ">=", 3.0)], [(0.0, 5.0)] * 3),
+            _lp(np.array([-2e-10, 0.0, -3e-10]) * scale, [([1.0, 1.0, 1.0], "<=", 4.0)],
+                [(0.0, 5.0)] * 3)]
+
+
 # eleven equality rows on a fixed variable, whose artificials sum to 1e-7 in
 # turn and to 1.0000000000000001e-07 pairwise, next to a slack row: a full
 # tableau sums row after row and finds the sum above FEAS_TOL
@@ -442,17 +457,40 @@ _RHS_SUMMING_TO_FEAS_TOL = [
 @example(_lp([1.0], [([1.0], "<=", 1.0), ([1.0], ">=", 2.0)]), None)  # infeasible
 @example(_lp([-1.0, 0.0], [([1.0, -1.0], ">=", 1.0)]), None)  # unbounded
 @example(_lp([-1.0, -1.0], [([1.0, 2.0], "<=", 10.0), ([2.0, 1.0], "<=", 10.0)] * 2), 1)
+@example(_lp([-1.0, -1.0], [([1.0, 2.0], "<=", 10.0), ([2.0, 1.0], "<=", 10.0)] * 2), 2)
+@example(_lp([0.0], [], [(0.0, 0.0)]), None)  # neither rows nor columns: no pivot budget
 @example(_lp([1.0, 1.0], [([1.0, 1.0], "=", 2.0), ([2.0, 2.0], "=", 4.0)]), None)  # redundant row
 @example(_lp([-2.0, 2.0, 2.0], [([2.0, 0.0, 1.0], ">=", 2.0), ([1.0, 2.0, -1.0], "<=", 2.0),
                                 ([1.0, -1.0, 1.0], "<=", 0.0), ([2.0, 0.0, 1.0], "=", 2.0),
                                 ([4.0, 0.0, 2.0], "=", 4.0)]), None)  # a drive-out with a choice
-@example(_lp([-2e-9, 1e-12, -2e-9], [([-2.0, 1.0, 0.0], "=", -2.0), ([0.0, 3.0, 1.0], ">=", 3.0)],
-             [(0.0, 5.0)] * 3), None)  # x1's cost of 1e-12 is never priced out
+@example(_small_cost_lps(1.0)[0], None)  # costs of order 1e-9, priced at their own scale
 @example(_lp([1.0], [([1.0], "=", r) for r in _RHS_SUMMING_TO_FEAS_TOL] + [([1.0], "<=", 1.0)],
              [(0.0, 0.0)]), None)
 @settings(max_examples=400, deadline=None)
 def test_solve_lp_matches_full_tableau_reference(lp, max_iters):
     _assert_same_solve(solve_lp(lp, max_iters), _reference_solve_lp(lp, max_iters))
+
+
+def test_pricing_does_not_depend_on_the_cost_scale():
+    # each LP pivots as its twin with costs x 1e9 does, to the same vertex
+    for small, twin in zip(_small_cost_lps(1.0), _small_cost_lps(1e9)):
+        got, want = solve_lp(small), solve_lp(twin)
+        assert got.status == want.status == OPTIMAL
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.pivots == want.pivots
+    first, second = (solve_lp(lp) for lp in _small_cost_lps(1.0))
+    assert first.x.tolist() == [3.5, 5.0, 5.0]
+    assert first.objective == pytest.approx(-1.6995e-8, rel=1e-12)
+    assert second.x.tolist() == [0.0, 0.0, 4.0]
+    assert second.objective == pytest.approx(-1.2e-9, rel=1e-12)
+
+
+def test_lp_without_rows_prices_at_its_cost_scale():
+    # no rows and x >= 0: any negative cost, however small, is unbounded
+    assert solve_lp(LinearProgram(np.array([-1e-12]))).status == UNBOUNDED
+    out = solve_lp(LinearProgram(np.array([1e-12, 0.0])))
+    assert out.status == OPTIMAL
+    assert out.x.tolist() == [0.0, 0.0]
 
 
 def _wide_disjunct_lp():

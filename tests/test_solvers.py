@@ -271,35 +271,39 @@ def test_quantile_scan_matches_reference_loop(rng):
 
 
 def test_quantile_scan_scores_few_slopes(monkeypatch):
-    # LMS x vertical at n = 400: the branch and bound sorts under 5% of the
-    # 79,801 candidate slopes (about 1.7%), where a full scan sorts them all
+    # vertical fits at n = 400: the branch and bound sorts under 5% of the
+    # 79,801 candidate slopes, where a full scan sorts them all: LMS about
+    # 1.7%; LQS at r <= 2, whose G is 0 at every pair crossing, under 1%,
+    # since no slope right of the first G = 0 can win
     from planefit import solvers
     from planefit.evaluation import synthetic_generate
 
-    scans = []
+    scans, sorted_rows = [], []
     real_scan, real_sort = solvers._solve_quantile_2param, np.sort
 
     def scan(prob, r):
         scans.append((prob, r))
         return real_scan(prob, r)
 
-    monkeypatch.setattr(solvers, "_solve_quantile_2param", scan)
-    data = synthetic_generate(400, 2, "X", 3)
-    r = fit(FitRequest(data, preset("LMS", data.n), Vertical()))
-    assert r.solver_tag == "quantile-scan"
-    (prob, rank), = scans
-    cands = solvers._pair_slopes(prob)[2]
-    sorted_rows = []
-
     def counting_sort(a, *args, **kwargs):
         if np.ndim(a) == 2:
             sorted_rows.append(np.shape(a)[0])
         return real_sort(a, *args, **kwargs)
 
-    monkeypatch.setattr(np, "sort", counting_sort)
-    real_scan(prob, rank)
-    monkeypatch.setattr(np, "sort", real_sort)
-    assert 0 < sum(sorted_rows) < 0.05 * cands.size
+    monkeypatch.setattr(solvers, "_solve_quantile_2param", scan)
+    data = synthetic_generate(400, 2, "X", 3)
+    for crit, share in ((preset("LMS", data.n), 0.05), (preset("LQS", data.n, r=1), 0.01),
+                        (preset("LQS", data.n, r=2), 0.01)):
+        scans.clear()
+        r = fit(FitRequest(data, crit, Vertical()))
+        assert r.solver_tag == "quantile-scan"
+        (prob, rank), = scans
+        cands = solvers._pair_slopes(prob)[2]
+        sorted_rows.clear()
+        monkeypatch.setattr(np, "sort", counting_sort)
+        real_scan(prob, rank)
+        monkeypatch.setattr(np, "sort", real_sort)
+        assert 0 < sum(sorted_rows) < share * cands.size, (rank, sum(sorted_rows))
 
 
 def test_distinct_values_leave_numpy_ma_unloaded():
@@ -548,6 +552,25 @@ def test_export_formulation_files(tmp_path, stars):
     assert "Binary" in out2.read_text()
 
 
+def test_exported_models_re_solve_at_any_lambda_scale(tmp_path, stars):
+    # the phase-2 pricing is relative to the costs, so the exported LP of a
+    # fit with lam x 1e-10 re-solves to phi*; priced at an absolute 1e-9, the
+    # three stopped 6.7%, 168% and 924% above it
+    from planefit.criteria import Criterion
+    from planefit.lp import parse_lp_file, solve_lp
+
+    norm = Block(l1_ball(2))
+    for name in ("SUM", "kC", "MAX"):
+        crit = Criterion(preset(name, stars.n).lam * 1e-10, 1)
+        r = fit(FitRequest(stars, crit, norm))
+        assert r.solver_tag == "lp"
+        path = tmp_path / f"{name}.lp"
+        export_formulation(stars, crit, norm, path, beta=r.hyperplane.beta)
+        out = solve_lp(parse_lp_file(path))
+        assert out.is_optimal
+        assert out.objective == pytest.approx(r.phi_star, rel=1e-12, abs=0.0), name
+
+
 def test_fit_request_validates_lengths(stars):
     with pytest.raises(ValueError):
         FitRequest(stars, preset("SUM", 10), Vertical())
@@ -620,14 +643,16 @@ def test_milp_keeps_binaries_integral_to_the_integrality_tolerance():
 
 
 def test_milp_handles_large_scale_data():
-    # raw magnitudes near 500 must not blow up the big-M conditioning;
-    # any 4 of 8 points in R^4 lie on a common hyperplane, so MED reaches 0
+    # raw magnitudes near 500 must not blow up the big-M conditioning; any 4
+    # points in R^4 lie on a common hyperplane, so MED reaches 0 at n = 6
+    # (the MILP) and at n = 8 (above MILP_MAX_N, the heuristic)
     from planefit.evaluation import synthetic_generate
 
-    data = synthetic_generate(8, 4, "Y", seed=3)
-    r = fit_vertical_general(data, preset("MED", 8), seed=1)
-    assert r.solver_tag == "milp"
-    assert r.phi_star <= 1e-6
+    for n, tag in ((6, "milp"), (8, "heuristic")):
+        data = synthetic_generate(n, 4, "Y", seed=3)
+        r = fit_vertical_general(data, preset("MED", n), seed=1)
+        assert r.solver_tag == tag
+        assert r.phi_star <= 1e-6
 
 
 def test_ltau_d3_with_supplied_polytope(rng):
@@ -1074,6 +1099,11 @@ def test_route_table_by_weight_shape():
     assert _route(preset("LMS", n), 3) == "heuristic"
     assert _route(preset("LTS", n, alpha=0.5), 2) == "lts-scan"
     assert _route(preset("LTS", n, alpha=0.5), 3) == "heuristic"
+    # the assignment MILP's root bound is 0: at n = 7 MED took 7,000-9,200
+    # nodes and 12-18 s, and at n = 8 it had no incumbent after 2,000
+    for name in ("MED", "AkC"):
+        assert _route(preset(name, 6), 3) == "milp"
+        assert _route(preset(name, 7), 3) == "heuristic"
 
 
 def test_max_type_fits_take_the_exact_lp_in_d3():
