@@ -2,10 +2,13 @@
 
 Input CSVs carry a header row and numeric columns; the last column is the
 dependent coordinate unless --dependent-col picks another, and the intercept
-column is always synthesized.  Results are emitted as versioned JSON or flat
-CSV; an independent ``verify`` subcommand re-scores a result record against
-the input it came from and, when the record carries ``bounds``, checks that
-the recomputed objective lies inside them.
+column is always synthesized.  Each fit is one ``FitRequest`` built from the
+shared options (``_request``), and ``--emit-lp`` exports that request.  Every
+fit's output comes from ``result_record``: ``fit`` writes the record as
+versioned JSON, or as one row of the ``batch`` CSV (``_BATCH_COLUMNS``).  An
+independent ``verify`` subcommand re-scores a record against the input it
+came from and, when the record carries ``bounds``, checks that the
+recomputed objective lies inside them.
 
 Exit codes: 0 success, 1 solver returned a non-optimal incumbent (or a
 verification mismatch), 2 input error.
@@ -32,12 +35,12 @@ from .geometry import (
     LTau,
     Polytope,
     Vertical,
-    _sum_gap,
-    inscribed_polytope,
-    polar_polytope,
+    _mirror_close,
 )
 from .omp1d import _index, _phi0
 from .solvers import (
+    MULTISTART,
+    NODE_LIMIT,
     POLYTOPE_VERTICES,
     FitRequest,
     SolverError,
@@ -46,7 +49,7 @@ from .solvers import (
     phi_at,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 GRID_CRITERIA = ("SUM", "MAX", "MED", "kC", "AkC", "SOS", "1.5SUM")
 GRID_RESIDUALS = ("vertical", "l1", "linf", "ltau:3/2", "ltau:2", "ltau:3")
 
@@ -118,7 +121,7 @@ def _load_block_file(path: str) -> Polytope:
     if arr.ndim != 2:
         raise InputError(f"{path}: vertices must share a dimension")
     # complete missing mirror images, warning once
-    missing = -arr[~(_sum_gap(arr) < 1e-12).any(axis=1)]
+    missing = -arr[~_mirror_close(arr).any(axis=1)]
     if len(missing):
         print(f"warning: {path}: added {len(missing)} mirrored vertices for symmetry",
               file=sys.stderr)
@@ -141,7 +144,7 @@ def _parse_tau(body: str):
     return tau
 
 
-def parse_residual(spec: str, d: int, tau: str | None = None):
+def parse_residual(spec: str, d: int):
     from .solvers import l1_ball, linf_ball
 
     spec = spec.strip()
@@ -151,10 +154,6 @@ def parse_residual(spec: str, d: int, tau: str | None = None):
         return Block(l1_ball(d), linf_ball(d))
     if spec == "linf":
         return Block(linf_ball(d), l1_ball(d))
-    if spec == "ltau":
-        if tau is None:
-            raise InputError("residual 'ltau' needs --tau")
-        return LTau(_parse_tau(tau))
     if spec.startswith("ltau:"):
         return LTau(_parse_tau(spec.split(":", 1)[1]))
     if spec.startswith("block:"):
@@ -175,10 +174,13 @@ def build_criterion(name: str, n: int, param: str | None) -> Criterion:
         if param is None:
             raise InputError("LTS needs --param <alpha>")
         kwargs["alpha"] = float(param)
-    try:
-        return preset(name, n, **kwargs)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return preset(name, n, **kwargs)
+
+
+def _request(args, data: Dataset, criterion: Criterion, norm) -> FitRequest:
+    """The fit of (criterion, norm) on ``data`` under the shared options."""
+    return FitRequest(data, criterion, norm, seed=args.seed, multistart=args.multistart,
+                      polytope_vertices=args.N, node_limit=args.node_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +226,20 @@ _BATCH_COLUMNS = ("criterion", "residual", "beta", "phi_star", "gcod",
                   "coverage", "eps90", "solver_tag", "error")
 
 
-def _batch_row_csv(row: dict) -> str:
-    return ",".join(str(row.get(col, "")) for col in _BATCH_COLUMNS)
+def _batch_row(criterion: str, residual: str, record: dict | None, error: str = "") -> dict:
+    """One row of the batch grid, in ``_BATCH_COLUMNS`` order, from a fit's
+    ``result_record``; a failed fit has no record and fills only ``error``."""
+    cells = [""] * 6
+    if record is not None:
+        cells = [";".join(_fmt(b) for b in record["beta_raw"]), _fmt(record["phi_star"]),
+                 _fmt(record["gcod"]), _fmt(record["strip"]["coverage"]),
+                 _fmt(record["strip"]["eps90"]), record["solver_tag"]]
+    return dict(zip(_BATCH_COLUMNS, [criterion, residual, *cells, error]))
+
+
+def _batch_csv(rows: list[dict]) -> str:
+    return "".join(",".join(line) + "\n"
+                   for line in [_BATCH_COLUMNS, *(row.values() for row in rows)])
 
 
 def _emit(payload: str, output: str | None) -> None:
@@ -243,22 +257,18 @@ def _emit(payload: str, output: str | None) -> None:
 def cmd_fit(args) -> int:
     data, header = read_csv_dataset(args.input, args.dependent_col)
     criterion = build_criterion(args.criterion, data.n, args.param)
-    norm = parse_residual(args.residual, data.dim, args.tau)
-    request = FitRequest(data, criterion, norm, seed=args.seed,
-                         multistart=args.multistart,
-                         polytope_vertices=args.N, node_limit=args.node_limit)
+    norm = parse_residual(args.residual, data.dim)
+    request = _request(args, data, criterion, norm)
     t0 = time.perf_counter()
     result = fit(request)
     wall = time.perf_counter() - t0
-    strip_norm = norm if args.strip_norm is None else parse_residual(
-        args.strip_norm, data.dim, args.tau)
+    strip_norm = norm if args.strip_norm is None else parse_residual(args.strip_norm, data.dim)
     config = {
         "input": args.input,
         "dependent_col": args.dependent_col,
         "criterion": args.criterion,
         "param": args.param,
         "residual": args.residual,
-        "tau": args.tau,
         "N": args.N,
         "seed": args.seed,
         "multistart": args.multistart,
@@ -267,30 +277,11 @@ def cmd_fit(args) -> int:
     record = result_record(config, data, result, args.strip_eps, strip_norm,
                            wall if args.timing else None)
     if args.emit_lp:
-        norm_for_export = norm
-        if isinstance(norm, LTau) and 1 < norm.tau < math.inf:
-            poly, _ = inscribed_polytope(norm.tau, args.N)
-            norm_for_export = Block(polar_polytope(poly), poly)
-        export_formulation(data, criterion, norm_for_export, args.emit_lp,
-                           beta=result.hyperplane.beta)
+        export_formulation(request, args.emit_lp, beta=result.hyperplane.beta)
     if args.format == "json":
         _emit(json.dumps(record, indent=2) + "\n", args.output)
     else:
-        keys = ["criterion", "residual", "phi_star", "gcod", "coverage", "eps90", "solver_tag"]
-        flat = {
-            "criterion": args.criterion,
-            "residual": args.residual,
-            "phi_star": _fmt(record["phi_star"]),
-            "gcod": _fmt(record["gcod"]),
-            "coverage": _fmt(record["strip"]["coverage"]),
-            "eps90": _fmt(record["strip"]["eps90"]),
-            "solver_tag": record["solver_tag"],
-        }
-        beta_txt = ";".join(_fmt(b) for b in record["beta_raw"])
-        payload = ",".join(keys + ["beta"]) + "\n" + ",".join(
-            [flat[k] for k in keys] + [beta_txt]
-        ) + "\n"
-        _emit(payload, args.output)
+        _emit(_batch_csv([_batch_row(args.criterion, args.residual, record)]), args.output)
     return 1 if result.solver_tag.split("+inner-")[0] == "incumbent" else 0
 
 
@@ -299,57 +290,33 @@ def cmd_batch(args) -> int:
     rows = []
     for crit_name in GRID_CRITERIA:
         for resid_name in GRID_RESIDUALS:
-            cell = {"criterion": crit_name, "residual": resid_name}
             try:
                 criterion = build_criterion(crit_name, data.n, None)
                 norm = parse_residual(resid_name, data.dim)
-                request = FitRequest(data, criterion, norm, seed=args.seed,
-                                     multistart=args.multistart,
-                                     polytope_vertices=args.N,
-                                     node_limit=args.node_limit)
-                result = fit(request)
-                metrics = strip_metrics(data, result.hyperplane, norm)
-                cell.update({
-                    "beta": ";".join(_fmt(b) for b in result.hyperplane.beta),
-                    "phi_star": _fmt(result.phi_star),
-                    "gcod": _fmt(result.gcod),
-                    "coverage": _fmt(metrics.coverage_at(args.strip_eps)),
-                    "eps90": _fmt(metrics.eps90),
-                    "solver_tag": result.solver_tag,
-                    "error": "",
-                })
+                result = fit(_request(args, data, criterion, norm))
+                record = result_record(None, data, result, args.strip_eps, norm, None)
+                row = _batch_row(crit_name, resid_name, record)
             except (InputError, SolverError, GeometryError, ValueError) as exc:
-                cell.update({"beta": "", "phi_star": "", "gcod": "", "coverage": "",
-                             "eps90": "", "solver_tag": "", "error": str(exc)})
-            rows.append(cell)
-    rows.sort(key=lambda r: (GRID_CRITERIA.index(r["criterion"]),
-                             GRID_RESIDUALS.index(r["residual"])))
+                row = _batch_row(crit_name, resid_name, None, str(exc))
+            rows.append(row)
     if args.format == "json":
         payload = json.dumps({"schema": SCHEMA_VERSION, "seed": args.seed,
                               "grid": rows}, indent=2) + "\n"
     else:
-        payload = ",".join(_BATCH_COLUMNS) + "\n" + "".join(
-            _batch_row_csv(r) + "\n" for r in rows
-        )
+        payload = _batch_csv(rows)
     _emit(payload, args.output)
     return 0
 
 
 def cmd_cv(args) -> int:
     data, header = read_csv_dataset(args.input, args.dependent_col)
-    norm = parse_residual(args.residual, data.dim, args.tau)
+    norm = parse_residual(args.residual, data.dim)
 
     def fit_fold(train: Dataset) -> Hyperplane:
         criterion = build_criterion(args.criterion, train.n, args.param)
-        request = FitRequest(train, criterion, norm, seed=args.seed,
-                             multistart=args.multistart,
-                             polytope_vertices=args.N, node_limit=args.node_limit)
-        return fit(request).hyperplane
+        return fit(_request(args, train, criterion, norm)).hyperplane
 
-    try:
-        summary = kfold_cv(data, args.cv, fit_fold, norm, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    summary = kfold_cv(data, args.cv, fit_fold, norm, seed=args.seed)
     record = {
         "schema": SCHEMA_VERSION,
         "criterion": args.criterion,
@@ -399,7 +366,7 @@ def cmd_verify(args) -> int:
         raise InputError("no input path on the record; pass --input")
     data, _ = read_csv_dataset(input_path, config.get("dependent_col"))
     criterion = build_criterion(config["criterion"], data.n, config.get("param"))
-    norm = parse_residual(config["residual"], data.dim, config.get("tau"))
+    norm = parse_residual(config["residual"], data.dim)
     beta = np.asarray(record["beta_raw"], dtype=float)
     plane = Hyperplane(beta, record.get("normalization", "raw"))
     phi = phi_at(data, criterion, norm, plane)
@@ -442,15 +409,13 @@ def _add_common(p: argparse.ArgumentParser, with_criterion: bool = True) -> None
                        help="criterion parameter (K for kC/AkC, r for LQS, alpha for LTS)")
         p.add_argument("--residual", required=True,
                        help="vertical | l1 | linf | ltau:<frac> | block:<file>")
-        p.add_argument("--tau", default=None,
-                       help="exponent for --residual ltau (fraction or 'inf')")
     p.add_argument("--N", type=int, default=POLYTOPE_VERTICES,
                    help="polygon vertex count for smooth l-tau approximation")
-    p.add_argument("--multistart", type=int, default=16,
+    p.add_argument("--multistart", type=int, default=MULTISTART,
                    help="random starts of the concentration heuristic, the only "
                         "route that uses them")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--node-limit", type=int, default=100_000)
+    p.add_argument("--node-limit", type=int, default=NODE_LIMIT)
     p.add_argument("--strip-eps", type=float, default=10.0,
                    help="strip half-width for the coverage column")
     p.add_argument("--output", default=None, help="write here instead of stdout")

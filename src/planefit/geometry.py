@@ -179,9 +179,25 @@ class Hyperplane:
         return -self.beta[1] / self.beta[2], -self.beta[0] / self.beta[2]
 
 
+def _scale(a: np.ndarray) -> float:
+    """The least power of two at or above max |a| (1 for a zero array).
+
+    Geometry tolerances are taken times the scale of the points they compare,
+    so a ball and its polar pass the same checks at any size; a power of two
+    keeps the product exact.
+    """
+    mantissa, exponent = math.frexp(float(np.abs(a).max(initial=0.0)))
+    return math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent)
+
+
+def _mirror_close(a: np.ndarray) -> np.ndarray:
+    """G x G: row g lies within ``VERTEX_SYMMETRY_TOL`` of the mirror image of
+    row h, every coordinate, at a's own scale (``_sum_gap``, ``_scale``)."""
+    return _sum_gap(a) < VERTEX_SYMMETRY_TOL * _scale(a)
+
+
 def _check_symmetric(vertices: np.ndarray) -> None:
-    gap = _sum_gap(vertices)
-    if not np.all((gap <= VERTEX_SYMMETRY_TOL).any(axis=1)):
+    if not _mirror_close(vertices).any(axis=1).all():
         raise GeometryError("polytope vertices are not symmetric about the origin")
 
 
@@ -199,7 +215,8 @@ def _hull_order_2d(vertices: np.ndarray) -> np.ndarray:
             keep.append(p)
     pts = np.array(keep)
     # Graham-style pruning of non-extreme points (origin interior, so the
-    # angular sweep already orders the hull)
+    # angular sweep already orders the hull); a cross product is an area
+    area = 1e-14 * _scale(pts) ** 2
     changed = True
     while changed and len(pts) > 2:
         changed = False
@@ -208,7 +225,7 @@ def _hull_order_2d(vertices: np.ndarray) -> np.ndarray:
         for i in range(m):
             a, b, c = pts[(i - 1) % m], pts[i], pts[(i + 1) % m]
             cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross > 1e-14:
+            if cross > area:
                 out.append(b)
             else:
                 changed = True
@@ -234,21 +251,22 @@ def _facets_2d(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _facets_3d(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    s = _scale(vertices)
     seen = {}
     for i, j, k in itertools.combinations(range(len(vertices)), 3):
         v1, v2, v3 = vertices[i], vertices[j], vertices[k]
         normal = np.cross(v2 - v1, v3 - v1)
         norm = np.linalg.norm(normal)
-        if norm < 1e-12:
+        if norm < 1e-12 * s * s:
             continue
         normal = normal / norm
         rhs = normal @ v1
         if rhs < 0:
             normal, rhs = -normal, -rhs
-        if rhs < 1e-12:
+        if rhs < 1e-12 * s:
             continue
-        if np.all(vertices @ normal <= rhs + FACET_TOL):
-            key = tuple(np.round(np.append(normal, rhs), 9))
+        if np.all(vertices @ normal <= rhs + FACET_TOL * s):
+            key = tuple(np.round(np.append(normal, rhs / s), 9))
             seen[key] = (normal, rhs)
     if not seen:
         raise GeometryError("no supporting facets found; vertex set is degenerate")
@@ -273,9 +291,10 @@ class Polytope:
         if np.any(self.facet_offsets <= 0):
             raise GeometryError("origin must be strictly interior (every offset > 0)")
         slack = self.vertices @ self.facet_normals.T - self.facet_offsets
-        if slack.max() > FACET_TOL:
+        tol = FACET_TOL * _scale(self.vertices) * _scale(self.facet_normals)
+        if slack.max() > tol:
             raise GeometryError("a vertex violates a facet inequality")
-        tight_counts = (np.abs(slack) <= FACET_TOL).sum(axis=0)
+        tight_counts = (np.abs(slack) <= tol).sum(axis=0)
         if np.any(tight_counts < self.dim):
             raise GeometryError("every facet must be tight at >= d vertices")
 
@@ -424,15 +443,16 @@ def _sum_gap(a: np.ndarray) -> np.ndarray:
     return gap
 
 
-def first_of_each_class(a: np.ndarray, tol: float) -> list[int]:
+def first_of_each_class(a: np.ndarray) -> list[int]:
     """Greedy first-occurrence choice of one row of each mirror pair.
 
     Row g is close to row h when every coordinate of a[g] + a[h] is below
-    ``tol`` in absolute value.  Row g is kept unless it is close to a row
+    ``VERTEX_SYMMETRY_TOL`` times a's scale in absolute value, as
+    ``Polytope`` checks symmetry.  Row g is kept unless it is close to a row
     kept before it.  The G x G closeness matrix is computed once
-    (``_sum_gap``).
+    (``_mirror_close``).
     """
-    close = _sum_gap(a) < tol
+    close = _mirror_close(a)
     kept = []
     taken = np.zeros(len(a), dtype=bool)
     for g in range(len(a)):

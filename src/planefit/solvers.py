@@ -87,7 +87,6 @@ import numpy as np
 from . import lp as lpmod
 from .criteria import Criterion, _ordered_median, _rank_weights, evaluate, is_monotone, preset
 from .geometry import (
-    VERTEX_SYMMETRY_TOL,
     Block,
     Dataset,
     DegenerateHyperplaneError,
@@ -98,11 +97,9 @@ from .geometry import (
     Polytope,
     Vertical,
     _inscribed_radius,
-    conjugate_exponent,
     dual_norm,
     first_of_each_class,
     inscribed_polytope,
-    ltau_norm,
     polar_polytope,
     residual_vector,
 )
@@ -133,6 +130,8 @@ EXACT_ENUM_MAX_N = 60
 MILP_MAX_N = 6
 CG_ITERS = 200  # weighted fits per conditional-gradient solve (``_conditional_gradient``)
 POLYTOPE_VERTICES = 32  # default N of the l-tau polyhedral approximation (API and CLI)
+MULTISTART = 16  # default random starts of the concentration ``heuristic`` (API and CLI)
+NODE_LIMIT = 100_000  # default B&B node limit of the assignment MILP (API and CLI)
 _BLOCK_CELLS = 1 << 18  # rows x points per scored block (pair-slope scans, zero-line crossings)
 
 
@@ -162,9 +161,9 @@ class FitRequest:
     criterion: Criterion
     norm: NormSpec
     seed: int = 0
-    multistart: int = 16
+    multistart: int = MULTISTART
     polytope_vertices: int = POLYTOPE_VERTICES  # N for the l-tau polyhedral approximation
-    node_limit: int = 100_000
+    node_limit: int = NODE_LIMIT
 
     def __post_init__(self):
         if self.criterion.n != self.dataset.n:
@@ -1027,7 +1026,8 @@ def _canonical_beta(beta: np.ndarray, norm: NormSpec) -> tuple[np.ndarray, str]:
         raise DegenerateHyperplaneError("fit produced a zero direction vector")
     beta = beta / scale
     tail = beta[1:]
-    lead = tail[np.flatnonzero(np.abs(tail) > 1e-12)[0]]
+    size = np.abs(tail)
+    lead = tail[np.flatnonzero(size > 1e-12 * size.max())[0]]
     if lead < 0:
         beta = -beta
     return beta, "dual-unit"
@@ -1048,21 +1048,22 @@ def phi_at(data: Dataset, criterion: Criterion, norm: NormSpec, plane: Hyperplan
     return evaluate(criterion, residual_vector(plane, data, norm))
 
 
-def export_formulation(data: Dataset, criterion: Criterion, norm: NormSpec, path,
-                       beta: np.ndarray | None = None) -> None:
-    """Write the p = 1 subproblem formulation as an LP file for cross-checking.
+def export_formulation(request: FitRequest, path, beta: np.ndarray | None = None) -> None:
+    """Write the p = 1 subproblem of ``request`` as an LP file for cross-checking.
 
-    For block norms the exported subproblem is the disjunct whose
-    normalization equality is active at ``beta`` (the fitted coefficients),
-    or the first sign-distinct vertex when no fit is supplied.
+    A norm residual exports one disjunct of the request's block
+    (``_as_block``: for l-tau with 1 < tau < inf, the polar of the inscribed
+    N-gon that ``fit`` solves over).  It is the disjunct whose normalization
+    equality is active at ``beta`` (the fitted coefficients), or the first
+    sign-distinct vertex when no fit is supplied.
     """
+    data, criterion = request.dataset, request.criterion
     if criterion.p != 1:
         raise SolverError("LP text export is defined for p = 1 formulations")
-    if isinstance(norm, Vertical):
+    if isinstance(request.norm, Vertical):
         prob = _vertical_problem(data)
     else:
-        block = _as_block(norm, data.dim) if not isinstance(norm, Block) else norm
-        ball = block.ball
+        ball = _as_block(request.norm, data.dim, request.polytope_vertices).ball
         if beta is not None:
             scores = ball.vertices @ np.asarray(beta, dtype=float)[1:]
             g = int(np.argmax(scores))
@@ -1090,7 +1091,8 @@ def fit_lad(data: Dataset) -> FitResult:
 
 
 def fit_vertical_general(data: Dataset, criterion: Criterion, *, seed: int = 0,
-                         multistart: int = 16, node_limit: int = 100_000) -> FitResult:
+                         multistart: int = MULTISTART,
+                         node_limit: int = NODE_LIMIT) -> FitResult:
     """Any ordered-median criterion with vertical residuals.
 
     Least squares (constant weights at p = 2) has one solution only when
@@ -1223,7 +1225,7 @@ def _solve_block_norm(data: Dataset, criterion: Criterion, block: Block, *,
 
 
 def fit_block_norm(data: Dataset, criterion: Criterion, norm: Block, *, seed: int = 0,
-                   multistart: int = 16, node_limit: int = 100_000) -> FitResult:
+                   multistart: int = MULTISTART, node_limit: int = NODE_LIMIT) -> FitResult:
     """Block-norm residual fit with one subproblem per sign-distinct vertex
     of the ball, each solved or pruned (``_solve_block``)."""
     if criterion.n != data.n:
@@ -1234,14 +1236,12 @@ def fit_block_norm(data: Dataset, criterion: Criterion, norm: Block, *, seed: in
 
 
 def _sign_distinct(vertices: np.ndarray) -> list[int]:
-    """The first vertex of each +-pair (mirror images within
-    ``VERTEX_SYMMETRY_TOL``, as ``Polytope`` checks them), in order."""
-    vertices = np.asarray(vertices, dtype=float)
-    return first_of_each_class(vertices, VERTEX_SYMMETRY_TOL)
+    """The first vertex of each +-pair (``first_of_each_class``), in order."""
+    return first_of_each_class(np.asarray(vertices, dtype=float))
 
 
 def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: int = 0,
-                    multistart: int = 16, node_limit: int = 100_000,
+                    multistart: int = MULTISTART, node_limit: int = NODE_LIMIT,
                     approx_polytope: Polytope | None = None) -> FitResult:
     """l-tau residual fit through an inscribed polyhedral approximation.
 
@@ -1264,14 +1264,11 @@ def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: i
         raise ValueError("criterion weight length must match the dataset size")
     norm = LTau(tau)
     if approx_polytope is None:
-        if data.dim != 2:
-            raise SolverError("internal polytope generation is limited to d = 2; "
-                              "pass approx_polytope explicitly for higher dimensions")
-        poly, r_p = inscribed_polytope(norm.tau, N)
+        block = _as_block(norm, data.dim, N)
     else:
-        poly = approx_polytope
-        r_p = _inscribed_radius(poly, norm.tau)
-    block = Block(polar_polytope(poly), poly)
+        block = Block(polar_polytope(approx_polytope), approx_polytope)
+    poly = block.polar
+    r_p = _inscribed_radius(poly, norm.tau)
     beta, tag, count = _solve_block_norm(data, criterion, block, seed=seed,
                                          multistart=multistart, node_limit=node_limit)
     beta, _ = _canonical_beta(beta, block)
@@ -1283,16 +1280,26 @@ def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: i
     return result
 
 
-def _as_block(norm: NormSpec, d: int) -> Block:
+def _as_block(norm: NormSpec, d: int, N: int = POLYTOPE_VERTICES) -> Block:
+    """The block a norm residual is solved over, in dimension d.
+
+    A ``Block`` is itself.  l1 and linf, the two polytopal members of the
+    l-tau family, are mutual polars in any d.  Any other l-tau norm takes
+    the polar of the N-gon inscribed in its dual l-nu ball (d = 2 only),
+    whose polar is that N-gon: ``fit_ltau_approx`` reads r_P from it.
+    """
     if isinstance(norm, Block):
         return norm
     if isinstance(norm, LTau):
-        # the two polytopal members of the family; mutual polars in any d
         if norm.tau == 1:
             return Block(l1_ball(d), linf_ball(d))
         if norm.tau == math.inf:
             return Block(linf_ball(d), l1_ball(d))
-        raise SolverError("an l-tau norm with 1 < tau < inf has no exact block form")
+        if d != 2:
+            raise SolverError("internal polytope generation is limited to d = 2; "
+                              "pass approx_polytope explicitly for higher dimensions")
+        poly, _ = inscribed_polytope(norm.tau, N)
+        return Block(polar_polytope(poly), poly)
     raise SolverError("vertical residuals have no block form")
 
 
@@ -1360,12 +1367,9 @@ def sd_measure(data: Dataset, beta: np.ndarray, tau, approx_polytope: Polytope) 
     Sums (D_tau - D_P)^2 / D_tau over the points at positive l-tau distance,
     where D_P measures the same hyperplane with the approximating norm.
     """
-    beta = np.asarray(beta, dtype=float)
-    tail = beta[1:]
-    vals = np.abs(data.matrix @ beta)
-    d_tau = vals / ltau_norm(tail, conjugate_exponent(tau))
-    polar_vertices = approx_polytope.facet_normals / approx_polytope.facet_offsets[:, None]
-    d_poly = vals / float(np.abs(polar_vertices @ tail).max())
+    plane = Hyperplane(beta)
+    d_tau = residual_vector(plane, data, LTau(tau))
+    d_poly = residual_vector(plane, data, Block(polar_polytope(approx_polytope), approx_polytope))
     mask = d_tau > 0
     if not np.any(mask):
         return 0.0
@@ -1379,13 +1383,10 @@ def fit(request: FitRequest) -> FitResult:
         return fit_vertical_general(data, crit, seed=request.seed,
                                     multistart=request.multistart,
                                     node_limit=request.node_limit)
-    if isinstance(norm, LTau):
-        if norm.tau == 1 or norm.tau == math.inf:
-            return fit_block_norm(data, crit, _as_block(norm, data.dim),
-                                  seed=request.seed, multistart=request.multistart,
-                                  node_limit=request.node_limit)
+    if isinstance(norm, LTau) and 1 < norm.tau < math.inf:
         return fit_ltau_approx(data, crit, norm.tau, request.polytope_vertices,
                                seed=request.seed, multistart=request.multistart,
                                node_limit=request.node_limit)
-    return fit_block_norm(data, crit, norm, seed=request.seed,
-                          multistart=request.multistart, node_limit=request.node_limit)
+    return fit_block_norm(data, crit, _as_block(norm, data.dim, request.polytope_vertices),
+                          seed=request.seed, multistart=request.multistart,
+                          node_limit=request.node_limit)

@@ -26,7 +26,7 @@ def test_fit_stars_sum_l1(tmp_path, capsys):
     ], capsys)
     assert code == 0
     record = json.loads(out_path.read_text())
-    assert record["schema"] == "1"
+    assert record["schema"] == "2"
     assert record["gcod"] == pytest.approx(0.6505853, abs=1e-6)
     slope = -record["beta_regression"][1] / record["beta_regression"][2]
     assert slope == pytest.approx(7.0, abs=1e-6)
@@ -308,17 +308,6 @@ def test_csv_round_trip_bit_exact(tmp_path, capsys):
     assert np.array_equal(data.matrix, want.matrix)
 
 
-def test_tau_flag_equivalent_to_spec_string(tmp_path, capsys):
-    args_colon = ["fit", "--input", str(STARS_CSV), "--criterion", "SUM",
-                  "--residual", "ltau:3/2", "--N", "16"]
-    args_flag = ["fit", "--input", str(STARS_CSV), "--criterion", "SUM",
-                 "--residual", "ltau", "--tau", "3/2", "--N", "16"]
-    _, out1, _ = run_cli(args_colon, capsys)
-    _, out2, _ = run_cli(args_flag, capsys)
-    a, b = json.loads(out1), json.loads(out2)
-    assert a["phi_star"] == b["phi_star"]
-
-
 def test_strip_norm_override(capsys):
     base = ["fit", "--input", str(STARS_CSV), "--criterion", "SUM",
             "--residual", "l1", "--strip-eps", "0.3"]
@@ -343,11 +332,81 @@ def test_fit_request_and_cli_share_the_default_n():
     import dataclasses
 
     from planefit.cli import build_parser
-    from planefit.solvers import FitRequest
+    from planefit.solvers import (MULTISTART, NODE_LIMIT, POLYTOPE_VERTICES, FitRequest,
+                                  fit_block_norm, fit_ltau_approx, fit_vertical_general)
 
     parser = build_parser()
     fit_args = parser.parse_args(["fit", "--input", "x.csv", "--criterion", "SUM",
                                   "--residual", "ltau:2"])
     batch_args = parser.parse_args(["batch", "--input", "x.csv"])
-    default = {f.name: f.default for f in dataclasses.fields(FitRequest)}["polytope_vertices"]
-    assert fit_args.N == batch_args.N == default == 32
+    default = {f.name: f.default for f in dataclasses.fields(FitRequest)}
+    assert fit_args.N == batch_args.N == default["polytope_vertices"] == POLYTOPE_VERTICES == 32
+    assert (fit_args.multistart == batch_args.multistart == default["multistart"]
+            == MULTISTART == 16)
+    assert (fit_args.node_limit == batch_args.node_limit == default["node_limit"]
+            == NODE_LIMIT == 100_000)
+    for solver in (fit_vertical_general, fit_block_norm, fit_ltau_approx):
+        assert solver.__kwdefaults__["multistart"] == MULTISTART
+        assert solver.__kwdefaults__["node_limit"] == NODE_LIMIT
+
+
+def test_fit_csv_is_the_batch_row_and_batch_json_is_the_csv(tmp_path, capsys):
+    csv = tmp_path / "mini.csv"
+    run_cli(["gen", "--n", "12", "--d", "2", "--corruption", "Y", "--seed", "2",
+             "--output", str(csv)], capsys)
+    common = ["--input", str(csv), "--seed", "3", "--N", "8"]
+    code, grid_csv, _ = run_cli(["batch", *common], capsys)
+    assert code == 0
+    code, grid_json, _ = run_cli(["batch", *common, "--format", "json"], capsys)
+    assert code == 0
+    header, *rows = grid_csv.splitlines()
+    grid = json.loads(grid_json)
+    assert (grid["schema"], grid["seed"]) == ("2", 3)
+    assert [",".join(cell) for cell in grid["grid"]] == [header] * len(rows)
+    assert [",".join(cell.values()) for cell in grid["grid"]] == rows
+    for criterion, residual in (("MED", "ltau:2"), ("SUM", "vertical"), ("1.5SUM", "l1")):
+        code, out, _ = run_cli(["fit", *common, "--criterion", criterion,
+                                "--residual", residual, "--format", "csv"], capsys)
+        assert code == 0
+        row = next(r for r in rows if r.startswith(f"{criterion},{residual},"))
+        assert out == f"{header}\n{row}\n"
+
+
+def test_cv_csv_columns(capsys):
+    code, out, _ = run_cli(["cv", "--input", str(STARS_CSV), "--criterion", "SUM",
+                            "--residual", "l1", "--cv", "4", "--seed", "5", "--format", "csv"],
+                           capsys)
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "criterion,residual,k,min,max,median,mean"
+    cells = row.split(",")
+    assert cells[:3] == ["SUM", "l1", "4"]
+    low, high, median, mean = map(float, cells[3:])
+    assert low <= median <= high and low <= mean <= high
+
+
+def test_timing_alone_adds_the_wall_time(capsys):
+    args = ["fit", "--input", str(STARS_CSV), "--criterion", "MED", "--residual", "linf"]
+    _, first, _ = run_cli(args, capsys)
+    _, second, _ = run_cli(args, capsys)
+    assert first == second
+    assert "wall_time_s" not in json.loads(first)
+    _, timed, _ = run_cli(args + ["--timing"], capsys)
+    timed = json.loads(timed)
+    assert timed.pop("wall_time_s") > 0.0
+    assert timed == json.loads(first)
+
+
+def test_emit_lp_exports_the_fitted_ltau_polygon(tmp_path, capsys):
+    """An l-tau fit exports its disjunct of the inscribed N-gon's polar, so
+    the LP re-solves to the record's lower bound, the block value rho*."""
+    from planefit.lp import parse_lp_file, solve_lp
+
+    lp_path = tmp_path / "model.lp"
+    code, out, _ = run_cli(["fit", "--input", str(STARS_CSV), "--criterion", "SUM",
+                            "--residual", "ltau:3/2", "--emit-lp", str(lp_path)], capsys)
+    assert code == 0
+    lower = json.loads(out)["bounds"][0]
+    solved = solve_lp(parse_lp_file(lp_path))
+    assert solved.is_optimal
+    assert solved.objective == pytest.approx(lower, rel=1e-12, abs=0.0)

@@ -392,6 +392,31 @@ def test_block_dilation_corollary_p2(stars):
     assert dil.phi_star == pytest.approx(base.phi_star / mu**2, rel=1e-7)
 
 
+def test_block_balls_fit_at_any_size(stars):
+    # geometry tolerances are relative to the ball's own size: a 24-gon
+    # ellipse and an icosahedron, scaled by 10^+-k, fit like the unit ball,
+    # phi* scaled by s^-p.  With absolute tolerances the ellipse failed its
+    # symmetry check at x 1e4 and x 1e-4, and the icosahedron its facet
+    # enumeration at x 1e+-9.
+    from planefit.evaluation import synthetic_generate
+
+    k = np.arange(24)
+    ellipse = np.column_stack([2 * np.cos(np.pi * k / 12), np.sin(np.pi * k / 12)])
+    g = (1 + 5**0.5) / 2
+    icosahedron = np.array([v for a in (1, -1) for b in (g, -g)
+                            for v in ((0, a, b), (a, b, 0), (b, 0, a))])
+    d3 = synthetic_generate(30, 3, "Y", 1)
+    cases = [(stars, ellipse, name) for name in ("SUM", "MED", "SOS")]
+    cases += [(d3, icosahedron, name) for name in ("SUM", "MAX")]
+    for data, ball, name in cases:
+        crit = preset(name, data.n)
+        base = fit(FitRequest(data, crit, Block(Polytope.from_vertices(ball))))
+        for s in (1e3, 1e-3, 1e6, 1e-6, 1e9, 1e-9, 1e12, 1e-12):
+            r = fit(FitRequest(data, crit, Block(Polytope.from_vertices(ball * s))))
+            assert (r.solver_tag, r.subproblem_count) == (base.solver_tag, base.subproblem_count)
+            assert r.phi_star * s**crit.p_float == pytest.approx(base.phi_star, rel=1e-12, abs=0.0)
+
+
 def test_block_disjunct_completeness(rng):
     # best of individually solved disjuncts equals the reported objective
     from planefit.solvers import _disjunct_problem, _sign_distinct, _solve_monotone_p1_lp
@@ -544,11 +569,11 @@ def test_feasible_dominance_against_random_planes(stars, rng):
 
 def test_export_formulation_files(tmp_path, stars):
     out = tmp_path / "sum_l1.lp"
-    export_formulation(stars, preset("SUM", 47), Block(l1_ball(2)), out)
+    export_formulation(FitRequest(stars, preset("SUM", 47), Block(l1_ball(2))), out)
     text = out.read_text()
     assert "Minimize" in text and "Binary" not in text
     out2 = tmp_path / "med.lp"
-    export_formulation(Dataset(stars.matrix[:6]), preset("MED", 6), Vertical(), out2)
+    export_formulation(FitRequest(Dataset(stars.matrix[:6]), preset("MED", 6), Vertical()), out2)
     assert "Binary" in out2.read_text()
 
 
@@ -562,10 +587,11 @@ def test_exported_models_re_solve_at_any_lambda_scale(tmp_path, stars):
     norm = Block(l1_ball(2))
     for name in ("SUM", "kC", "MAX"):
         crit = Criterion(preset(name, stars.n).lam * 1e-10, 1)
-        r = fit(FitRequest(stars, crit, norm))
+        request = FitRequest(stars, crit, norm)
+        r = fit(request)
         assert r.solver_tag == "lp"
         path = tmp_path / f"{name}.lp"
-        export_formulation(stars, crit, norm, path, beta=r.hyperplane.beta)
+        export_formulation(request, path, beta=r.hyperplane.beta)
         out = solve_lp(parse_lp_file(path))
         assert out.is_optimal
         assert out.objective == pytest.approx(r.phi_star, rel=1e-12, abs=0.0), name
@@ -1453,12 +1479,19 @@ def test_least_squares_is_exact_on_d3_block_disjuncts():
 
 
 def _sign_distinct_reference(vertices):
-    """The pairwise loop ``_sign_distinct`` replaced."""
+    """The pairwise loop ``_sign_distinct`` replaced, with the tolerance
+    taken at the vertices' scale: the least power of two at or above their
+    largest |coordinate|."""
     from planefit.geometry import VERTEX_SYMMETRY_TOL
 
+    top, scale = np.abs(vertices).max(), 1.0
+    while scale < top:
+        scale *= 2.0
+    while scale / 2.0 >= top:
+        scale /= 2.0
     chosen = []
     for g, v in enumerate(vertices):
-        if any(np.abs(vertices[h] + v).max() < VERTEX_SYMMETRY_TOL for h in chosen):
+        if any(np.abs(vertices[h] + v).max() < VERTEX_SYMMETRY_TOL * scale for h in chosen):
             continue
         chosen.append(g)
     return chosen
