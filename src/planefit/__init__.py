@@ -26,11 +26,9 @@ from .solvers import (
     FitResult,
     brute_force_fit_2d,
     fit,
-    fit_block_norm,
     fit_lad,
     fit_lss,
     fit_ltau_approx,
-    fit_vertical_general,
     phi_at,
     sd_measure,
 )

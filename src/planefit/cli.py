@@ -11,7 +11,9 @@ came from and, when the record carries ``bounds``, checks that the
 recomputed objective lies inside them.
 
 Exit codes: 0 success, 1 solver returned a non-optimal incumbent (or a
-verification mismatch), 2 input error.
+verification mismatch), 2 input error: bad input, a record of another
+schema than ``SCHEMA_VERSION`` given to ``verify``, or an output path that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -157,7 +159,12 @@ def parse_residual(spec: str, d: int):
     if spec.startswith("ltau:"):
         return LTau(_parse_tau(spec.split(":", 1)[1]))
     if spec.startswith("block:"):
-        return Block(_load_block_file(spec.split(":", 1)[1]))
+        path = spec.split(":", 1)[1]
+        ball = _load_block_file(path)
+        if ball.dim != d:
+            raise InputError(f"{path}: a {ball.dim}-d block ball cannot measure "
+                             f"distances in {d}-d data")
+        return Block(ball)
     raise InputError(f"unknown residual spec {spec!r} "
                      "(expected vertical | l1 | linf | ltau:<frac> | block:<file>)")
 
@@ -360,6 +367,10 @@ def cmd_verify(args) -> int:
             record = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read record {args.record}: {exc}") from exc
+    schema = record.get("schema") if isinstance(record, dict) else None
+    if schema != SCHEMA_VERSION:
+        raise InputError(f"{args.record} has schema {schema!r}; "
+                         f"verify checks schema {SCHEMA_VERSION!r} records")
     config = record.get("config", {})
     input_path = args.input or config.get("input")
     if input_path is None:
@@ -471,7 +482,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, GeometryError, SolverError, ValueError) as exc:
+    except (InputError, GeometryError, SolverError, ValueError, OSError) as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

@@ -67,8 +67,13 @@ route is proven (``lp``, ``quantile-scan``, ``lts-scan``, ``exact-enum``,
 polygon and so bounds every edge of its sector from below, and is halved
 only while that bound is not above the incumbent.  Every disjunct is solved
 or pruned by a proven bound, and the answer is the flat scan's, from 8-14 of
-16 solves at N = 32 and 15 of 160 at N = 320 on the 47-star sample.  Every
-public fit scores its coefficients once (``_finalize``).
+16 solves at N = 32 and 15 of 160 at N = 320 on the 47-star sample.
+
+``fit`` is the one path from a ``FitRequest`` to a ``FitResult``: one
+random stream, one solve per subproblem, the vertical subproblem or the
+block search, and its coefficients scored once (``_finalize``).  An l-tau
+fit also takes its bracket and ``sd`` from the block it solved.  ``fit_lss``,
+``fit_lad`` and ``fit_ltau_approx`` are one-line requests to it.
 
 Results carry the recomputed residual vector, the objective, the
 goodness-of-fit index, a provenance tag and, for the polyhedral
@@ -116,8 +121,6 @@ __all__ = [
     "fit",
     "fit_lss",
     "fit_lad",
-    "fit_vertical_general",
-    "fit_block_norm",
     "fit_ltau_approx",
     "brute_force_fit_2d",
     "sd_measure",
@@ -1082,34 +1085,12 @@ def export_formulation(request: FitRequest, path, beta: np.ndarray | None = None
 
 def fit_lss(data: Dataset) -> FitResult:
     """Classical least sum of squares on vertical residuals, the ``lsq`` route."""
-    return fit_vertical_general(data, preset("SOS", data.n))
+    return fit(FitRequest(data, preset("SOS", data.n), Vertical()))
 
 
 def fit_lad(data: Dataset) -> FitResult:
     """Least absolute deviation on vertical residuals, as a split-variable LP."""
-    return fit_vertical_general(data, preset("SUM", data.n))
-
-
-def fit_vertical_general(data: Dataset, criterion: Criterion, *, seed: int = 0,
-                         multistart: int = MULTISTART,
-                         node_limit: int = NODE_LIMIT) -> FitResult:
-    """Any ordered-median criterion with vertical residuals.
-
-    Least squares (constant weights at p = 2) has one solution only when
-    n > d and the design has full rank; otherwise ``DegenerateDataError``.
-    """
-    if criterion.n != data.n:
-        raise ValueError("criterion weight length must match the dataset size")
-    lam = criterion.lam
-    if criterion.p_float == 2.0 and np.all(lam == lam[0]):
-        if data.n <= data.dim:
-            raise DegenerateDataError("least squares needs n > d")
-        if np.linalg.matrix_rank(data.matrix[:, :data.dim]) < data.dim:
-            raise DegenerateDataError("design matrix is rank deficient")
-    prob = _vertical_problem(data)
-    val, v, tag = _solve_subproblem(prob, criterion, rng=SplitMix64(seed),
-                                    multistart=multistart, node_limit=node_limit)
-    return _finalize(data, criterion, Vertical(), prob.to_beta(v), tag, 1)
+    return fit(FitRequest(data, preset("SUM", data.n), Vertical()))
 
 
 def _solve_block(data: Dataset, block: Block, solve,
@@ -1211,30 +1192,6 @@ def _polygon_vertices(block: Block) -> np.ndarray:
     return V
 
 
-def _solve_block_norm(data: Dataset, criterion: Criterion, block: Block, *,
-                      seed: int, multistart: int, node_limit: int) -> tuple[np.ndarray, str, int]:
-    """Routed subproblem solves over the disjuncts of ``block`` (see
-    ``_solve_block``), drawing from one random stream in solve order."""
-    rng = SplitMix64(seed)
-
-    def solve(prob):
-        return _solve_subproblem(prob, criterion, rng=rng, multistart=multistart,
-                                 node_limit=node_limit)
-
-    return _solve_block(data, block, solve, _route(criterion, data.dim) in PROVEN_ROUTES)
-
-
-def fit_block_norm(data: Dataset, criterion: Criterion, norm: Block, *, seed: int = 0,
-                   multistart: int = MULTISTART, node_limit: int = NODE_LIMIT) -> FitResult:
-    """Block-norm residual fit with one subproblem per sign-distinct vertex
-    of the ball, each solved or pruned (``_solve_block``)."""
-    if criterion.n != data.n:
-        raise ValueError("criterion weight length must match the dataset size")
-    beta, tag, count = _solve_block_norm(data, criterion, norm, seed=seed,
-                                         multistart=multistart, node_limit=node_limit)
-    return _finalize(data, criterion, norm, beta, tag, count)
-
-
 def _sign_distinct(vertices: np.ndarray) -> list[int]:
     """The first vertex of each +-pair (``first_of_each_class``), in order."""
     return first_of_each_class(np.asarray(vertices, dtype=float))
@@ -1243,12 +1200,12 @@ def _sign_distinct(vertices: np.ndarray) -> list[int]:
 def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: int = 0,
                     multistart: int = MULTISTART, node_limit: int = NODE_LIMIT,
                     approx_polytope: Polytope | None = None) -> FitResult:
-    """l-tau residual fit through an inscribed polyhedral approximation.
-
-    The dual sphere ||beta_-0||_nu = 1 is replaced by the polygon P_N
-    inscribed in the l-nu ball; the block solve yields a lower bound rho*
-    and the returned coefficients are re-scored under the true l-tau
-    distance, giving the certified bracket [rho*, rho* / r_P**p].
+    """l-tau residual fit through an inscribed polyhedral approximation P_N:
+    ``fit`` of the l-tau request with N polygon vertices, or over the
+    caller's inscribed ``approx_polytope``, the one way to pass one (and
+    the only one in d >= 3).  ``fit`` gives it the certified bracket
+    [rho*, rho* / r_P**p].  Without a polytope, tau = 1 and tau = inf are
+    polyhedral norms, fitted exactly with no bracket.
 
     One disjunct per sign-distinct edge of P_N is either solved or pruned
     by a proven bound (``_solve_block``).  The internal P_N has n_v
@@ -1260,35 +1217,27 @@ def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: i
     15 of the 160 at N = 320 on the 47-star sample at tau 3/2, 2 and 3.  A
     supplied polytope in d >= 3 solves every sign-distinct facet.
     """
-    if criterion.n != data.n:
-        raise ValueError("criterion weight length must match the dataset size")
-    norm = LTau(tau)
-    if approx_polytope is None:
-        block = _as_block(norm, data.dim, N)
-    else:
-        block = Block(polar_polytope(approx_polytope), approx_polytope)
-    poly = block.polar
-    r_p = _inscribed_radius(poly, norm.tau)
-    beta, tag, count = _solve_block_norm(data, criterion, block, seed=seed,
-                                         multistart=multistart, node_limit=node_limit)
-    beta, _ = _canonical_beta(beta, block)
-    rho = phi_at(data, criterion, block, Hyperplane(beta, "dual-unit"))
-    upper = rho / r_p**criterion.p_float
-    result = _finalize(data, criterion, norm, beta, f"{tag}+inner-{poly.n_vertices}gon",
-                       count, bounds=(rho, upper))
-    result.sd = sd_measure(data, result.hyperplane.beta, norm.tau, poly)
-    return result
+    return fit(FitRequest(data, criterion, LTau(tau), seed=seed, multistart=multistart,
+                          polytope_vertices=N, node_limit=node_limit), _polygon=approx_polytope)
 
 
-def _as_block(norm: NormSpec, d: int, N: int = POLYTOPE_VERTICES) -> Block:
+def _as_block(norm: NormSpec, d: int, N: int = POLYTOPE_VERTICES,
+              polygon: Polytope | None = None) -> Block:
     """The block a norm residual is solved over, in dimension d.
 
-    A ``Block`` is itself.  l1 and linf, the two polytopal members of the
-    l-tau family, are mutual polars in any d.  Any other l-tau norm takes
-    the polar of the N-gon inscribed in its dual l-nu ball (d = 2 only),
-    whose polar is that N-gon: ``fit_ltau_approx`` reads r_P from it.
+    A supplied inscribed ``polygon`` gives the block whose polar it is.  A
+    ``Block`` is itself, and its ball must be d-dimensional.  l1 and linf,
+    the two polytopal members of the l-tau family, are mutual polars in any
+    d.  Any other l-tau norm takes the polar of the N-gon inscribed in its
+    dual l-nu ball (d = 2 only), whose polar is that N-gon: ``fit`` reads
+    r_P from it.
     """
+    if polygon is not None:
+        norm = Block(polar_polytope(polygon), polygon)
     if isinstance(norm, Block):
+        if norm.ball.dim != d:
+            raise GeometryError(f"a {norm.ball.dim}-d block ball cannot measure "
+                                f"distances in {d}-d data")
         return norm
     if isinstance(norm, LTau):
         if norm.tau == 1:
@@ -1361,6 +1310,14 @@ def brute_force_fit_2d(data: Dataset, criterion: Criterion, norm: NormSpec,
     return result
 
 
+def _sd(d_tau: np.ndarray, d_poly: np.ndarray) -> float:
+    """``sd_measure`` from the l-tau and the polyhedral residuals of one plane."""
+    mask = d_tau > 0
+    if not np.any(mask):
+        return 0.0
+    return float(np.sum((d_tau[mask] - d_poly[mask]) ** 2 / d_tau[mask]))
+
+
 def sd_measure(data: Dataset, beta: np.ndarray, tau, approx_polytope: Polytope) -> float:
     """Squared-discrepancy score of a polyhedral stand-in for the l-tau distance.
 
@@ -1368,25 +1325,55 @@ def sd_measure(data: Dataset, beta: np.ndarray, tau, approx_polytope: Polytope) 
     where D_P measures the same hyperplane with the approximating norm.
     """
     plane = Hyperplane(beta)
-    d_tau = residual_vector(plane, data, LTau(tau))
-    d_poly = residual_vector(plane, data, Block(polar_polytope(approx_polytope), approx_polytope))
-    mask = d_tau > 0
-    if not np.any(mask):
-        return 0.0
-    return float(np.sum((d_tau[mask] - d_poly[mask]) ** 2 / d_tau[mask]))
+    block = Block(polar_polytope(approx_polytope), approx_polytope)
+    return _sd(residual_vector(plane, data, LTau(tau)), residual_vector(plane, data, block))
 
 
-def fit(request: FitRequest) -> FitResult:
-    """Route a request to the matching solver."""
-    data, crit, norm = request.dataset, request.criterion, request.norm
+def fit(request: FitRequest, *, _polygon: Polytope | None = None) -> FitResult:
+    """The one path from a request to a result.
+
+    Vertical residuals are one subproblem; least squares (constant weights
+    at p = 2) has one solution only when n > d and the design has full
+    rank, otherwise ``DegenerateDataError``.  A norm residual is solved over
+    the disjuncts of its block (``_as_block``, ``_solve_block``), every
+    subproblem drawing from one random stream in solve order.
+
+    An l-tau norm with 1 < tau < inf, or one given the inscribed polygon
+    ``_polygon`` (``fit_ltau_approx``), replaces the dual sphere
+    ||beta_-0||_nu = 1 by the polygon P_N inscribed in the l-nu ball.  The
+    block solve yields a lower bound rho* and the returned coefficients are
+    re-scored under the true l-tau distance, giving the certified bracket
+    [rho*, rho* / r_P**p], the ``+inner-<n_v>gon`` tag and ``sd`` (see
+    ``sd_measure``) from the residuals of both norms at the returned plane.
+    """
+    data, criterion, norm = request.dataset, request.criterion, request.norm
+    rng = SplitMix64(request.seed)
+
+    def solve(prob):
+        return _solve_subproblem(prob, criterion, rng=rng, multistart=request.multistart,
+                                 node_limit=request.node_limit)
+
     if isinstance(norm, Vertical):
-        return fit_vertical_general(data, crit, seed=request.seed,
-                                    multistart=request.multistart,
-                                    node_limit=request.node_limit)
-    if isinstance(norm, LTau) and 1 < norm.tau < math.inf:
-        return fit_ltau_approx(data, crit, norm.tau, request.polytope_vertices,
-                               seed=request.seed, multistart=request.multistart,
-                               node_limit=request.node_limit)
-    return fit_block_norm(data, crit, _as_block(norm, data.dim, request.polytope_vertices),
-                          seed=request.seed, multistart=request.multistart,
-                          node_limit=request.node_limit)
+        lam = criterion.lam
+        if criterion.p_float == 2.0 and np.all(lam == lam[0]):
+            if data.n <= data.dim:
+                raise DegenerateDataError("least squares needs n > d")
+            if np.linalg.matrix_rank(data.matrix[:, :data.dim]) < data.dim:
+                raise DegenerateDataError("design matrix is rank deficient")
+        prob = _vertical_problem(data)
+        _, v, tag = solve(prob)
+        return _finalize(data, criterion, norm, prob.to_beta(v), tag, 1)
+    block = _as_block(norm, data.dim, request.polytope_vertices, _polygon)
+    inner = isinstance(norm, LTau) and (_polygon is not None or 1 < norm.tau < math.inf)
+    poly = block.polar
+    r_p = _inscribed_radius(poly, norm.tau) if inner else None  # before solving: fails fast
+    proven = _route(criterion, data.dim) in PROVEN_ROUTES
+    beta, tag, count = _solve_block(data, block, solve, proven)
+    if not inner:
+        return _finalize(data, criterion, block, beta, tag, count)
+    beta, _ = _canonical_beta(beta, block)
+    rho = phi_at(data, criterion, block, Hyperplane(beta, "dual-unit"))
+    result = _finalize(data, criterion, norm, beta, f"{tag}+inner-{poly.n_vertices}gon",
+                       count, bounds=(rho, rho / r_p**criterion.p_float))
+    result.sd = _sd(result.residuals, residual_vector(result.hyperplane, data, block))
+    return result

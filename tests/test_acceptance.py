@@ -36,11 +36,9 @@ from planefit.solvers import (
     FitRequest,
     brute_force_fit_2d,
     fit,
-    fit_block_norm,
     fit_lad,
     fit_lss,
     fit_ltau_approx,
-    fit_vertical_general,
     l1_ball,
     linf_ball,
     phi_at,
@@ -123,7 +121,7 @@ def test_criterion_03_objective_dominance(stars):
     t0 = time.perf_counter()
     for name, params, slope, intercept in VERTICAL_ROWS:
         crit = preset(name, stars.n, **params)
-        ours = fit_vertical_general(stars, crit, seed=0, multistart=100)
+        ours = fit(FitRequest(stars, crit, Vertical(), seed=0, multistart=100))
         published = phi_at(stars, crit, Vertical(),
                            Hyperplane.from_slope_intercept(slope, intercept))
         check(failures, ours.phi_star <= published + 1e-4 * abs(published),
@@ -131,7 +129,7 @@ def test_criterion_03_objective_dominance(stars):
     for name, params, ball_name, slope, intercept in BLOCK_ROWS:
         crit = preset(name, stars.n, **params)
         norm = Block(BALLS[ball_name])
-        ours = fit_block_norm(stars, crit, norm, seed=0, multistart=100)
+        ours = fit(FitRequest(stars, crit, norm, seed=0, multistart=100))
         published = phi_at(stars, crit, norm,
                            Hyperplane.from_slope_intercept(slope, intercept))
         check(failures, ours.phi_star <= published + 1e-4 * abs(published),
@@ -389,8 +387,8 @@ def test_criterion_09_geometry_invariants():
         p = float(crit.p)
         base_ball = l1_ball(2) if case % 3 == 0 else HEX
         scaled = Polytope.from_vertices(np.asarray(base_ball.vertices) * mu)
-        a = fit_block_norm(data, crit, Block(base_ball), seed=case)
-        b = fit_block_norm(data, crit, Block(scaled), seed=case)
+        a = fit(FitRequest(data, crit, Block(base_ball), seed=case))
+        b = fit(FitRequest(data, crit, Block(scaled), seed=case))
         ok = abs(b.phi_star - a.phi_star / mu**p) <= 1e-7 * max(1.0, a.phi_star)
         bad_dil += not ok
     check(failures, bad_dil == 0, f"{bad_dil} dilation identity failures")

@@ -333,7 +333,7 @@ def test_fit_request_and_cli_share_the_default_n():
 
     from planefit.cli import build_parser
     from planefit.solvers import (MULTISTART, NODE_LIMIT, POLYTOPE_VERTICES, FitRequest,
-                                  fit_block_norm, fit_ltau_approx, fit_vertical_general)
+                                  fit_ltau_approx)
 
     parser = build_parser()
     fit_args = parser.parse_args(["fit", "--input", "x.csv", "--criterion", "SUM",
@@ -345,9 +345,8 @@ def test_fit_request_and_cli_share_the_default_n():
             == MULTISTART == 16)
     assert (fit_args.node_limit == batch_args.node_limit == default["node_limit"]
             == NODE_LIMIT == 100_000)
-    for solver in (fit_vertical_general, fit_block_norm, fit_ltau_approx):
-        assert solver.__kwdefaults__["multistart"] == MULTISTART
-        assert solver.__kwdefaults__["node_limit"] == NODE_LIMIT
+    assert fit_ltau_approx.__kwdefaults__["multistart"] == MULTISTART
+    assert fit_ltau_approx.__kwdefaults__["node_limit"] == NODE_LIMIT
 
 
 def test_fit_csv_is_the_batch_row_and_batch_json_is_the_csv(tmp_path, capsys):
@@ -410,3 +409,52 @@ def test_emit_lp_exports_the_fitted_ltau_polygon(tmp_path, capsys):
     solved = solve_lp(parse_lp_file(lp_path))
     assert solved.is_optimal
     assert solved.objective == pytest.approx(lower, rel=1e-12, abs=0.0)
+
+
+def test_verify_checks_only_schema_2_records(tmp_path, capsys):
+    record_path = tmp_path / "record.json"
+    run_cli(["fit", "--input", str(STARS_CSV), "--criterion", "SUM", "--residual", "ltau:3/2",
+             "--output", str(record_path)], capsys)
+    record = json.loads(record_path.read_text())
+    relabelled = dict(record, schema="9")
+    # the schema-"1" form of the same fit: l-tau as "ltau" with its tau in config
+    old = dict(record, schema="1", config=dict(record["config"], residual="ltau", tau="3/2"))
+    unlabelled = {k: v for k, v in record.items() if k != "schema"}
+    for stale, schema in ((relabelled, "'9'"), (old, "'1'"), (unlabelled, "None")):
+        record_path.write_text(json.dumps(stale))
+        code, _, err = run_cli(["verify", "--record", str(record_path)], capsys)
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert f"schema {schema}" in error and "verify checks schema '2'" in error
+
+
+def test_block_file_of_the_wrong_dimension_is_an_input_error(tmp_path, capsys):
+    octahedron = tmp_path / "octa.txt"
+    octahedron.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    square = tmp_path / "square.txt"
+    square.write_text("1 1\n1 -1\n")
+    data3 = tmp_path / "d3.csv"
+    run_cli(["gen", "--n", "20", "--d", "3", "--corruption", "Y", "--seed", "1",
+             "--output", str(data3)], capsys)
+    for ball, data, dims in ((octahedron, STARS_CSV, ("3-d", "2-d")),
+                             (square, data3, ("2-d", "3-d"))):
+        fit = ["fit", "--input", str(data), "--criterion", "SUM"]
+        for args in (fit + ["--residual", f"block:{ball}"],
+                     fit + ["--residual", "l1", "--strip-norm", f"block:{ball}"]):
+            code, _, err = run_cli(args, capsys)
+            assert code == 2
+            error = json.loads(err.splitlines()[-1])["error"]
+            assert str(ball) in error and all(dim in error for dim in dims)
+
+
+def test_unwritable_outputs_exit_2_with_a_json_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    fit = ["fit", "--input", str(STARS_CSV), "--criterion", "SUM", "--residual", "l1"]
+    for args, path in (
+            (fit + ["--output", str(missing / "r.json")], missing / "r.json"),
+            (fit + ["--emit-lp", str(missing / "x.lp")], missing / "x.lp"),
+            (["gen", "--n", "20", "--d", "2", "--corruption", "Y",
+              "--output", str(missing / "g.csv")], missing / "g.csv")):
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert str(path) in json.loads(err)["error"]

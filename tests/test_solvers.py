@@ -29,11 +29,9 @@ from planefit.solvers import (
     brute_force_fit_2d,
     export_formulation,
     fit,
-    fit_block_norm,
     fit_lad,
     fit_lss,
     fit_ltau_approx,
-    fit_vertical_general,
     l1_ball,
     linf_ball,
     phi_at,
@@ -168,14 +166,14 @@ def test_weighted_fit_raises_when_lp_not_optimal(monkeypatch, rng):
 
 
 def test_sum_equals_lad(stars):
-    a = fit_vertical_general(stars, preset("SUM", stars.n))
+    a = fit(FitRequest(stars, preset("SUM", stars.n), Vertical()))
     b = fit_lad(stars)
     assert a.phi_star == pytest.approx(b.phi_star, abs=1e-6)
 
 
 def test_max_three_points_chebyshev():
     data = Dataset.from_observations(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]]))
-    r = fit_vertical_general(data, preset("MAX", 3))
+    r = fit(FitRequest(data, preset("MAX", 3), Vertical()))
     # equidistant line: residuals all equal to the optimum
     res = residual_vector(r.hyperplane, data, Vertical())
     assert res == pytest.approx(np.full(3, res.max()), abs=1e-8)
@@ -186,13 +184,13 @@ def test_max_three_points_chebyshev():
 
 def test_lts_dominates_reference_line(stars):
     crit = preset("LTS", stars.n, alpha=0.5)
-    r = fit_vertical_general(stars, crit, seed=0, multistart=100)
+    r = fit(FitRequest(stars, crit, Vertical(), seed=0, multistart=100))
     reference = Hyperplane.from_slope_intercept(4.2105, -13.6231)
     assert r.phi_star <= phi_at(stars, crit, Vertical(), reference) + 1e-6
 
 
 def test_lms_exact_on_stars(stars):
-    r = fit_vertical_general(stars, preset("LMS", stars.n))
+    r = fit(FitRequest(stars, preset("LMS", stars.n), Vertical()))
     assert r.solver_tag == "quantile-scan"
     # strip of 23rd-smallest absolute residual, squared
     assert r.phi_star == pytest.approx(0.0603450, abs=1e-6)
@@ -203,7 +201,7 @@ def test_lms_matches_combinatorial_oracle(rng):
     for _ in range(5):
         data = random_dataset(rng, 8, 2)
         crit = preset("LMS", 8)  # indicator at position 4, squared
-        r = fit_vertical_general(data, crit)
+        r = fit(FitRequest(data, crit, Vertical()))
         oracle = brute_force_fit_2d(data, crit, Vertical(), ((-8.0, 8.0), (-8.0, 8.0), 1e-2))
         assert r.phi_star <= oracle.phi_star + 1e-6
 
@@ -344,7 +342,7 @@ def test_vertical_collinear_perfect():
     x = np.arange(8.0)
     data = Dataset.from_observations(np.column_stack([x, -2.0 * x + 0.5]))
     for name in ("SUM", "MAX", "MED", "SOS", "LMS"):
-        r = fit_vertical_general(data, preset(name, 8), seed=1)
+        r = fit(FitRequest(data, preset(name, 8), Vertical(), seed=1))
         assert r.phi_star <= 1e-9
         assert r.gcod >= 1.0 - 1e-9
 
@@ -354,7 +352,7 @@ def test_vertical_collinear_perfect():
 
 
 def test_block_sum_l1_stars(stars):
-    r = fit_block_norm(stars, preset("SUM", 47), Block(l1_ball(2)))
+    r = fit(FitRequest(stars, preset("SUM", 47), Block(l1_ball(2))))
     slope, intercept = r.hyperplane.slope_intercept()
     assert slope == pytest.approx(7.0, abs=1e-6)
     assert intercept == pytest.approx(-25.81, abs=1e-6)
@@ -365,7 +363,7 @@ def test_block_max_same_line_for_three_norms(stars):
     crit = preset("MAX", 47)
     lines = []
     for ball in (l1_ball(2), linf_ball(2), HEX):
-        r = fit_block_norm(stars, crit, Block(ball))
+        r = fit(FitRequest(stars, crit, Block(ball)))
         lines.append(r.hyperplane.slope_intercept())
     for slope, intercept in lines:
         assert slope == pytest.approx(-3.230769, abs=1e-4)
@@ -375,9 +373,9 @@ def test_block_max_same_line_for_three_norms(stars):
 def test_block_dilation_corollary(stars):
     crit = preset("SUM", 47)
     mu = 2.5
-    base = fit_block_norm(stars, crit, Block(HEX))
+    base = fit(FitRequest(stars, crit, Block(HEX)))
     dilated_ball = Polytope.from_vertices(np.asarray(HEX.vertices) * mu)
-    dil = fit_block_norm(stars, crit, Block(dilated_ball))
+    dil = fit(FitRequest(stars, crit, Block(dilated_ball)))
     assert dil.phi_star == pytest.approx(base.phi_star / mu, rel=1e-9)
     # optimal coefficients scale by 1/mu
     assert dil.hyperplane.beta == pytest.approx(base.hyperplane.beta / mu, abs=1e-9)
@@ -387,8 +385,8 @@ def test_block_dilation_corollary(stars):
 def test_block_dilation_corollary_p2(stars):
     crit = preset("SOS", 47)
     mu = 3.0
-    base = fit_block_norm(stars, crit, Block(HEX))
-    dil = fit_block_norm(stars, crit, Block(Polytope.from_vertices(np.asarray(HEX.vertices) * mu)))
+    base = fit(FitRequest(stars, crit, Block(HEX)))
+    dil = fit(FitRequest(stars, crit, Block(Polytope.from_vertices(np.asarray(HEX.vertices) * mu))))
     assert dil.phi_star == pytest.approx(base.phi_star / mu**2, rel=1e-7)
 
 
@@ -424,7 +422,7 @@ def test_block_disjunct_completeness(rng):
     data = random_dataset(rng, 10, 2)
     crit = preset("SUM", 10)
     blk = Block(HEX)
-    r = fit_block_norm(data, crit, blk)
+    r = fit(FitRequest(data, crit, blk))
     per_disjunct = []
     for g in _sign_distinct(blk.ball.vertices):
         prob = _disjunct_problem(data, blk.ball, g)
@@ -437,7 +435,7 @@ def test_block_collinear_perfect():
     x = np.arange(6.0)
     data = Dataset.from_observations(np.column_stack([x, 0.5 * x + 1.0]))
     for ball in (l1_ball(2), HEX):
-        r = fit_block_norm(data, preset("SUM", 6), Block(ball))
+        r = fit(FitRequest(data, preset("SUM", 6), Block(ball)))
         assert r.phi_star <= 1e-9
         assert r.gcod >= 1.0 - 1e-9
 
@@ -446,7 +444,7 @@ def test_block_nonmonotone_exact_enum_matches_oracle(rng):
     for _ in range(3):
         data = random_dataset(rng, 9, 2)
         crit = preset("AkC", 9, K=4)
-        r = fit_block_norm(data, crit, Block(l1_ball(2)))
+        r = fit(FitRequest(data, crit, Block(l1_ball(2))))
         assert r.solver_tag == "exact-enum"
         oracle = brute_force_fit_2d(data, crit, Block(l1_ball(2)),
                                     ((0.0, math.pi), (-8.0, 8.0), 5e-3))
@@ -493,7 +491,7 @@ def test_sd_zero_for_exact_block(stars):
 def test_ltau_exact_cases_route_to_block(stars):
     crit = preset("SUM", 47)
     via_fit = fit(FitRequest(stars, crit, LTau(1), seed=0))
-    direct = fit_block_norm(stars, crit, Block(l1_ball(2)))
+    direct = fit(FitRequest(stars, crit, Block(l1_ball(2))))
     assert via_fit.phi_star == pytest.approx(direct.phi_star, rel=1e-12)
 
 
@@ -545,7 +543,7 @@ def test_phi_star_matches_recomputed_residuals(name, param, rng):
 
 def test_sign_canonicalization(rng):
     data = random_dataset(rng, 8, 2)
-    r = fit_block_norm(data, preset("SUM", 8), Block(l1_ball(2)))
+    r = fit(FitRequest(data, preset("SUM", 8), Block(l1_ball(2))))
     tail = r.hyperplane.beta[1:]
     lead = tail[np.flatnonzero(np.abs(tail) > 1e-12)[0]]
     assert lead > 0
@@ -559,7 +557,7 @@ def test_sign_canonicalization(rng):
 def test_feasible_dominance_against_random_planes(stars, rng):
     crit = preset("kC", 47, K=35)
     blk = Block(l1_ball(2))
-    r = fit_block_norm(stars, crit, blk)
+    r = fit(FitRequest(stars, crit, blk))
     for _ in range(100):
         beta = rng.normal(size=3)
         if np.abs(beta[1:]).max() < 1e-3:
@@ -648,7 +646,7 @@ def test_monotone_lp_agrees_with_arrangement_enumeration(rng):
 def test_nonmonotone_small_d3_uses_milp(rng):
     data = random_dataset(rng, 6, 3)
     crit = preset("MED", 6)
-    r = fit_vertical_general(data, crit, seed=0)
+    r = fit(FitRequest(data, crit, Vertical(), seed=0))
     assert r.solver_tag in ("milp", "incumbent")
     # 3-parameter scan is unavailable; sanity check against many random planes
     for _ in range(200):
@@ -663,7 +661,7 @@ def test_milp_keeps_binaries_integral_to_the_integrality_tolerance():
     from planefit.evaluation import synthetic_generate
 
     data = synthetic_generate(5, 3, "Y", 8784186935842910618)
-    r = fit_vertical_general(data, preset("MED", 5))
+    r = fit(FitRequest(data, preset("MED", 5), Vertical()))
     assert r.solver_tag == "milp"
     assert r.phi_star <= 1e-9
 
@@ -676,7 +674,7 @@ def test_milp_handles_large_scale_data():
 
     for n, tag in ((6, "milp"), (8, "heuristic")):
         data = synthetic_generate(n, 4, "Y", seed=3)
-        r = fit_vertical_general(data, preset("MED", n), seed=1)
+        r = fit(FitRequest(data, preset("MED", n), Vertical(), seed=1))
         assert r.solver_tag == tag
         assert r.phi_star <= 1e-6
 
@@ -710,7 +708,7 @@ def test_supplied_polytope_must_be_inscribed(stars):
 def test_ltau_inf_routes_to_linf_block(stars):
     crit = preset("SUM", 47)
     via_fit = fit(FitRequest(stars, crit, LTau(math.inf), seed=0))
-    direct = fit_block_norm(stars, crit, Block(linf_ball(2)))
+    direct = fit(FitRequest(stars, crit, Block(linf_ball(2))))
     assert via_fit.phi_star == pytest.approx(direct.phi_star, rel=1e-12)
 
 
@@ -737,10 +735,79 @@ def test_every_fit_scores_gcod_once(monkeypatch, stars):
         return real(*args)
 
     monkeypatch.setattr(solvers, "gcod_index", counting)
-    fit_vertical_general(stars, preset("SOS", 47))
+    fit(FitRequest(stars, preset("SOS", 47), Vertical()))
     assert len(calls) == 1
     fit_ltau_approx(stars, preset("SUM", 47), 2, 16)
     assert len(calls) == 2
+
+
+def test_ltau_fit_scores_sd_at_its_plane(stars):
+    # the fit's sd comes from its own residuals and the block it solved,
+    # bit for bit the sd that sd_measure rebuilds from the polygon
+    for name in ("SUM", "MED", "SOS"):
+        crit = preset(name, 47)
+        for tau in (Fraction(3, 2), Fraction(2), Fraction(3)):
+            for N in (8, 32, 320):
+                r = fit(FitRequest(stars, crit, LTau(tau), polytope_vertices=N))
+                poly, _ = inscribed_polytope(tau, N)
+                assert r.sd == sd_measure(stars, r.hyperplane.beta, tau, poly)
+    poly = Polytope.from_vertices(0.5 * inscribed_polytope(3, 24)[0].vertices)
+    r = fit_ltau_approx(stars, preset("SUM", 47), 3, 24, approx_polytope=poly)
+    assert r.sd == sd_measure(stars, r.hyperplane.beta, 3, poly)
+
+
+def test_ltau_fit_builds_one_polar(monkeypatch, stars):
+    from planefit import solvers
+
+    calls = []
+    real = solvers.polar_polytope
+
+    def counting(poly):
+        calls.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(solvers, "polar_polytope", counting)
+    fit(FitRequest(stars, preset("SUM", 47), LTau(2)))
+    assert len(calls) == 1
+    fit_ltau_approx(stars, preset("SUM", 47), 2, 16, approx_polytope=inscribed_polytope(2, 16)[0])
+    assert len(calls) == 2
+
+
+def _same_fields(a, b):
+    import dataclasses
+
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "hyperplane":
+            assert np.array_equal(x.beta, y.beta) and x.normalization == y.normalization
+        elif field.name == "residuals":
+            assert np.array_equal(x, y)
+        else:
+            assert x == y, field.name
+
+
+def test_shorthands_are_requests_to_fit(stars):
+    _same_fields(fit_lss(stars), fit(FitRequest(stars, preset("SOS", 47), Vertical())))
+    _same_fields(fit_lad(stars), fit(FitRequest(stars, preset("SUM", 47), Vertical())))
+    for name in ("SUM", "MED"):
+        crit = preset(name, 47)
+        _same_fields(fit_ltau_approx(stars, crit, 3, 16, seed=2, multistart=4, node_limit=50),
+                     fit(FitRequest(stars, crit, LTau(3), seed=2, multistart=4,
+                                    polytope_vertices=16, node_limit=50)))
+
+
+def test_block_ball_of_another_dimension_is_a_geometry_error(stars, tmp_path):
+    crit = preset("SUM", 47)
+    octahedron = Polytope.from_vertices(np.vstack([np.eye(3), -np.eye(3)]))
+    attempts = (
+        lambda: fit(FitRequest(stars, crit, Block(l1_ball(3)))),
+        lambda: fit_ltau_approx(stars, crit, math.inf, 8, approx_polytope=octahedron),
+        lambda: export_formulation(FitRequest(stars, crit, Block(l1_ball(3))),
+                                   tmp_path / "x.lp"),
+    )
+    for attempt in attempts:
+        with pytest.raises(GeometryError, match="3-d block ball .* 2-d data"):
+            attempt()
 
 
 def test_start_points_let_programming_errors_through(monkeypatch, rng):
@@ -1054,7 +1121,7 @@ def test_med_and_akc_block_fits_match_oracle(rng):
                 val, v, _ = solvers._solve_subproblem(prob, crit, rng=SplitMix64(0),
                                                       multistart=0, node_limit=1)
                 assert val == pytest.approx(evaluate(crit, prob.residuals(v)), rel=1e-12)
-            r = fit_block_norm(data, crit, Block(l1_ball(2)))
+            r = fit(FitRequest(data, crit, Block(l1_ball(2))))
             assert r.solver_tag == tag
             oracle = brute_force_fit_2d(data, crit, Block(l1_ball(2)),
                                         ((0.0, math.pi), (-8.0, 8.0), 5e-3))
@@ -1071,7 +1138,7 @@ def test_weight_shape_routes_stay_exact_above_the_enumeration_cap():
     data = synthetic_generate(n, 2, "X", seed=7)
     akc, med = preset("AkC", n), preset("MED", n)
     ball = l1_ball(2)
-    r = fit_block_norm(data, akc, Block(ball))
+    r = fit(FitRequest(data, akc, Block(ball)))
     assert r.solver_tag == "exact-enum"
     probs = [solvers._disjunct_problem(data, ball, g)
              for g in solvers._sign_distinct(ball.vertices)]
@@ -1079,7 +1146,7 @@ def test_weight_shape_routes_stay_exact_above_the_enumeration_cap():
         _phi(prob, akc.lam, solvers._solve_concentration(prob, akc.lam, 1.0, SplitMix64(0), 0))
         for prob in probs)
     assert r.phi_star <= concentration * (1 + 1e-12)
-    r = fit_vertical_general(data, med)
+    r = fit(FitRequest(data, med, Vertical()))
     assert r.solver_tag == "quantile-scan"
     prob = solvers._vertical_problem(data)
     concentration = _phi(prob, med.lam,
@@ -1100,7 +1167,7 @@ def test_one_rank_heuristic_steps_to_the_minimax_fit_of_the_r_smallest():
              ("AkC", 30, 1, 29.287980983522964))
     phi = {}
     for name, n, seed, before in cells:
-        r = fit_vertical_general(synthetic_generate(n, 3, "Y", seed), preset(name, n))
+        r = fit(FitRequest(synthetic_generate(n, 3, "Y", seed), preset(name, n), Vertical()))
         assert r.solver_tag == "heuristic"
         assert r.phi_star <= before * (1 + 1e-12)
         phi[name, n, seed] = r.phi_star
@@ -1305,11 +1372,11 @@ def test_block_fit_is_incumbent_when_a_losing_disjunct_stopped(monkeypatch, star
         return val, v, tag
 
     monkeypatch.setattr(solvers, "_solve_subproblem", first_stops)
-    r = fit_block_norm(stars, preset("SUM", 47), Block(l1_ball(2)))
+    r = fit(FitRequest(stars, preset("SUM", 47), Block(l1_ball(2))))
     assert calls == ["lp", "lp"]
     assert r.solver_tag == "incumbent"
     monkeypatch.setattr(solvers, "_solve_subproblem", real)
-    assert fit_block_norm(stars, preset("SUM", 47), Block(l1_ball(2))).solver_tag == "lp"
+    assert fit(FitRequest(stars, preset("SUM", 47), Block(l1_ball(2)))).solver_tag == "lp"
 
 
 # ---------------------------------------------------------------------------
@@ -1681,10 +1748,10 @@ def test_block_polygons_are_searched_on_chords(monkeypatch, stars):
         for name in ("MED", "SUM", "SOS", "1.5SUM"):
             crit = preset(name, stars.n)
             calls.clear()
-            flat = _flat(monkeypatch, fit_block_norm, stars, crit, block, seed=1)
+            flat = _flat(monkeypatch, fit, FitRequest(stars, crit, block, seed=1))
             assert calls == [(g, g + 1) for g in range(n_v // 2)]
             calls.clear()
-            searched = fit_block_norm(stars, crit, block, seed=1)
+            searched = fit(FitRequest(stars, crit, block, seed=1))
             _same_fit(searched, flat)
             assert searched.subproblem_count == n_v // 2
             if n_v == 24 and name != "1.5SUM":
@@ -1923,7 +1990,7 @@ def test_lts_fits_are_not_above_the_planted_line():
     for n, seed, heuristic in cells:
         data = synthetic_generate(n, 2, "X", seed)
         crit = preset("LTS", n, alpha=0.5)
-        r = fit_vertical_general(data, crit, seed=seed)
+        r = fit(FitRequest(data, crit, Vertical(), seed=seed))
         assert r.solver_tag == "lts-scan"
         assert r.phi_star <= phi_at(data, crit, Vertical(), planted)
         assert r.phi_star < heuristic
