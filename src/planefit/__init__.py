@@ -28,7 +28,6 @@ from .solvers import (
     fit,
     fit_lad,
     fit_lss,
-    fit_ltau_approx,
     phi_at,
     sd_measure,
 )

@@ -147,15 +147,16 @@ def _parse_tau(body: str):
 
 
 def parse_residual(spec: str, d: int):
-    from .solvers import l1_ball, linf_ball
-
+    """The norm a residual spec names.  l1 and linf are the polytopal l-tau
+    norms, whose balls ``fit`` builds; only a ``block:`` file is read into a
+    ``Block`` here, and its ball must be d-dimensional."""
     spec = spec.strip()
     if spec in ("vertical", "V", "v"):
         return Vertical()
     if spec == "l1":
-        return Block(l1_ball(d), linf_ball(d))
+        return LTau(1)
     if spec == "linf":
-        return Block(linf_ball(d), l1_ball(d))
+        return LTau(math.inf)
     if spec.startswith("ltau:"):
         return LTau(_parse_tau(spec.split(":", 1)[1]))
     if spec.startswith("block:"):
@@ -361,6 +362,20 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _record_fields(record: dict, *keys: str) -> list:
+    """The values at the dotted ``keys`` of a record; a missing one is an
+    input error that names it."""
+    values = []
+    for key in keys:
+        value = record
+        for part in key.split("."):
+            if not isinstance(value, dict) or part not in value:
+                raise InputError(f"the record has no {key!r}")
+            value = value[part]
+        values.append(value)
+    return values
+
+
 def cmd_verify(args) -> int:
     try:
         with open(args.record) as fh:
@@ -371,23 +386,25 @@ def cmd_verify(args) -> int:
     if schema != SCHEMA_VERSION:
         raise InputError(f"{args.record} has schema {schema!r}; "
                          f"verify checks schema {SCHEMA_VERSION!r} records")
-    config = record.get("config", {})
+    criterion_name, residual, beta_raw, phi_star, gcod = _record_fields(
+        record, "config.criterion", "config.residual", "beta_raw", "phi_star", "gcod")
+    config = record["config"]
     input_path = args.input or config.get("input")
     if input_path is None:
         raise InputError("no input path on the record; pass --input")
     data, _ = read_csv_dataset(input_path, config.get("dependent_col"))
-    criterion = build_criterion(config["criterion"], data.n, config.get("param"))
-    norm = parse_residual(config["residual"], data.dim)
-    beta = np.asarray(record["beta_raw"], dtype=float)
+    criterion = build_criterion(criterion_name, data.n, config.get("param"))
+    norm = parse_residual(residual, data.dim)
+    beta = np.asarray(beta_raw, dtype=float)
     plane = Hyperplane(beta, record.get("normalization", "raw"))
     phi = phi_at(data, criterion, norm, plane)
     # phi* carries the data's units, so its absolute floor is a share of
     # phi0, the constant-model objective GCoD divides by
     phi0 = _phi0(data, criterion, norm)
     idx = _index(phi, phi0)
-    ok_phi = math.isclose(phi, record["phi_star"], rel_tol=1e-6,
+    ok_phi = math.isclose(phi, phi_star, rel_tol=1e-6,
                           abs_tol=1e-9 * phi0 if phi0 > 0.0 else 1e-9)
-    ok_gcod = math.isclose(idx, record["gcod"], rel_tol=1e-6, abs_tol=1e-9)
+    ok_gcod = math.isclose(idx, gcod, rel_tol=1e-6, abs_tol=1e-9)
     bounds_ok = None
     if record.get("bounds") is not None:
         lower, upper = record["bounds"]
@@ -395,9 +412,9 @@ def cmd_verify(args) -> int:
         bounds_ok = bool(lower - tol <= phi <= upper + tol)
     report = {
         "phi_star_recomputed": phi,
-        "phi_star_recorded": record["phi_star"],
+        "phi_star_recorded": phi_star,
         "gcod_recomputed": idx,
-        "gcod_recorded": record["gcod"],
+        "gcod_recorded": gcod,
         "match": bool(ok_phi and ok_gcod),
         "bounds_ok": bounds_ok,
     }

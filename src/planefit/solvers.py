@@ -71,9 +71,11 @@ or pruned by a proven bound, and the answer is the flat scan's, from 8-14 of
 
 ``fit`` is the one path from a ``FitRequest`` to a ``FitResult``: one
 random stream, one solve per subproblem, the vertical subproblem or the
-block search, and its coefficients scored once (``_finalize``).  An l-tau
-fit also takes its bracket and ``sd`` from the block it solved.  ``fit_lss``,
-``fit_lad`` and ``fit_ltau_approx`` are one-line requests to it.
+block search, and its coefficients scored once (``_finalize``).
+``_as_block`` is the one map from a request's norm and
+``polytope_vertices`` (N, or the caller's inscribed polytope) to the block
+it solves; an l-tau fit also takes its bracket and ``sd`` from that block.
+``fit_lss`` and ``fit_lad`` are one-line requests to ``fit``.
 
 Results carry the recomputed residual vector, the objective, the
 goodness-of-fit index, a provenance tag and, for the polyhedral
@@ -85,6 +87,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,7 +124,6 @@ __all__ = [
     "fit",
     "fit_lss",
     "fit_lad",
-    "fit_ltau_approx",
     "brute_force_fit_2d",
     "sd_measure",
     "phi_at",
@@ -160,17 +162,32 @@ class FitResult:
 
 @dataclass
 class FitRequest:
+    """One fit: (criterion, norm) on a dataset, and the options of its solve.
+
+    ``polytope_vertices`` is the inscribed polyhedral approximation P_N of an
+    l-tau fit: either N, the vertex count of the polygon generated in d = 2,
+    or the caller's inscribed ``Polytope`` (the only way to fit l-tau in
+    d >= 3), whose polar the fit is solved over (``_as_block``).
+    """
+
     dataset: Dataset
     criterion: Criterion
     norm: NormSpec
     seed: int = 0
     multistart: int = MULTISTART
-    polytope_vertices: int = POLYTOPE_VERTICES  # N for the l-tau polyhedral approximation
+    polytope_vertices: int | Polytope = POLYTOPE_VERTICES
     node_limit: int = NODE_LIMIT
 
     def __post_init__(self):
         if self.criterion.n != self.dataset.n:
             raise ValueError("criterion weight length must match the dataset size")
+        value = self.polytope_vertices
+        if isinstance(value, Polytope):
+            if not isinstance(self.norm, LTau):
+                raise ValueError(f"a supplied {value.n_vertices}-vertex polytope approximates "
+                                 f"an l-tau norm only, not {self.norm!r}")
+        elif not isinstance(value, numbers.Integral):
+            raise ValueError(f"polytope_vertices must be an int N or a Polytope, not {value!r}")
 
 
 def _sign_corners(d: int) -> np.ndarray:
@@ -1055,10 +1072,10 @@ def export_formulation(request: FitRequest, path, beta: np.ndarray | None = None
     """Write the p = 1 subproblem of ``request`` as an LP file for cross-checking.
 
     A norm residual exports one disjunct of the request's block
-    (``_as_block``: for l-tau with 1 < tau < inf, the polar of the inscribed
-    N-gon that ``fit`` solves over).  It is the disjunct whose normalization
-    equality is active at ``beta`` (the fitted coefficients), or the first
-    sign-distinct vertex when no fit is supplied.
+    (``_as_block``: for an l-tau approximation, the polar of the inscribed
+    N-gon or supplied polytope that ``fit`` solves over).  It is the disjunct
+    whose normalization equality is active at ``beta`` (the fitted
+    coefficients), or the first sign-distinct vertex when no fit is supplied.
     """
     data, criterion = request.dataset, request.criterion
     if criterion.p != 1:
@@ -1197,43 +1214,20 @@ def _sign_distinct(vertices: np.ndarray) -> list[int]:
     return first_of_each_class(np.asarray(vertices, dtype=float))
 
 
-def fit_ltau_approx(data: Dataset, criterion: Criterion, tau, N: int, *, seed: int = 0,
-                    multistart: int = MULTISTART, node_limit: int = NODE_LIMIT,
-                    approx_polytope: Polytope | None = None) -> FitResult:
-    """l-tau residual fit through an inscribed polyhedral approximation P_N:
-    ``fit`` of the l-tau request with N polygon vertices, or over the
-    caller's inscribed ``approx_polytope``, the one way to pass one (and
-    the only one in d >= 3).  ``fit`` gives it the certified bracket
-    [rho*, rho* / r_P**p].  Without a polytope, tau = 1 and tau = inf are
-    polyhedral norms, fitted exactly with no bracket.
+def _as_block(norm: NormSpec, d: int, N: int | Polytope = POLYTOPE_VERTICES) -> Block:
+    """The block a norm residual is solved over, in dimension d: the one map
+    from a request's (``norm``, ``polytope_vertices``) to the block ``fit``
+    solves, ``export_formulation`` exports and ``sd_measure`` scores.
 
-    One disjunct per sign-distinct edge of P_N is either solved or pruned
-    by a proven bound (``_solve_block``).  The internal P_N has n_v
-    counter-clockwise vertices (fewer than N where nearly collinear ones are
-    pruned, near tau = 1).  In d = 2, P_N, internal or supplied, is searched
-    over chords: best first from the edges of a coarser polygon when the
-    route is proven (``PROVEN_ROUTES``), every edge on its own otherwise.
-    The result is the flat scan's, from 8-14 of the 16 solves at N = 32 and
-    15 of the 160 at N = 320 on the 47-star sample at tau 3/2, 2 and 3.  A
-    supplied polytope in d >= 3 solves every sign-distinct facet.
+    An l-tau norm given a caller's inscribed ``Polytope`` N takes the block
+    whose polar it is.  Otherwise l1 and linf, the two polytopal members of
+    the l-tau family, are mutual polars in any d, and any other l-tau norm
+    takes the polar of the N-gon inscribed in its dual l-nu ball (d = 2
+    only), whose polar is that N-gon: ``fit`` reads r_P from it.  A
+    ``Block`` is itself.  Every block's ball must be d-dimensional.
     """
-    return fit(FitRequest(data, criterion, LTau(tau), seed=seed, multistart=multistart,
-                          polytope_vertices=N, node_limit=node_limit), _polygon=approx_polytope)
-
-
-def _as_block(norm: NormSpec, d: int, N: int = POLYTOPE_VERTICES,
-              polygon: Polytope | None = None) -> Block:
-    """The block a norm residual is solved over, in dimension d.
-
-    A supplied inscribed ``polygon`` gives the block whose polar it is.  A
-    ``Block`` is itself, and its ball must be d-dimensional.  l1 and linf,
-    the two polytopal members of the l-tau family, are mutual polars in any
-    d.  Any other l-tau norm takes the polar of the N-gon inscribed in its
-    dual l-nu ball (d = 2 only), whose polar is that N-gon: ``fit`` reads
-    r_P from it.
-    """
-    if polygon is not None:
-        norm = Block(polar_polytope(polygon), polygon)
+    if isinstance(norm, LTau) and isinstance(N, Polytope):
+        norm = Block(polar_polytope(N), N)
     if isinstance(norm, Block):
         if norm.ball.dim != d:
             raise GeometryError(f"a {norm.ball.dim}-d block ball cannot measure "
@@ -1245,8 +1239,9 @@ def _as_block(norm: NormSpec, d: int, N: int = POLYTOPE_VERTICES,
         if norm.tau == math.inf:
             return Block(linf_ball(d), l1_ball(d))
         if d != 2:
-            raise SolverError("internal polytope generation is limited to d = 2; "
-                              "pass approx_polytope explicitly for higher dimensions")
+            raise SolverError(f"inscribed polygons are generated for d = 2 only; an l-tau "
+                              f"fit in d = {d} needs the caller's inscribed polytope "
+                              "as FitRequest.polytope_vertices")
         poly, _ = inscribed_polytope(norm.tau, N)
         return Block(polar_polytope(poly), poly)
     raise SolverError("vertical residuals have no block form")
@@ -1322,14 +1317,15 @@ def sd_measure(data: Dataset, beta: np.ndarray, tau, approx_polytope: Polytope) 
     """Squared-discrepancy score of a polyhedral stand-in for the l-tau distance.
 
     Sums (D_tau - D_P)^2 / D_tau over the points at positive l-tau distance,
-    where D_P measures the same hyperplane with the approximating norm.
+    where D_P measures the same hyperplane with the block whose polar is the
+    inscribed ``approx_polytope`` (``_as_block``).
     """
     plane = Hyperplane(beta)
-    block = Block(polar_polytope(approx_polytope), approx_polytope)
+    block = _as_block(LTau(tau), data.dim, approx_polytope)
     return _sd(residual_vector(plane, data, LTau(tau)), residual_vector(plane, data, block))
 
 
-def fit(request: FitRequest, *, _polygon: Polytope | None = None) -> FitResult:
+def fit(request: FitRequest) -> FitResult:
     """The one path from a request to a result.
 
     Vertical residuals are one subproblem; least squares (constant weights
@@ -1338,13 +1334,16 @@ def fit(request: FitRequest, *, _polygon: Polytope | None = None) -> FitResult:
     the disjuncts of its block (``_as_block``, ``_solve_block``), every
     subproblem drawing from one random stream in solve order.
 
-    An l-tau norm with 1 < tau < inf, or one given the inscribed polygon
-    ``_polygon`` (``fit_ltau_approx``), replaces the dual sphere
-    ||beta_-0||_nu = 1 by the polygon P_N inscribed in the l-nu ball.  The
+    An l-tau norm with 1 < tau < inf, or one given the caller's inscribed
+    polytope as ``polytope_vertices``, replaces the dual sphere
+    ||beta_-0||_nu = 1 by the polytope P_N inscribed in the l-nu ball.  The
     block solve yields a lower bound rho* and the returned coefficients are
     re-scored under the true l-tau distance, giving the certified bracket
     [rho*, rho* / r_P**p], the ``+inner-<n_v>gon`` tag and ``sd`` (see
     ``sd_measure``) from the residuals of both norms at the returned plane.
+    Without a polytope, tau = 1 and tau = inf are polyhedral norms, fitted
+    exactly with no bracket.  In d = 2 a supplied polygon is searched like a
+    generated one; in d >= 3 every sign-distinct facet is solved.
     """
     data, criterion, norm = request.dataset, request.criterion, request.norm
     rng = SplitMix64(request.seed)
@@ -1363,8 +1362,9 @@ def fit(request: FitRequest, *, _polygon: Polytope | None = None) -> FitResult:
         prob = _vertical_problem(data)
         _, v, tag = solve(prob)
         return _finalize(data, criterion, norm, prob.to_beta(v), tag, 1)
-    block = _as_block(norm, data.dim, request.polytope_vertices, _polygon)
-    inner = isinstance(norm, LTau) and (_polygon is not None or 1 < norm.tau < math.inf)
+    block = _as_block(norm, data.dim, request.polytope_vertices)
+    inner = isinstance(norm, LTau) and (isinstance(request.polytope_vertices, Polytope)
+                                        or 1 < norm.tau < math.inf)
     poly = block.polar
     r_p = _inscribed_radius(poly, norm.tau) if inner else None  # before solving: fails fast
     proven = _route(criterion, data.dim) in PROVEN_ROUTES

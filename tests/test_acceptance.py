@@ -38,7 +38,6 @@ from planefit.solvers import (
     fit,
     fit_lad,
     fit_lss,
-    fit_ltau_approx,
     l1_ball,
     linf_ball,
     phi_at,
@@ -152,10 +151,10 @@ def test_criterion_04_block_gcod_reference(stars):
 def test_criterion_05_ltau_approximation(stars10):
     failures = []
     crit = preset("SUM", stars10.n)
-    r2 = fit_ltau_approx(stars10, crit, 2, 320, seed=0)
+    r2 = fit(FitRequest(stars10, crit, LTau(2), polytope_vertices=320))
     check(failures, abs(r2.phi_star - 76.3700) <= 0.05, f"tau=2 phi {r2.phi_star}")
     check(failures, abs(r2.gcod - 0.654277) <= 2e-3, f"tau=2 gcod {r2.gcod}")
-    r3 = fit_ltau_approx(stars10, crit, 3, 320, seed=0)
+    r3 = fit(FitRequest(stars10, crit, LTau(3), polytope_vertices=320))
     check(failures, abs(r3.phi_star - 74.1468) <= 0.05, f"tau=3 phi {r3.phi_star}")
     for tau, r in ((2, r2), (3, r3)):
         lower, upper = r.bounds
@@ -171,7 +170,7 @@ def test_criterion_05_ltau_approximation(stars10):
 def test_criterion_06_sos_l2_benchmark(stars):
     failures = []
     crit = preset("SOS", stars.n)
-    r = fit_ltau_approx(stars, crit, 2, 320, seed=0)
+    r = fit(FitRequest(stars, crit, LTau(2), polytope_vertices=320))
     check(failures, r.phi_star <= 3.662783 + 0.01,
           f"global squared l2 residuals {r.phi_star}")
     report(6, "orthogonal sum-of-squares benchmark", failures)

@@ -332,8 +332,7 @@ def test_fit_request_and_cli_share_the_default_n():
     import dataclasses
 
     from planefit.cli import build_parser
-    from planefit.solvers import (MULTISTART, NODE_LIMIT, POLYTOPE_VERTICES, FitRequest,
-                                  fit_ltau_approx)
+    from planefit.solvers import MULTISTART, NODE_LIMIT, POLYTOPE_VERTICES, FitRequest
 
     parser = build_parser()
     fit_args = parser.parse_args(["fit", "--input", "x.csv", "--criterion", "SUM",
@@ -345,8 +344,6 @@ def test_fit_request_and_cli_share_the_default_n():
             == MULTISTART == 16)
     assert (fit_args.node_limit == batch_args.node_limit == default["node_limit"]
             == NODE_LIMIT == 100_000)
-    assert fit_ltau_approx.__kwdefaults__["multistart"] == MULTISTART
-    assert fit_ltau_approx.__kwdefaults__["node_limit"] == NODE_LIMIT
 
 
 def test_fit_csv_is_the_batch_row_and_batch_json_is_the_csv(tmp_path, capsys):
@@ -426,6 +423,37 @@ def test_verify_checks_only_schema_2_records(tmp_path, capsys):
         assert code == 2
         error = json.loads(err)["error"]
         assert f"schema {schema}" in error and "verify checks schema '2'" in error
+
+
+def test_verify_names_a_missing_record_key(tmp_path, capsys):
+    # each key verify reads is checked once: a record without it is an input
+    # error (exit 2) naming it, not a traceback that exits 1
+    record_path = tmp_path / "record.json"
+    run_cli(["fit", "--input", str(STARS_CSV), "--criterion", "SUM", "--residual", "l1",
+             "--output", str(record_path)], capsys)
+    record = json.loads(record_path.read_text())
+    for key in ("config.criterion", "config.residual", "beta_raw", "phi_star", "gcod"):
+        if key.startswith("config."):
+            config = {k: v for k, v in record["config"].items() if k != key[len("config."):]}
+            damaged = dict(record, config=config)
+        else:
+            damaged = {k: v for k, v in record.items() if k != key}
+        record_path.write_text(json.dumps(damaged))
+        code, _, err = run_cli(["verify", "--record", str(record_path)], capsys)
+        assert code == 2, key
+        assert repr(key) in json.loads(err)["error"]
+
+
+def test_ltau_fit_in_d3_names_the_polytope_field(tmp_path, capsys):
+    data3 = tmp_path / "d3.csv"
+    run_cli(["gen", "--n", "20", "--d", "3", "--corruption", "Y", "--seed", "1",
+             "--output", str(data3)], capsys)
+    code, _, err = run_cli(["fit", "--input", str(data3), "--criterion", "SUM",
+                            "--residual", "ltau:2"], capsys)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert "d = 2 only" in error and "FitRequest.polytope_vertices" in error
+    assert "approx_polytope" not in error
 
 
 def test_block_file_of_the_wrong_dimension_is_an_input_error(tmp_path, capsys):

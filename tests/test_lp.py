@@ -496,11 +496,11 @@ def test_lp_without_rows_prices_at_its_cost_scale():
 def _wide_disjunct_lp():
     """The n = 100, d = 3 kC x linf disjunct LP, lp-scale's widest (205 rows)."""
     from planefit import synthetic_generate
-    from planefit.cli import build_criterion, parse_residual
-    from planefit.solvers import _build_monotone_lp, _disjunct_problem
+    from planefit.cli import build_criterion
+    from planefit.solvers import _build_monotone_lp, _disjunct_problem, linf_ball
 
     data = synthetic_generate(100, 3, "Y", 1)
-    prob = _disjunct_problem(data, parse_residual("linf", 3).ball, 0)
+    prob = _disjunct_problem(data, linf_ball(3), 0)
     return _build_monotone_lp(prob, build_criterion("kC", data.n, None).lam)
 
 

@@ -31,7 +31,6 @@ from planefit.solvers import (
     fit,
     fit_lad,
     fit_lss,
-    fit_ltau_approx,
     l1_ball,
     linf_ball,
     phi_at,
@@ -458,7 +457,7 @@ def test_block_nonmonotone_exact_enum_matches_oracle(rng):
 def test_ltau_sandwich_and_bounds(stars):
     crit = preset("SUM", 47)
     for tau, N in ((2, 16), (Fraction(3, 2), 32), (3, 64)):
-        r = fit_ltau_approx(stars, crit, tau, N)
+        r = fit(FitRequest(stars, crit, LTau(tau), polytope_vertices=N))
         lower, upper = r.bounds
         assert lower <= r.phi_star + 1e-9
         assert r.phi_star <= upper + 1e-9
@@ -470,7 +469,7 @@ def test_ltau_sandwich_and_bounds(stars):
 
 def test_ltau_sd_decreases_with_n(stars):
     crit = preset("SUM", 47)
-    fixed = fit_ltau_approx(stars, crit, 2, 320).hyperplane.beta
+    fixed = fit(FitRequest(stars, crit, LTau(2), polytope_vertices=320)).hyperplane.beta
     from planefit.geometry import inscribed_polytope
 
     sds = []
@@ -685,10 +684,20 @@ def test_ltau_d3_with_supplied_polytope(rng):
     data = random_dataset(rng, 7, 3)
     crit = preset("SUM", 7)
     octa = Polytope.from_vertices(np.vstack([np.eye(3), -np.eye(3)]))
-    r = fit_ltau_approx(data, crit, math.inf, 8, approx_polytope=octa)
+    r = fit(FitRequest(data, crit, LTau(math.inf), polytope_vertices=octa))
     lower, upper = r.bounds
     assert lower <= r.phi_star <= upper + 1e-9
     assert upper == pytest.approx(lower, rel=1e-9)  # r_P = 1 for the exact ball
+    # its vertices lie on the unit l2 sphere, so it is inscribed in the dual
+    # ball of l-2 too: the request's polytope is the one way to fit l-tau in
+    # d = 3, with the certified bracket of a generated polygon
+    from planefit.evaluation import synthetic_generate
+
+    data = synthetic_generate(30, 3, "Y", 1)
+    r = fit(FitRequest(data, preset("SUM", 30), LTau(2), polytope_vertices=l1_ball(3)))
+    assert r.solver_tag == "lp+inner-6gon"
+    lower, upper = r.bounds
+    assert lower <= r.phi_star <= upper
 
 
 def test_supplied_polytope_must_be_inscribed(stars):
@@ -696,10 +705,10 @@ def test_supplied_polytope_must_be_inscribed(stars):
     crit = preset("SUM", 47)
     poly, _ = inscribed_polytope(2, 32)
     with pytest.raises(GeometryError):
-        fit_ltau_approx(stars, crit, 2, 32,
-                        approx_polytope=Polytope.from_vertices(1.5 * poly.vertices))
-    r = fit_ltau_approx(stars, crit, 2, 32,
-                        approx_polytope=Polytope.from_vertices(0.5 * poly.vertices))
+        fit(FitRequest(stars, crit, LTau(2),
+                       polytope_vertices=Polytope.from_vertices(1.5 * poly.vertices)))
+    r = fit(FitRequest(stars, crit, LTau(2),
+                       polytope_vertices=Polytope.from_vertices(0.5 * poly.vertices)))
     lower, upper = r.bounds
     assert type(upper) is float
     assert lower <= r.phi_star <= upper
@@ -737,7 +746,7 @@ def test_every_fit_scores_gcod_once(monkeypatch, stars):
     monkeypatch.setattr(solvers, "gcod_index", counting)
     fit(FitRequest(stars, preset("SOS", 47), Vertical()))
     assert len(calls) == 1
-    fit_ltau_approx(stars, preset("SUM", 47), 2, 16)
+    fit(FitRequest(stars, preset("SUM", 47), LTau(2), polytope_vertices=16))
     assert len(calls) == 2
 
 
@@ -752,7 +761,7 @@ def test_ltau_fit_scores_sd_at_its_plane(stars):
                 poly, _ = inscribed_polytope(tau, N)
                 assert r.sd == sd_measure(stars, r.hyperplane.beta, tau, poly)
     poly = Polytope.from_vertices(0.5 * inscribed_polytope(3, 24)[0].vertices)
-    r = fit_ltau_approx(stars, preset("SUM", 47), 3, 24, approx_polytope=poly)
+    r = fit(FitRequest(stars, preset("SUM", 47), LTau(3), polytope_vertices=poly))
     assert r.sd == sd_measure(stars, r.hyperplane.beta, 3, poly)
 
 
@@ -769,7 +778,8 @@ def test_ltau_fit_builds_one_polar(monkeypatch, stars):
     monkeypatch.setattr(solvers, "polar_polytope", counting)
     fit(FitRequest(stars, preset("SUM", 47), LTau(2)))
     assert len(calls) == 1
-    fit_ltau_approx(stars, preset("SUM", 47), 2, 16, approx_polytope=inscribed_polytope(2, 16)[0])
+    fit(FitRequest(stars, preset("SUM", 47), LTau(2),
+                   polytope_vertices=inscribed_polytope(2, 16)[0]))
     assert len(calls) == 2
 
 
@@ -789,11 +799,6 @@ def _same_fields(a, b):
 def test_shorthands_are_requests_to_fit(stars):
     _same_fields(fit_lss(stars), fit(FitRequest(stars, preset("SOS", 47), Vertical())))
     _same_fields(fit_lad(stars), fit(FitRequest(stars, preset("SUM", 47), Vertical())))
-    for name in ("SUM", "MED"):
-        crit = preset(name, 47)
-        _same_fields(fit_ltau_approx(stars, crit, 3, 16, seed=2, multistart=4, node_limit=50),
-                     fit(FitRequest(stars, crit, LTau(3), seed=2, multistart=4,
-                                    polytope_vertices=16, node_limit=50)))
 
 
 def test_block_ball_of_another_dimension_is_a_geometry_error(stars, tmp_path):
@@ -801,13 +806,59 @@ def test_block_ball_of_another_dimension_is_a_geometry_error(stars, tmp_path):
     octahedron = Polytope.from_vertices(np.vstack([np.eye(3), -np.eye(3)]))
     attempts = (
         lambda: fit(FitRequest(stars, crit, Block(l1_ball(3)))),
-        lambda: fit_ltau_approx(stars, crit, math.inf, 8, approx_polytope=octahedron),
+        lambda: fit(FitRequest(stars, crit, LTau(math.inf), polytope_vertices=octahedron)),
         lambda: export_formulation(FitRequest(stars, crit, Block(l1_ball(3))),
                                    tmp_path / "x.lp"),
     )
     for attempt in attempts:
         with pytest.raises(GeometryError, match="3-d block ball .* 2-d data"):
             attempt()
+
+
+def test_fit_request_rejects_a_polytope_it_would_ignore(stars):
+    crit = preset("SUM", 47)
+    for norm in (Vertical(), Block(l1_ball(2))):
+        with pytest.raises(ValueError, match="16-vertex polytope .* l-tau norm only"):
+            FitRequest(stars, crit, norm, polytope_vertices=inscribed_polytope(2, 16)[0])
+    for value in (32.0, "32", None):
+        with pytest.raises(ValueError, match=f"an int N or a Polytope, not {value!r}"):
+            FitRequest(stars, crit, LTau(2), polytope_vertices=value)
+
+
+def test_export_of_a_supplied_polytope_resolves_to_the_lower_bound(stars, tmp_path):
+    # the exported disjunct of the caller's 24-gon is the one the fit's
+    # lower bound rho* came from
+    from planefit.lp import parse_lp_file, solve_lp
+
+    tau = Fraction(3, 2)
+    poly = inscribed_polytope(tau, 24)[0]
+    for name in ("SUM", "kC", "MAX"):
+        request = FitRequest(stars, preset(name, stars.n), LTau(tau), polytope_vertices=poly)
+        r = fit(request)
+        export_formulation(request, tmp_path / f"{name}.lp", r.hyperplane.beta)
+        solved = solve_lp(parse_lp_file(tmp_path / f"{name}.lp"))
+        assert solved.is_optimal
+        assert solved.objective == pytest.approx(r.bounds[0], rel=1e-12, abs=0.0)
+
+
+def test_l1_and_linf_specs_fit_as_their_blocks(stars):
+    # the CLI's l1 and linf are l-tau norms; each fits and measures strips
+    # exactly as its explicit block
+    from planefit.cli import parse_residual
+    from planefit.evaluation import strip_metrics, synthetic_generate
+
+    for data in (stars, synthetic_generate(60, 3, "Y", 1)):
+        d = data.dim
+        for spec, block in (("l1", Block(l1_ball(d), linf_ball(d))),
+                            ("linf", Block(linf_ball(d), l1_ball(d)))):
+            norm = parse_residual(spec, d)
+            for name in ("SUM", "kC", "MED"):
+                crit = preset(name, data.n)
+                r = fit(FitRequest(data, crit, norm))
+                _same_fields(r, fit(FitRequest(data, crit, block)))
+                have, want = (strip_metrics(data, r.hyperplane, m) for m in (norm, block))
+                assert np.array_equal(have.sorted_residuals, want.sorted_residuals)
+                assert have.eps90 == want.eps90
 
 
 def test_start_points_let_programming_errors_through(monkeypatch, rng):
@@ -1695,10 +1746,11 @@ def test_sector_search_matches_flat_scan_at_n32(monkeypatch, stars):
         crit = build_criterion(name, stars.n, param)
         for tau in (Fraction(3, 2), Fraction(2), Fraction(3)):
             calls.clear()
-            flat = _flat(monkeypatch, fit_ltau_approx, stars, crit, tau, 32, seed=1)
+            request = FitRequest(stars, crit, LTau(tau), seed=1, polytope_vertices=32)
+            flat = _flat(monkeypatch, fit, request)
             assert calls == EDGES_16
             calls.clear()
-            pruned = fit_ltau_approx(stars, crit, tau, 32, seed=1)
+            pruned = fit(request)
             _same_fit(pruned, flat)
             if name == "1.5SUM":  # irls proves nothing: every edge, in order
                 assert calls == EDGES_16
@@ -1714,17 +1766,18 @@ def test_sector_search_matches_flat_scan_at_n320(monkeypatch, stars):
     for name in ("SUM", "kC", "MED", "AkC"):
         crit = preset(name, stars.n, K=35) if name in ("kC", "AkC") else preset(name, stars.n)
         calls.clear()
-        flat = _flat(monkeypatch, fit_ltau_approx, stars, crit, 2, 320, seed=1)
+        request = FitRequest(stars, crit, LTau(2), seed=1, polytope_vertices=320)
+        flat = _flat(monkeypatch, fit, request)
         assert calls == [(g, g + 1) for g in range(160)]
         calls.clear()
-        pruned = fit_ltau_approx(stars, crit, 2, 320, seed=1)
+        pruned = fit(request)
         _same_fit(pruned, flat)
         assert pruned.subproblem_count == 160
         assert calls[:5] == [(a, a + 32) for a in range(0, 160, 32)]  # the 10-gon
         assert len(calls) <= 20
         searched = list(calls)
         calls.clear()
-        _same_fit(fit_ltau_approx(stars, crit, 2, 320, seed=1, approx_polytope=poly), pruned)
+        _same_fit(fit(FitRequest(stars, crit, LTau(2), seed=1, polytope_vertices=poly)), pruned)
         assert calls == searched
 
 
@@ -1891,7 +1944,7 @@ def test_ltau_fits_near_tau_one_cover_every_edge(stars):
         for tau in (Fraction(101, 100), Fraction(21, 20), Fraction(11, 10)):
             for N in (64, 128, 320):
                 poly, _ = inscribed_polytope(tau, N)
-                r = fit_ltau_approx(stars, crit, tau, N, seed=1)
+                r = fit(FitRequest(stars, crit, LTau(tau), seed=1, polytope_vertices=N))
                 assert r.solver_tag.endswith(f"+inner-{poly.n_vertices}gon")
                 assert r.subproblem_count == poly.n_vertices // 2
                 if name != "1.5SUM":  # irls proves no bound
@@ -1917,7 +1970,7 @@ def test_lts_on_ltau_is_proven_by_the_sector_search(monkeypatch, stars):
     lo, hi = r.bounds
     assert lo <= r.phi_star <= hi
     calls.clear()
-    flat = _flat(monkeypatch, fit_ltau_approx, stars, crit, 2, 32, seed=1)
+    flat = _flat(monkeypatch, fit, FitRequest(stars, crit, LTau(2), seed=1, polytope_vertices=32))
     assert calls == EDGES_16
     _same_fit(r, flat)
 
