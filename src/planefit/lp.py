@@ -29,7 +29,9 @@ entry differs, which no comparison sees.
 Problem sizes here stay in the hundreds of rows, where a dense tableau is
 simple and fast enough.  Binaries are solved by best-first branch and bound
 on LP relaxations, branching on the most fractional variable (ties to the
-lowest index, down-branch explored first).
+lowest index, down-branch explored first).  The search is best first, so
+the first integral point it pops is optimal within the gap, and a search
+stopped at its node limit returns no point.
 """
 
 from __future__ import annotations
@@ -123,7 +125,6 @@ class SolveStatus:
     status: str
     x: np.ndarray = None
     objective: float = None
-    best_bound: float = None  # branch-and-bound lower bound at termination
     nodes: int = 0
     pivots: int = 0  # simplex pivots; solve_milp sums those of its node LPs
 
@@ -405,8 +406,8 @@ def solve_milp(mip: MixedIntegerProgram, node_limit: int = 100_000) -> SolveStat
 
     Returns optimal once the best open bound is within
     ``GAP_TOL * max(1, |incumbent|)`` of the incumbent, a gap that is
-    absolute below 1, or iteration_limit carrying the incumbent when the
-    node budget runs out.
+    absolute below 1, or iteration_limit with no point when the node budget
+    runs out first.
     """
     base = mip.lp
 
@@ -426,10 +427,8 @@ def solve_milp(mip: MixedIntegerProgram, node_limit: int = 100_000) -> SolveStat
 
     counter = 0
     heap = [(root.objective, counter, {}, root)]
-    best_bound = root.objective
     while heap:
         bound, _, fixed, sol = heapq.heappop(heap)
-        best_bound = bound
         if incumbent is not None and bound >= incumbent_obj - GAP_TOL * max(1.0, abs(incumbent_obj)):
             break
         branch_var = _most_fractional(sol.x, mip.integral)
@@ -441,14 +440,7 @@ def solve_milp(mip: MixedIntegerProgram, node_limit: int = 100_000) -> SolveStat
                 incumbent, incumbent_obj = x, sol.objective
             continue
         if nodes >= node_limit:
-            return SolveStatus(
-                ITERATION_LIMIT,
-                incumbent,
-                incumbent_obj if incumbent is not None else None,
-                best_bound=bound,
-                nodes=nodes,
-                pivots=pivots,
-            )
+            return SolveStatus(ITERATION_LIMIT, nodes=nodes, pivots=pivots)
         for value in (0, 1):  # down branch first
             child_fixed = dict(fixed)
             child_fixed[branch_var] = value
@@ -465,8 +457,7 @@ def solve_milp(mip: MixedIntegerProgram, node_limit: int = 100_000) -> SolveStat
 
     if incumbent is None:
         return SolveStatus(INFEASIBLE, nodes=nodes, pivots=pivots)
-    return SolveStatus(OPTIMAL, incumbent, incumbent_obj, best_bound=min(best_bound, incumbent_obj),
-                       nodes=nodes, pivots=pivots)
+    return SolveStatus(OPTIMAL, incumbent, incumbent_obj, nodes=nodes, pivots=pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Normalizing the coefficients makes each residual family linear in beta:
 vertical residuals fix beta_d = -1, and a block norm restricted to a
 disjunct, a facet of the polar of its unit ball on which the dual norm of
 beta_-0 is 1, turns the distance into |beta . x_i|.  ``_solve_subproblem``
-sends each subproblem on that linear form down exactly one route, named by
-its tag:
+sends each subproblem on that linear form down exactly one route, whose
+name is the fit's tag; a route returns its plane or raises:
 
 * ``lp``: ``p == 1`` with nondecreasing weights, an exact LP, and
   max-type objectives lam_n max |r|^p (MAX, LQS with r = n) at any p, whose
@@ -31,9 +31,10 @@ its tag:
   one block of scores in memory); other weights need every crossing of the
   O(n^2) kink lines, one line at a time (O(n^5) time, O(n^3) memory), and
   only for n <= EXACT_ENUM_MAX_N;
-* ``milp`` (``incumbent`` at the node limit): ``p == 1`` with arbitrary
-  weights and n <= MILP_MAX_N = 6, a big-M assignment MILP; its root bound
-  is 0, and at n = 7 MED takes thousands of nodes;
+* ``milp``: ``p == 1`` with arbitrary weights and n <= MILP_MAX_N = 6, a
+  big-M assignment MILP solved to optimality by branch and bound, which
+  raises ``SolverError`` at its node limit; its root bound is 0, and at
+  n = 7 MED takes thousands of nodes;
 * ``lsq``, ``irls``, ``descent``: other nondecreasing weights at p > 1,
   constant at p = 2, constant at other p, or neither (no preset), by
   conditional gradient over the permutahedron of the weights;
@@ -42,11 +43,13 @@ its tag:
   r, take the minimax fit of the r points with the smallest residuals.
 
 The route is a function of the criterion and the number of free
-parameters alone (``_route``).  Every route solves a unit-scaled
-subproblem and returns only its plane; ``_solve_subproblem``, the one place
-that knows units, scales each subproblem once and scores the plane it gets
-back in data units, with ``criteria._ordered_median``, the one scorer of
-Phi.  ``_conditional_gradient`` and the concentration re-fits share one
+parameters alone (``_route``), and every subproblem of a fit has d of
+them, so ``fit`` tags its result with ``_route(criterion, d)``.  Every
+route solves a unit-scaled subproblem and returns only its plane;
+``_solve_subproblem``, the one place that knows units, scales each
+subproblem once and scores the plane it gets back in data units, with
+``criteria._ordered_median``, the one scorer of Phi.
+``_conditional_gradient`` and the concentration re-fits share one
 fixed-weight solver, ``_weighted_fit``.  Its least squares is exact: a
 clip of the slope in d = 2, an enumeration of active constraint sets in
 d >= 3.  Its IRLS stops at a tolerance, so
@@ -55,8 +58,7 @@ d >= 3.  Its IRLS stops at a tolerance, so
 Each subproblem stores its feasible set split once, into per-parameter
 bounds and general rows.  A block-norm fit has one disjunct per sign pair
 of facets of the polar of its ball, the set beta_-0 ranges over, and keeps
-the best; it is labelled ``incumbent`` when any disjunct stopped at the node
-limit.  In d >= 3 every disjunct is solved on its slice.  In d = 2 the polar
+the best.  In d >= 3 every disjunct is solved on its slice.  In d = 2 the polar
 is a polygon and a disjunct is an edge of it, on which beta_-0 = V[a] +
 s (V[a + 1] - V[a]) with 0 <= s <= 1.  Every d = 2 block fit, l1, linf, a
 block-file ball or the inscribed polygon of an l-tau fit, searches the
@@ -136,7 +138,7 @@ MILP_MAX_N = 6
 CG_ITERS = 200  # weighted fits per conditional-gradient solve (``_conditional_gradient``)
 POLYTOPE_VERTICES = 32  # default N of the l-tau polyhedral approximation (API and CLI)
 MULTISTART = 16  # default random starts of the concentration ``heuristic`` (API and CLI)
-NODE_LIMIT = 100_000  # default B&B node limit of the assignment MILP (API and CLI)
+NODE_LIMIT = 100_000  # B&B node limit of the assignment MILP (``FitRequest.node_limit``)
 _BLOCK_CELLS = 1 << 18  # rows x points per scored block (pair-slope scans, zero-line crossings)
 
 
@@ -168,6 +170,11 @@ class FitRequest:
     l-tau fit: either N, the vertex count of the polygon generated in d = 2,
     or the caller's inscribed ``Polytope`` (the only way to fit l-tau in
     d >= 3), whose polar the fit is solved over (``_as_block``).
+
+    ``node_limit`` caps the branch and bound of the ``milp`` route, a
+    safety stop that raises ``SolverError``.  It and ``NODE_LIMIT`` stay
+    only because perfbench/workloads.py passes ``node_limit=`` by keyword:
+    the next benchmark change drops the keyword, and the field goes after it.
     """
 
     dataset: Dataset
@@ -723,18 +730,14 @@ def _build_assignment_milp(prob: _LinearResiduals, lam: np.ndarray) -> lpmod.Mix
     return lpmod.MixedIntegerProgram(problem, frozenset(range(m + 2 * n, nv)))
 
 
-def _solve_p1_milp(prob: _LinearResiduals, lam: np.ndarray,
-                   node_limit: int) -> tuple[np.ndarray, str]:
-    """(v, tag) of the assignment MILP: ``milp`` when proven optimal,
-    ``incumbent`` when it stopped at the node limit with a feasible point."""
+def _solve_p1_milp(prob: _LinearResiduals, lam: np.ndarray, node_limit: int) -> np.ndarray:
+    """v of the assignment MILP, proven optimal; ``SolverError`` otherwise,
+    naming the status and the node limit."""
     status = lpmod.solve_milp(_build_assignment_milp(prob, lam), node_limit=node_limit)
-    if status.status == lpmod.OPTIMAL:
-        tag = "milp"
-    elif status.status == lpmod.ITERATION_LIMIT and status.x is not None:
-        tag = "incumbent"
-    else:
-        raise SolverError(f"assignment MILP ended with status {status.status}")
-    return status.x[:prob.n_params], tag
+    if not status.is_optimal:
+        raise SolverError(f"assignment MILP ended with status {status.status} after "
+                          f"{status.nodes} nodes (node limit {node_limit})")
+    return status.x[:prob.n_params]
 
 
 # -- fixed-weight fits, conditional gradient, concentration steps ----------
@@ -963,8 +966,8 @@ PROVEN_ROUTES = frozenset({"lp", "quantile-scan", "lts-scan", "exact-enum", "mil
 
 def _route(criterion: Criterion, n_params: int) -> str:
     """The route every subproblem of ``criterion`` on ``n_params`` free
-    parameters takes; it depends on nothing else.  ``milp`` may end as
-    ``incumbent``; ``lsq``, ``irls`` and ``descent`` share one solver."""
+    parameters takes; it depends on nothing else, and names the fit's tag.
+    ``lsq``, ``irls`` and ``descent`` share one solver."""
     lam = criterion.lam
     p = criterion.p_float
     n = lam.size
@@ -991,9 +994,10 @@ def _route(criterion: Criterion, n_params: int) -> str:
 
 def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
                       rng: SplitMix64, multistart: int,
-                      node_limit: int) -> tuple[float, np.ndarray, str]:
-    """(value, v, route tag) from the one route that fits the subproblem;
-    ``rng`` and ``multistart`` serve only the concentration ``heuristic``.
+                      node_limit: int) -> tuple[float, np.ndarray]:
+    """(value, v) from the one route that fits the subproblem (``_route``);
+    ``rng`` and ``multistart`` serve only the concentration ``heuristic``,
+    ``node_limit`` only ``milp``.
 
     Phi is homogeneous: scaling the residuals by s scales it by s^p, and
     scaling lam by s scales it by s.  So the route solves the unit problem,
@@ -1004,7 +1008,7 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
     lam . sort(|A v + c|)^p."""
     lam = criterion.lam
     p = criterion.p_float
-    tag = _route(criterion, prob.n_params)
+    route = _route(criterion, prob.n_params)
     col = np.maximum(np.abs(prob.A).max(axis=0), 1e-9)
     row = max(float(np.abs(prob.c).max()), 1e-9)
     unit = _LinearResiduals(
@@ -1012,23 +1016,23 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
         prob.bounds * col[:, None] / row, [(g * row / col, rhs) for g, rhs in prob.general])
     weights = lam / lam.max()
 
-    if tag == "lp":
+    if route == "lp":
         # at p != 1 the weights are max-type, whose p = 1 minimizer is optimal
         w = _solve_monotone_p1_lp(unit, weights)
-    elif tag == "quantile-scan":
+    elif route == "quantile-scan":
         w = _solve_quantile_2param(unit, int(np.flatnonzero(lam)[0]) + 1)
-    elif tag == "lts-scan":
+    elif route == "lts-scan":
         w = _solve_lts_2param(unit, np.flatnonzero(lam).size)
-    elif tag == "exact-enum":
+    elif route == "exact-enum":
         w = _solve_p1_exact_2param(unit, weights)
-    elif tag == "milp":
-        w, tag = _solve_p1_milp(unit, weights, node_limit)  # "milp" or "incumbent"
-    elif tag in ("lsq", "irls", "descent"):
+    elif route == "milp":
+        w = _solve_p1_milp(unit, weights, node_limit)
+    elif route in ("lsq", "irls", "descent"):
         w = _conditional_gradient(unit, weights, p)
     else:
         w = _solve_concentration(unit, weights, p, rng, multistart)
     v = w * row / col
-    return float(_ordered_median(prob.residuals(v), lam, p)), v, tag
+    return float(_ordered_median(prob.residuals(v), lam, p)), v
 
 
 # ---------------------------------------------------------------------------
@@ -1111,10 +1115,10 @@ def fit_lad(data: Dataset) -> FitResult:
 
 
 def _solve_block(data: Dataset, block: Block, solve,
-                 proven: bool) -> tuple[np.ndarray, str, int]:
-    """(beta, route tag, disjunct count) of the best disjunct of ``block``.
+                 proven: bool) -> tuple[np.ndarray, int]:
+    """(beta, disjunct count) of the best disjunct of ``block``.
 
-    ``solve(prob) -> (value, v, tag)`` solves one subproblem.  There is one
+    ``solve(prob) -> (value, v)`` solves one subproblem.  There is one
     disjunct per sign pair of facets of ``block.polar``, the set on whose
     boundary beta_-0 has dual norm 1.  In d >= 3 each is solved on the slice
     beta_-0 . b_g = 1 of its ball vertex b_g (``_disjunct_problem``), in
@@ -1133,8 +1137,7 @@ def _solve_block(data: Dataset, block: Block, solve,
     starts, and ends, with every edge alone, in order.
 
     Best-first search: the starting sectors are solved in order and the
-    wider ones queued by value (at -inf when the solve stopped at the node
-    limit, which bounds nothing).  The lowest queued sector is popped and
+    wider ones queued by value.  The lowest queued sector is popped and
     its two halves solved while its key is not above the incumbent, the
     best edge value so far, by more than 1e-9 relative (LP round-off).  The
     margin has no absolute term, so the search is the same at any scale of
@@ -1145,17 +1148,15 @@ def _solve_block(data: Dataset, block: Block, solve,
     whose bound is not above the optimum.
 
     The winner is the first best solved disjunct in disjunct order (a later
-    one wins only when lower by more than 1e-12 relative).  The tag is its
-    route, or ``incumbent`` when any solved disjunct stopped at the node limit,
-    since the fit is then not proven optimal over all of them.  The count
-    is the number of disjuncts, all of them solved or pruned.
+    one wins only when lower by more than 1e-12 relative).  The count is
+    the number of disjuncts, all of them solved or pruned.
     """
     solved = {}
     if block.polar.dim != 2:
         for g in _sign_distinct(block.ball.vertices):
             prob = _disjunct_problem(data, block.ball, g)
-            val, v, tag = solve(prob)
-            solved[g] = (val, prob.to_beta(v), tag)
+            val, v = solve(prob)
+            solved[g] = (val, prob.to_beta(v))
         count = len(solved)
     else:
         V = _polygon_vertices(block)
@@ -1169,13 +1170,13 @@ def _solve_block(data: Dataset, block: Block, solve,
         def visit(a, b):
             nonlocal incumbent
             prob = _chord_problem(data, V[a], V[b % len(V)])
-            val, v, tag = solve(prob)
+            val, v = solve(prob)
             if b - a == 1:
-                solved[a] = (val, prob.to_beta(v), tag)
+                solved[a] = (val, prob.to_beta(v))
                 incumbent = min(incumbent, val)
             else:
                 # equal keys pop the wider sector first, then in edge order
-                heapq.heappush(queue, (-math.inf if tag == "incumbent" else val, a - b, a, b))
+                heapq.heappush(queue, (val, a - b, a, b))
 
         for a in range(0, count, width):
             visit(a, a + width)
@@ -1185,14 +1186,12 @@ def _solve_block(data: Dataset, block: Block, solve,
             visit((a + b) // 2, b)
 
     best = None
-    stopped = False
-    for val, beta, tag in (solved[g] for g in sorted(solved)):
-        stopped = stopped or tag == "incumbent"
+    for val, beta in (solved[g] for g in sorted(solved)):
         if best is None or val < best[0] - 1e-12 * abs(best[0]):
-            best = (val, beta, tag)
+            best = (val, beta)
     if best is None:
         raise SolverError("all disjuncts failed")
-    return best[1], "incumbent" if stopped else best[2], count
+    return best[1], count
 
 
 def _polygon_vertices(block: Block) -> np.ndarray:
@@ -1326,7 +1325,8 @@ def sd_measure(data: Dataset, beta: np.ndarray, tau, approx_polytope: Polytope) 
 
 
 def fit(request: FitRequest) -> FitResult:
-    """The one path from a request to a result.
+    """The one path from a request to a result, tagged with its route,
+    ``_route(criterion, d)``: every subproblem has d free parameters.
 
     Vertical residuals are one subproblem; least squares (constant weights
     at p = 2) has one solution only when n > d and the design has full
@@ -1337,16 +1337,20 @@ def fit(request: FitRequest) -> FitResult:
     An l-tau norm with 1 < tau < inf, or one given the caller's inscribed
     polytope as ``polytope_vertices``, replaces the dual sphere
     ||beta_-0||_nu = 1 by the polytope P_N inscribed in the l-nu ball.  The
-    block solve yields a lower bound rho* and the returned coefficients are
-    re-scored under the true l-tau distance, giving the certified bracket
-    [rho*, rho* / r_P**p], the ``+inner-<n_v>gon`` tag and ``sd`` (see
+    block solve yields rho* and the returned coefficients are re-scored
+    under the true l-tau distance, giving the certified bracket [rho*,
+    rho* / r_P**p], the ``+inner-<n_v>gon`` tag and ``sd`` (see
     ``sd_measure``) from the residuals of both norms at the returned plane.
+    The upper end holds for any plane; rho* is a lower bound only when the
+    route is proven (``PROVEN_ROUTES``), and after ``irls``, ``descent`` or
+    ``heuristic`` the lower end is 0, the one bound Phi >= 0 certifies.
     Without a polytope, tau = 1 and tau = inf are polyhedral norms, fitted
     exactly with no bracket.  In d = 2 a supplied polygon is searched like a
     generated one; in d >= 3 every sign-distinct facet is solved.
     """
     data, criterion, norm = request.dataset, request.criterion, request.norm
     rng = SplitMix64(request.seed)
+    route = _route(criterion, data.dim)
 
     def solve(prob):
         return _solve_subproblem(prob, criterion, rng=rng, multistart=request.multistart,
@@ -1360,20 +1364,20 @@ def fit(request: FitRequest) -> FitResult:
             if np.linalg.matrix_rank(data.matrix[:, :data.dim]) < data.dim:
                 raise DegenerateDataError("design matrix is rank deficient")
         prob = _vertical_problem(data)
-        _, v, tag = solve(prob)
-        return _finalize(data, criterion, norm, prob.to_beta(v), tag, 1)
+        _, v = solve(prob)
+        return _finalize(data, criterion, norm, prob.to_beta(v), route, 1)
     block = _as_block(norm, data.dim, request.polytope_vertices)
     inner = isinstance(norm, LTau) and (isinstance(request.polytope_vertices, Polytope)
                                         or 1 < norm.tau < math.inf)
     poly = block.polar
     r_p = _inscribed_radius(poly, norm.tau) if inner else None  # before solving: fails fast
-    proven = _route(criterion, data.dim) in PROVEN_ROUTES
-    beta, tag, count = _solve_block(data, block, solve, proven)
+    proven = route in PROVEN_ROUTES
+    beta, count = _solve_block(data, block, solve, proven)
     if not inner:
-        return _finalize(data, criterion, block, beta, tag, count)
+        return _finalize(data, criterion, block, beta, route, count)
     beta, _ = _canonical_beta(beta, block)
     rho = phi_at(data, criterion, block, Hyperplane(beta, "dual-unit"))
-    result = _finalize(data, criterion, norm, beta, f"{tag}+inner-{poly.n_vertices}gon",
-                       count, bounds=(rho, rho / r_p**criterion.p_float))
+    result = _finalize(data, criterion, norm, beta, f"{route}+inner-{poly.n_vertices}gon",
+                       count, bounds=(rho if proven else 0.0, rho / r_p**criterion.p_float))
     result.sd = _sd(result.residuals, residual_vector(result.hyperplane, data, block))
     return result

@@ -44,23 +44,12 @@ def test_fit_collinear_gcod_one(tmp_path, capsys):
     assert record["gcod"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_fit_exits_1_on_an_incumbent_ltau_fit(monkeypatch, capsys):
-    from planefit import cli
-
-    real = cli.fit
-    args = ["fit", "--input", str(STARS_CSV), "--criterion", "SUM", "--residual", "ltau:2",
-            "--N", "8"]
-    code, out, _ = run_cli(args, capsys)
-    assert (code, json.loads(out)["solver_tag"]) == (0, "lp+inner-8gon")
-
-    def stopped(request):
-        result = real(request)
-        result.solver_tag = result.solver_tag.replace("lp", "incumbent", 1)
-        return result
-
-    monkeypatch.setattr(cli, "fit", stopped)
-    code, out, _ = run_cli(args, capsys)
-    assert (code, json.loads(out)["solver_tag"]) == (1, "incumbent+inner-8gon")
+def test_fit_has_no_node_limit_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--input", str(STARS_CSV), "--criterion", "SUM", "--residual", "l1",
+              "--node-limit", "10"])
+    assert exc.value.code == 2
+    assert "--node-limit" in capsys.readouterr().err
 
 
 def test_malformed_row_reports_line(tmp_path, capsys):
@@ -342,8 +331,7 @@ def test_fit_request_and_cli_share_the_default_n():
     assert fit_args.N == batch_args.N == default["polytope_vertices"] == POLYTOPE_VERTICES == 32
     assert (fit_args.multistart == batch_args.multistart == default["multistart"]
             == MULTISTART == 16)
-    assert (fit_args.node_limit == batch_args.node_limit == default["node_limit"]
-            == NODE_LIMIT == 100_000)
+    assert default["node_limit"] == NODE_LIMIT == 100_000
 
 
 def test_fit_csv_is_the_batch_row_and_batch_json_is_the_csv(tmp_path, capsys):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planefit.criteria import evaluate, preset
+from planefit.criteria import Criterion, evaluate, preset
 from planefit.geometry import (
     Block,
     Dataset,
@@ -26,6 +26,7 @@ from planefit.geometry import (
 from planefit.solvers import (
     DegenerateDataError,
     FitRequest,
+    SolverError,
     brute_force_fit_2d,
     export_formulation,
     fit,
@@ -646,7 +647,7 @@ def test_nonmonotone_small_d3_uses_milp(rng):
     data = random_dataset(rng, 6, 3)
     crit = preset("MED", 6)
     r = fit(FitRequest(data, crit, Vertical(), seed=0))
-    assert r.solver_tag in ("milp", "incumbent")
+    assert r.solver_tag == "milp"
     # 3-parameter scan is unavailable; sanity check against many random planes
     for _ in range(200):
         beta = np.concatenate([rng.normal(size=3), [-1.0]])
@@ -1169,8 +1170,9 @@ def test_med_and_akc_block_fits_match_oracle(rng):
             for g in solvers._sign_distinct(ball.vertices):
                 # the disjunct value picks the winner, so it must be the objective at v
                 prob = solvers._disjunct_problem(data, ball, g)
-                val, v, _ = solvers._solve_subproblem(prob, crit, rng=SplitMix64(0),
-                                                      multistart=0, node_limit=1)
+                assert solvers._route(crit, prob.n_params) == tag
+                val, v = solvers._solve_subproblem(prob, crit, rng=SplitMix64(0),
+                                                   multistart=0, node_limit=1)
                 assert val == pytest.approx(evaluate(crit, prob.residuals(v)), rel=1e-12)
             r = fit(FitRequest(data, crit, Block(l1_ball(2))))
             assert r.solver_tag == tag
@@ -1409,25 +1411,16 @@ def test_project_lands_feasible_on_d3_linf_disjunct(rng):
             assert prob.feasible(prob.project(v), tol=1e-9)
 
 
-def test_block_fit_is_incumbent_when_a_losing_disjunct_stopped(monkeypatch, stars):
-    from planefit import solvers
+def test_milp_fit_raises_at_the_node_limit():
+    # MED x vertical takes 117 nodes and the second l1 disjunct 81: a fit
+    # stopped before it proves optimality raises rather than return a plane
+    from planefit.evaluation import synthetic_generate
 
-    real = solvers._solve_subproblem
-    calls = []
-
-    def first_stops(prob, criterion, **kwargs):
-        val, v, tag = real(prob, criterion, **kwargs)
-        calls.append(tag)
-        if len(calls) == 1:  # the first disjunct stops early and loses
-            return val + 1e6, v, "incumbent"
-        return val, v, tag
-
-    monkeypatch.setattr(solvers, "_solve_subproblem", first_stops)
-    r = fit(FitRequest(stars, preset("SUM", 47), Block(l1_ball(2))))
-    assert calls == ["lp", "lp"]
-    assert r.solver_tag == "incumbent"
-    monkeypatch.setattr(solvers, "_solve_subproblem", real)
-    assert fit(FitRequest(stars, preset("SUM", 47), Block(l1_ball(2)))).solver_tag == "lp"
+    data = synthetic_generate(6, 3, "Y", 1)
+    for norm, node_limit in ((Vertical(), 40), (LTau(1), 20)):
+        assert fit(FitRequest(data, preset("MED", 6), norm)).solver_tag == "milp"
+        with pytest.raises(SolverError, match=f"iteration_limit.*node limit {node_limit}"):
+            fit(FitRequest(data, preset("MED", 6), norm, node_limit=node_limit))
 
 
 # ---------------------------------------------------------------------------
@@ -1820,7 +1813,7 @@ def test_unproven_routes_keep_their_results(stars):
     want = {
         "1.5SUM": ("irls+inner-32gon", 5.333887647873074,
                    [-4.15199178554076, 0.9991093406954765, -0.042196271577594986],
-                   [5.307868676146899, 5.346438998765982]),
+                   [0.0, 5.346438998765982]),
     }
     for name, (tag, phi, beta, bounds) in want.items():
         crit = build_criterion(name, stars.n, "0.5" if name == "LTS" else None)
@@ -1831,14 +1824,33 @@ def test_unproven_routes_keep_their_results(stars):
         assert r.bounds == pytest.approx(bounds, rel=1e-12)
 
 
+def test_unproven_ltau_brackets_start_at_zero(stars):
+    # an unproven route's block value bounds nothing, so the lower end is
+    # Phi >= 0; the upper end, rho / r_P**p, holds for any plane.  On this
+    # heuristic fit the block value, 11373.63, lies above a plane the oracle
+    # finds at 11366.65
+    from planefit.evaluation import synthetic_generate
+
+    data, tau = synthetic_generate(20, 2, "X", 2), Fraction(3, 2)
+    crit = Criterion(np.r_[0.0, np.ones(18), 0.0], tau)
+    r = fit(FitRequest(data, crit, LTau(tau)))
+    assert r.solver_tag == "heuristic+inner-32gon"
+    assert r.bounds[0] <= brute_force_fit_2d(data, crit, LTau(tau)).phi_star
+    for tau, upper in ((Fraction(3, 2), 5.402634998069219), (2, 5.346438998765982),
+                       (3, 5.273162803228618)):
+        r = fit(FitRequest(stars, preset("1.5SUM", stars.n), LTau(tau)))
+        assert r.solver_tag == "irls+inner-32gon"
+        assert r.bounds[0] == 0.0
+        assert r.bounds[1] == pytest.approx(upper, rel=1e-12)
+
+
 def test_sector_search_refines_every_bound_within_the_margin(monkeypatch):
     # scripted values on the sectors of the 16-gon, keyed (level, k): level 0
     # holds the chords of width 4, level 1 those of width 2 and level 2 the
     # edges (chords one edge wide), each coarse value a lower bound of its
     # halves: a key within 1e-9 relative of the incumbent is refined, one
-    # above it is pruned, a coarse node-limit stop is always refined, and
-    # the winner keeps the sequential rule, a later edge winning only when
-    # lower by more than 1e-12 relative
+    # above it is pruned, and the winner keeps the sequential rule, a later
+    # edge winning only when lower by more than 1e-12 relative
     from types import SimpleNamespace
 
     from planefit import solvers
@@ -1862,7 +1874,6 @@ def test_sector_search_refines_every_bound_within_the_margin(monkeypatch):
     base = {(0, 0): 0.5, (0, 1): 1.0 - 1e-12,
             (1, 0): 0.6, (1, 1): 1.0 + 2e-9, (1, 2): 1.0 - 1e-12, (1, 3): 1.0 + 5e-10,
             (2, 0): 1.0 + 1e-11, (2, 4): 1.0, (2, 5): 1.0 - 5e-13}
-    stopped = {**base, (1, 1): 9.0}
     # a perfect fit: the margin is relative, so only bounds <= 0 are refined;
     # no value is below 0, so a positive bound cannot hold a better edge
     zero = {(0, 0): 0.0, (0, 1): 5e-13, (1, 0): 0.0, (1, 1): 2e-12, (1, 2): 5e-13, (2, 0): 0.0}
@@ -1871,21 +1882,20 @@ def test_sector_search_refines_every_bound_within_the_margin(monkeypatch):
     # relative rule
     tiny = {(0, 0): 1e-13, (0, 1): 5e-14, (1, 0): 1e-13, (1, 2): 5e-14, (2, 0): 4e-13,
             (2, 4): 1e-13}
-    for values, tags, want_finest, want_beta in (
-            (base, {}, [0, 1, 4, 5, 6, 7], [2.0, 4.0]),
-            (stopped, {(1, 1): "incumbent"}, [0, 1, 2, 3, 4, 5, 6, 7], [2.0, 4.0]),
-            (zero, {}, [0, 1], [2.0, 0.0]),
-            (tiny, {}, [0, 1, 4, 5], [2.0, 4.0])):
+    for values, want_finest, want_beta in (
+            (base, [0, 1, 4, 5, 6, 7], [2.0, 4.0]),
+            (zero, [0, 1], [2.0, 0.0]),
+            (tiny, [0, 1, 4, 5], [2.0, 4.0])):
         solved = []
 
         def solve(prob):
             solved.append(prob.key)
-            return values.get(prob.key, 9.0), None, tags.get(prob.key, "lp")
+            return values.get(prob.key, 9.0), None
 
-        beta, tag, count = solvers._solve_block(None, block, solve, True)
+        beta, count = solvers._solve_block(None, block, solve, True)
         assert solved[:2] == [(0, 0), (0, 1)]
         assert sorted(g for level, g in solved if level == 2) == want_finest
-        assert (list(beta), tag, count) == (want_beta, "lp", 8)
+        assert (list(beta), count) == (want_beta, 8)
 
 
 def _edge_chord_values(data, crit, poly):
@@ -2022,9 +2032,9 @@ def test_lts_scan_is_never_above_concentration(rng):
             solvers._disjunct_problem(data, ball, g)
             for g in solvers._sign_distinct(ball.vertices)]
         for prob in probs:
-            val, _, tag = solvers._solve_subproblem(prob, crit, rng=SplitMix64(0),
-                                                    multistart=0, node_limit=1)
-            assert tag == "lts-scan"
+            assert solvers._route(crit, prob.n_params) == "lts-scan"
+            val, _ = solvers._solve_subproblem(prob, crit, rng=SplitMix64(0),
+                                               multistart=0, node_limit=1)
             heuristic = _phi(prob, crit.lam,
                              solvers._solve_concentration(prob, crit.lam, 2.0, SplitMix64(n), 16),
                              2.0)
