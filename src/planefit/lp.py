@@ -29,9 +29,10 @@ entry differs, which no comparison sees.
 Problem sizes here stay in the hundreds of rows, where a dense tableau is
 simple and fast enough.  Binaries are solved by best-first branch and bound
 on LP relaxations, branching on the most fractional variable (ties to the
-lowest index, down-branch explored first).  The search is best first, so
-the first integral point it pops is optimal within the gap, and a search
-stopped at its node limit returns no point.
+lowest index, down-branch explored first).  Nodes are popped in order of
+their LP bound, so the first integral one popped is optimal and the search
+returns it; a search solves at most its node limit of node LPs, the root
+included, and one stopped there returns no point.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 INT_TOL = 1e-9  # a binary this close to 0 or 1 counts as integral
-GAP_TOL = 1e-6  # branch and bound stops at a gap of GAP_TOL * max(1, |incumbent|)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -404,60 +404,42 @@ def _most_fractional(x: np.ndarray, integral) -> int | None:
 def solve_milp(mip: MixedIntegerProgram, node_limit: int = 100_000) -> SolveStatus:
     """Best-first branch and bound over the binary variables of ``mip``.
 
-    Returns optimal once the best open bound is within
-    ``GAP_TOL * max(1, |incumbent|)`` of the incumbent, a gap that is
-    absolute below 1, or iteration_limit with no point when the node budget
-    runs out first.
+    The open nodes are popped in order of their LP bound, so the first
+    integral one popped is at most every open bound and is optimal.  An
+    infeasible node is dropped; an unbounded one, or one whose LP hits its
+    iteration limit, ends the search with that status.  The node limit is
+    checked before each node LP, so a search solves at most ``node_limit``
+    of them, the root included, and returns iteration_limit with no point
+    when the budget runs out first.
     """
     base = mip.lp
-
-    def solve_node(fixed: dict) -> SolveStatus:
-        bounds = list(base.bounds)
-        for j, v in fixed.items():
-            bounds[j] = (float(v), float(v))
-        return solve_lp(LinearProgram(base.objective, list(base.rows), bounds, base.names))
-
-    incumbent = None
-    incumbent_obj = np.inf
-    nodes = 1
-    root = solve_node({})
-    pivots = root.pivots
-    if root.status != OPTIMAL:
-        return SolveStatus(root.status, nodes=nodes, pivots=pivots)
-
-    counter = 0
-    heap = [(root.objective, counter, {}, root)]
-    while heap:
-        bound, _, fixed, sol = heapq.heappop(heap)
-        if incumbent is not None and bound >= incumbent_obj - GAP_TOL * max(1.0, abs(incumbent_obj)):
-            break
+    heap = []  # (LP bound, solve order, fixed binaries, LP solution)
+    nodes = pivots = 0
+    pending = [{}]
+    while True:
+        for fixed in pending:  # down branch first
+            if nodes >= node_limit:
+                return SolveStatus(ITERATION_LIMIT, nodes=nodes, pivots=pivots)
+            bounds = list(base.bounds)
+            for j, v in fixed.items():
+                bounds[j] = (float(v), float(v))
+            sol = solve_lp(LinearProgram(base.objective, list(base.rows), bounds, base.names))
+            nodes += 1
+            pivots += sol.pivots
+            if sol.status == OPTIMAL:
+                heapq.heappush(heap, (sol.objective, nodes, fixed, sol))
+            elif sol.status != INFEASIBLE:
+                return SolveStatus(sol.status, nodes=nodes, pivots=pivots)
+        if not heap:
+            return SolveStatus(INFEASIBLE, nodes=nodes, pivots=pivots)
+        _, _, fixed, sol = heapq.heappop(heap)
         branch_var = _most_fractional(sol.x, mip.integral)
         if branch_var is None:
             x = sol.x.copy()
             for j in mip.integral:
                 x[j] = float(round(x[j]))
-            if sol.objective < incumbent_obj:
-                incumbent, incumbent_obj = x, sol.objective
-            continue
-        if nodes >= node_limit:
-            return SolveStatus(ITERATION_LIMIT, nodes=nodes, pivots=pivots)
-        for value in (0, 1):  # down branch first
-            child_fixed = dict(fixed)
-            child_fixed[branch_var] = value
-            child = solve_node(child_fixed)
-            nodes += 1
-            pivots += child.pivots
-            if child.status == OPTIMAL:
-                if child.objective < incumbent_obj - GAP_TOL * max(1.0, abs(incumbent_obj)) \
-                        or incumbent is None:
-                    counter += 1
-                    heapq.heappush(heap, (child.objective, counter, child_fixed, child))
-            elif child.status in (UNBOUNDED, ITERATION_LIMIT):
-                return SolveStatus(child.status, nodes=nodes, pivots=pivots)
-
-    if incumbent is None:
-        return SolveStatus(INFEASIBLE, nodes=nodes, pivots=pivots)
-    return SolveStatus(OPTIMAL, incumbent, incumbent_obj, nodes=nodes, pivots=pivots)
+            return SolveStatus(OPTIMAL, x, sol.objective, nodes=nodes, pivots=pivots)
+        pending = [{**fixed, branch_var: value} for value in (0, 1)]
 
 
 # ---------------------------------------------------------------------------

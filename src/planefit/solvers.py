@@ -32,9 +32,10 @@ name is the fit's tag; a route returns its plane or raises:
   O(n^2) kink lines, one line at a time (O(n^5) time, O(n^3) memory), and
   only for n <= EXACT_ENUM_MAX_N;
 * ``milp``: ``p == 1`` with arbitrary weights and n <= MILP_MAX_N = 6, a
-  big-M assignment MILP solved to optimality by branch and bound, which
-  raises ``SolverError`` at its node limit; its root bound is 0, and at
-  n = 7 MED takes thousands of nodes;
+  big-M assignment MILP solved to optimality by best-first branch and
+  bound, which returns the first integral node it pops, or raises
+  ``SolverError`` once it has solved its node limit of node LPs; its root
+  bound is 0, and at n = 7 MED takes thousands of nodes;
 * ``lsq``, ``irls``, ``descent``: other nondecreasing weights at p > 1,
   constant at p = 2, constant at other p, or neither (no preset), by
   conditional gradient over the permutahedron of the weights;
@@ -171,10 +172,11 @@ class FitRequest:
     or the caller's inscribed ``Polytope`` (the only way to fit l-tau in
     d >= 3), whose polar the fit is solved over (``_as_block``).
 
-    ``node_limit`` caps the branch and bound of the ``milp`` route, a
-    safety stop that raises ``SolverError``.  It and ``NODE_LIMIT`` stay
-    only because perfbench/workloads.py passes ``node_limit=`` by keyword:
-    the next benchmark change drops the keyword, and the field goes after it.
+    ``node_limit`` caps the node LPs, the root included, that the branch
+    and bound of the ``milp`` route solves, a safety stop that raises
+    ``SolverError``.  It and ``NODE_LIMIT`` stay only because
+    perfbench/workloads.py passes ``node_limit=`` by keyword: the next
+    benchmark change drops the keyword, and the field goes after it.
     """
 
     dataset: Dataset
@@ -241,11 +243,14 @@ class _LinearResiduals:
                   rhs: np.ndarray | None = None) -> "_LinearResiduals":
         """Split the inequalities ``rows @ v <= rhs``: a single-variable row
         becomes a bound (the tightest on each side wins), so the polytope
-        facets do not bloat the LPs; a constant row must hold."""
+        facets do not bloat the LPs; a constant row must hold.  An entry
+        counts as nonzero above 1e-15 times its row's largest magnitude, so
+        the split is the same at any size of the ball."""
         bounds = np.tile([-np.inf, np.inf], (A.shape[1], 1))
         if rows is None:
             return cls(A, c, to_beta, bounds, [])
-        nz = np.abs(rows) > 1e-15
+        size = np.abs(rows)
+        nz = size > 1e-15 * size.max(axis=1, keepdims=True)
         count = nz.sum(axis=1)
         if np.any(rhs[count == 0] < -1e-12):
             raise SolverError("infeasible constant inequality in subproblem")
@@ -565,56 +570,54 @@ def _solve_quantile_2param(prob: _LinearResiduals, r: int) -> np.ndarray:
     widths and minimum per block.  Every window's width moves at rate at
     most max w - min w in t, so G is L-Lipschitz with L = (max w - min w) / 2,
     and between two scored slopes a < b no t has G(t) below
-    (G(a) + G(b) - L (b - a)) / 2.  Round one scores one block of evenly
-    spaced candidates, both ends included; when that is all of them, as at
-    n <= 80 on a vertical fit, the scan ends there.  Each later round keeps
-    the gaps between neighbouring scored candidates whose bound is not above
-    the least G so far times 1 + 1e-12, a gap beside a non-finite G among
-    them, and scores their midpoints; once that least G is 0, as at r <= 2,
-    it drops every gap at or right of the first 0, since G >= 0 and ties go
-    to the smallest t.  It stops when no kept gap holds an unscored
-    candidate.  So every skipped candidate has G above the final
-    minimum, and the first minimum is the full scan's, bit for bit, from
-    about 8% of the slopes at n = 200 and 0.4% at n = 800 on LMS fits.
+    (G(a) + G(b) - L (b - a)) / 2.  Round one scores one block of
+    min(rows, m) evenly spaced candidates, both ends included: all m of
+    them when they fit one block, as at n <= 80 on a vertical fit, so no
+    gap is left and the loop ends, with no case of its own.  Each later
+    round keeps the gaps between neighbouring scored candidates whose bound
+    is not above the least G so far times 1 + 1e-12, a gap beside a
+    non-finite G among them, and scores their midpoints; once that least G
+    is 0, as at r <= 2, it drops every gap at or right of the first 0, since
+    G >= 0 and ties go to the smallest t.  It stops when no kept gap holds
+    an unscored candidate.  So every skipped candidate has G above the
+    final minimum, and the first minimum is the full scan's, bit for bit,
+    from about 8% of the slopes at n = 200 and 0.4% at n = 800 on LMS fits.
     """
     u, w, cands = _pair_slopes(prob)
     n, m = u.size, cands.size
     rows = max(2, _BLOCK_CELLS // n)
 
-    def scan(ts: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-        """Half-width G at each slope of ts, the first least and its line."""
+    def scan(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Half-width G at each slope of ts, and the line of the first least."""
         vals = np.sort(-(u[None, :] + ts[:, None] * w[None, :]), axis=1)
         widths = vals[:, r - 1:] - vals[:, : n - r + 1]
         k = np.argmin(widths, axis=1)
         half = widths[np.arange(ts.size), k] / 2.0
         half[np.isnan(half)] = np.inf  # a NaN window never wins
         i = int(np.argmin(half))  # the first minimum, i.e. the smallest t
-        return half, i, np.array([(vals[i, k[i]] + vals[i, k[i] + r - 1]) / 2.0, ts[i]])
+        return half, np.array([(vals[i, k[i]] + vals[i, k[i] + r - 1]) / 2.0, ts[i]])
 
-    if m <= rows:
-        G, i, v = scan(cands)
-    else:
-        G = np.full(m, np.inf)
-        seen = np.zeros(m, dtype=bool)
-        idx = np.arange(rows) * (m - 1) // (rows - 1)
-        L = (w.max() - w.min()) / 2.0
-        while idx.size:
-            for s in range(0, idx.size, rows):
-                G[idx[s: s + rows]] = scan(cands[idx[s: s + rows]])[0]
-            seen[idx] = True
-            at = np.flatnonzero(seen)
-            a, b = at[:-1], at[1:]
-            low = np.where(np.isfinite(G[at]), G[at], -np.inf)  # non-finite bounds nothing
-            bound = (low[:-1] + low[1:] - L * (cands[b] - cands[a])) / 2.0
-            keep = (b - a > 1) & ~(bound > G.min() * (1.0 + 1e-12))
-            if G.min() == 0.0:  # G >= 0, so no slope right of the first 0 wins
-                keep &= a < int(np.argmin(G))
-            idx = (a[keep] + b[keep]) // 2
-        i = int(np.argmin(G))
-        v = scan(cands[i: i + 1])[2]
+    G = np.full(m, np.inf)
+    seen = np.zeros(m, dtype=bool)
+    first = min(rows, m)
+    idx = np.arange(first) * (m - 1) // max(first - 1, 1)
+    L = (w.max() - w.min()) / 2.0
+    while idx.size:
+        for s in range(0, idx.size, rows):
+            G[idx[s: s + rows]] = scan(cands[idx[s: s + rows]])[0]
+        seen[idx] = True
+        at = np.flatnonzero(seen)
+        a, b = at[:-1], at[1:]
+        low = np.where(np.isfinite(G[at]), G[at], -np.inf)  # non-finite bounds nothing
+        bound = (low[:-1] + low[1:] - L * (cands[b] - cands[a])) / 2.0
+        keep = (b - a > 1) & ~(bound > G.min() * (1.0 + 1e-12))
+        if G.min() == 0.0:  # G >= 0, so no slope right of the first 0 wins
+            keep &= a < int(np.argmin(G))
+        idx = (a[keep] + b[keep]) // 2
+    i = int(np.argmin(G))
     if not G[i] < np.inf:
         raise SolverError("quantile scan found no candidate slope")
-    return v
+    return scan(cands[i: i + 1])[1]
 
 
 def _window_sums(X: np.ndarray, h: int) -> np.ndarray:
@@ -992,6 +995,12 @@ def _route(criterion: Criterion, n_params: int) -> str:
     return "heuristic"
 
 
+def _unit_scale(M: np.ndarray) -> np.ndarray:
+    """Largest magnitude of each column of M; 1 for a zero column."""
+    size = np.abs(M).max(axis=0)
+    return np.where(size > 0.0, size, 1.0)
+
+
 def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
                       rng: SplitMix64, multistart: int,
                       node_limit: int) -> tuple[float, np.ndarray]:
@@ -1002,15 +1011,15 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
     Phi is homogeneous: scaling the residuals by s scales it by s^p, and
     scaling lam by s scales it by s.  So the route solves the unit problem,
     each column of A and the offsets c divided by their largest magnitude
-    (at least 1e-9), bounds and general rows moved with them, and lam by its
+    (``_unit_scale``), bounds and general rows moved with them, and lam by its
     largest weight, on which every route's tolerances are relative.  Its
     plane w maps back to v = w row / col, scored here once in data units,
     lam . sort(|A v + c|)^p."""
     lam = criterion.lam
     p = criterion.p_float
     route = _route(criterion, prob.n_params)
-    col = np.maximum(np.abs(prob.A).max(axis=0), 1e-9)
-    row = max(float(np.abs(prob.c).max()), 1e-9)
+    col = _unit_scale(prob.A)
+    row = float(_unit_scale(prob.c))
     unit = _LinearResiduals(
         prob.A / col, prob.c / row, lambda w: prob.to_beta(w * row / col),
         prob.bounds * col[:, None] / row, [(g * row / col, rhs) for g, rhs in prob.general])
@@ -1328,9 +1337,10 @@ def fit(request: FitRequest) -> FitResult:
     """The one path from a request to a result, tagged with its route,
     ``_route(criterion, d)``: every subproblem has d free parameters.
 
-    Vertical residuals are one subproblem; least squares (constant weights
-    at p = 2) has one solution only when n > d and the design has full
-    rank, otherwise ``DegenerateDataError``.  A norm residual is solved over
+    Vertical residuals are one subproblem; least squares (the ``lsq``
+    route) has one solution only when n > d and the design, each column
+    divided by its largest magnitude, has full rank, otherwise
+    ``DegenerateDataError``.  A norm residual is solved over
     the disjuncts of its block (``_as_block``, ``_solve_block``), every
     subproblem drawing from one random stream in solve order.
 
@@ -1357,11 +1367,11 @@ def fit(request: FitRequest) -> FitResult:
                                  node_limit=request.node_limit)
 
     if isinstance(norm, Vertical):
-        lam = criterion.lam
-        if criterion.p_float == 2.0 and np.all(lam == lam[0]):
+        if route == "lsq":
             if data.n <= data.dim:
                 raise DegenerateDataError("least squares needs n > d")
-            if np.linalg.matrix_rank(data.matrix[:, :data.dim]) < data.dim:
+            design = data.matrix[:, :data.dim]
+            if np.linalg.matrix_rank(design / _unit_scale(design)) < data.dim:
                 raise DegenerateDataError("design matrix is rank deficient")
         prob = _vertical_problem(data)
         _, v = solve(prob)

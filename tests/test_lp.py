@@ -680,10 +680,12 @@ def test_milp_prunes_infeasible_fixing():
 
 
 def test_milp_node_limit_returns_no_point():
-    out = solve_milp(_node_limit_mip(), node_limit=3)
-    assert out.status == ITERATION_LIMIT
-    assert out.x is None and out.objective is None
-    assert out.nodes <= 5
+    # the limit is checked before each node LP, the root included, so a
+    # search stopped at it has solved exactly that many
+    for node_limit in range(2, 9):
+        out = solve_milp(_node_limit_mip(), node_limit=node_limit)
+        assert (out.status, out.nodes) == (ITERATION_LIMIT, node_limit)
+        assert out.x is None and out.objective is None
 
 
 def test_milp_matches_full_tableau_reference(rng, monkeypatch):

@@ -39,6 +39,9 @@ from planefit.solvers import (
 )
 
 HEX = Polytope.from_vertices([(2, 0), (2, 2), (-1, 2), (-2, 0), (-2, -2), (1, -2)])
+_G = (1 + 5**0.5) / 2
+ICOSAHEDRON = np.array([v for a in (1, -1) for b in (_G, -_G)
+                        for v in ((0, a, b), (a, b, 0), (b, 0, a))])
 
 
 def random_dataset(rng, n, d=2, spread=2.0):
@@ -112,6 +115,13 @@ def test_lss_takes_the_lsq_route(stars):
         routed = fit(FitRequest(data, preset("SOS", data.n), Vertical()))
         assert direct.solver_tag == routed.solver_tag == "lsq"
         np.testing.assert_array_equal(direct.hyperplane.beta, routed.hyperplane.beta)
+    # the rank is taken with each design column at unit scale, so data far
+    # smaller or larger than the ones column is not rank-deficient
+    base = fit_lss(stars)
+    for s in (1e-14, 1e14):
+        r = fit_lss(stars.scaled(s))
+        assert r.solver_tag == "lsq"
+        assert r.phi_star == pytest.approx(base.phi_star * s**2, rel=1e-12, abs=0.0)
 
 
 def test_lad_stars_reference_line(stars):
@@ -400,12 +410,9 @@ def test_block_balls_fit_at_any_size(stars):
 
     k = np.arange(24)
     ellipse = np.column_stack([2 * np.cos(np.pi * k / 12), np.sin(np.pi * k / 12)])
-    g = (1 + 5**0.5) / 2
-    icosahedron = np.array([v for a in (1, -1) for b in (g, -g)
-                            for v in ((0, a, b), (a, b, 0), (b, 0, a))])
     d3 = synthetic_generate(30, 3, "Y", 1)
     cases = [(stars, ellipse, name) for name in ("SUM", "MED", "SOS")]
-    cases += [(d3, icosahedron, name) for name in ("SUM", "MAX")]
+    cases += [(d3, ICOSAHEDRON, name) for name in ("SUM", "MAX")]
     for data, ball, name in cases:
         crit = preset(name, data.n)
         base = fit(FitRequest(data, crit, Block(Polytope.from_vertices(ball))))
@@ -1419,7 +1426,8 @@ def test_milp_fit_raises_at_the_node_limit():
     data = synthetic_generate(6, 3, "Y", 1)
     for norm, node_limit in ((Vertical(), 40), (LTau(1), 20)):
         assert fit(FitRequest(data, preset("MED", 6), norm)).solver_tag == "milp"
-        with pytest.raises(SolverError, match=f"iteration_limit.*node limit {node_limit}"):
+        with pytest.raises(SolverError, match=f"iteration_limit after {node_limit} nodes "
+                                              fr"\(node limit {node_limit}\)"):
             fit(FitRequest(data, preset("MED", 6), norm, node_limit=node_limit))
 
 
@@ -2099,7 +2107,8 @@ def test_sector_search_prunes_alike_at_every_data_scale(monkeypatch, stars):
 def test_proven_fits_are_scale_equivariant(stars):
     # Phi is homogeneous: data x s scales phi* by s^p and lam x s scales it
     # by s, so every proven stars-grid cell must land on the scaled optimum,
-    # with the same tag, from 1e-8 to 1e8 in the data and 1e-12 to 1e9 in lam
+    # with the same tag, from 1e-16 to 1e16 in the data and 1e-12 to 1e9 in
+    # lam
     from planefit.cli import GRID_CRITERIA, GRID_RESIDUALS, build_criterion, parse_residual
     from planefit.criteria import Criterion
     from planefit.solvers import PROVEN_ROUTES
@@ -2114,7 +2123,7 @@ def test_proven_fits_are_scale_equivariant(stars):
                 continue
             proven += 1
             cases = [(_scaled(stars, 10.0**k), crit, 10.0 ** (k * crit.p_float))
-                     for k in (-8, -4, 4, 8)]
+                     for k in (-16, -8, -4, 4, 8, 16)]
             cases += [(stars, Criterion(crit.lam * 10.0**k, crit.p), 10.0**k)
                       for k in (-12, -9, 9)]
             for data, scaled, factor in cases:
@@ -2134,3 +2143,15 @@ def test_proven_fits_are_scale_equivariant(stars):
             r = fit(FitRequest(_scaled(data, s), crit, norm))
             assert r.solver_tag == base.solver_tag == "lp"
             assert r.phi_star == pytest.approx(base.phi_star * s, rel=1e-12, abs=0.0)
+    # d = 3 block balls x 2^-50 (facet rows near 1e-15) and x 2^60 (offsets
+    # near 1e18): phi* scales by 1/s
+    data = synthetic_generate(30, 3, "Y", 1)
+    for ball in (linf_ball(3).vertices, ICOSAHEDRON):
+        for name in ("SUM", "MAX"):
+            crit = preset(name, data.n)
+            base = fit(FitRequest(data, crit, Block(Polytope.from_vertices(ball))))
+            for s in (2.0**-50, 2.0**60):
+                r = fit(FitRequest(data, crit, Block(Polytope.from_vertices(ball * s))))
+                assert r.solver_tag == base.solver_tag == "lp"
+                assert r.phi_star * s == pytest.approx(base.phi_star, rel=1e-12, abs=0.0), \
+                    (len(ball), name, s)
