@@ -1,6 +1,6 @@
 """Hyperplane fitting with ordered-median criteria and norm-based residuals."""
 
-from .criteria import Criterion, evaluate, evaluate_rcentrum, is_monotone, preset
+from .criteria import Criterion, evaluate, is_monotone, preset
 from .evaluation import CvSummary, StripMetrics, kfold_cv, strip_metrics, synthetic_generate
 from .geometry import (
     Block,
@@ -24,7 +24,6 @@ from .omp1d import OmpResult, candidate_set, gcod, solve_omp
 from .solvers import (
     FitRequest,
     FitResult,
-    brute_force_fit_2d,
     fit,
     fit_lad,
     fit_lss,

@@ -108,18 +108,24 @@ def read_csv_dataset(path: str, dependent: str | None = None) -> tuple[Dataset, 
 def _load_block_file(path: str) -> Polytope:
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = fh.readlines()
     except OSError as exc:
         raise InputError(f"cannot read block-norm file {path}: {exc}") from exc
     vertices = []
     for lineno, ln in enumerate(lines, start=1):
+        if not ln.strip():
+            continue
         try:
-            vertices.append([float(p) for p in ln.split()])
+            vertex = [float(p) for p in ln.split()]
         except ValueError as exc:
             raise InputError(f"{path}, line {lineno}: bad vertex ({exc})") from exc
+        if vertices and len(vertex) != len(vertices[0]):
+            raise InputError(f"{path}, line {lineno}: a vertex of {len(vertex)} coordinates "
+                             f"after vertices of {len(vertices[0])}")
+        vertices.append(vertex)
+    if not vertices:
+        raise InputError(f"{path}: no vertices")
     arr = np.array(vertices)
-    if arr.ndim != 2:
-        raise InputError(f"{path}: vertices must share a dimension")
     # complete missing mirror images, warning once
     missing = -arr[~_mirror_close(arr).any(axis=1)]
     if len(missing):

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "Criterion",
     "evaluate",
-    "evaluate_rcentrum",
     "preset",
     "is_monotone",
     "PRESET_NAMES",
@@ -41,8 +40,8 @@ class Criterion:
         object.__setattr__(self, "p", Fraction(self.p))
         if lam.ndim != 1 or lam.size < 1:
             raise ValueError("lambda must be a nonempty vector")
-        if np.any(lam < 0):
-            raise ValueError("lambda weights must be nonnegative")
+        if not np.all(np.isfinite(lam)) or np.any(lam < 0):
+            raise ValueError("lambda weights must be finite and nonnegative")
         if not np.any(lam > 0):
             raise ValueError("at least one lambda weight must be positive")
         if self.p < 1:
@@ -89,36 +88,6 @@ def evaluate(criterion: Criterion, residuals) -> float:
     if np.any(eps < 0):
         raise ValueError("residuals must be nonnegative")
     return float(_ordered_median(eps, criterion.lam, criterion.p))
-
-
-def evaluate_rcentrum(criterion: Criterion, residuals) -> float:
-    """Same value as :func:`evaluate`, via the telescoped centrum identity.
-
-    With theta_k the sum of the k largest powered residuals,
-
-        value = lam[0] * sum(eps^p) + sum_{r=2..n} (lam[r-1] - lam[r-2]) * theta_{n-r+1}
-
-    The differences may be negative for non-monotone lam; the identity holds
-    for any weights and provides an independent cross-check of ``evaluate``.
-    """
-    eps = np.asarray(residuals, dtype=float)
-    if eps.shape != (criterion.n,):
-        raise ValueError(
-            f"residual vector has length {eps.size}, criterion expects {criterion.n}"
-        )
-    if np.any(eps < 0):
-        raise ValueError("residuals must be nonnegative")
-    powered = np.sort(_powered(eps, criterion.p))  # nondecreasing
-    n = criterion.n
-    lam = criterion.lam
-    total = lam[0] * float(powered.sum())
-    # suffix_sums[k] = sum of the k largest
-    suffix = np.concatenate([[0.0], np.cumsum(powered[::-1])])
-    for r in range(2, n + 1):
-        diff = lam[r - 1] - lam[r - 2]
-        if diff != 0.0:
-            total += diff * suffix[n - r + 1]
-    return float(total)
 
 
 def is_monotone(criterion: Criterion) -> bool:

@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -106,13 +105,6 @@ class Dataset:
         self.matrix = m
 
     @classmethod
-    def from_points(cls, points: Sequence[Point]) -> "Dataset":
-        dims = {p.dim for p in points}
-        if len(dims) != 1:
-            raise GeometryError("all points must share the same dimension")
-        return cls(np.vstack([p.coords for p in points]))
-
-    @classmethod
     def from_observations(cls, obs: np.ndarray) -> "Dataset":
         """Build from raw (n, d) observations; the intercept column is synthesized."""
         obs = np.asarray(obs, dtype=float)
@@ -131,9 +123,6 @@ class Dataset:
     @property
     def observations(self) -> np.ndarray:
         return self.matrix[:, 1:]
-
-    def points(self) -> list[Point]:
-        return [Point(row) for row in self.matrix]
 
     def scaled(self, factor: float) -> "Dataset":
         return Dataset.from_observations(self.observations * factor)
@@ -233,8 +222,9 @@ def _hull_order_2d(vertices: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _facets_2d(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ordered = _hull_order_2d(vertices)
+def _facets_2d(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Facets a.x <= b of the hull whose extreme points ``_hull_order_2d``
+    returned, one per edge."""
     m = len(ordered)
     A = np.empty((m, 2))
     b = np.empty(m)
@@ -306,8 +296,8 @@ class Polytope:
         d = vertices.shape[1]
         _check_symmetric(vertices)
         if d == 2:
-            A, b = _facets_2d(vertices)
             vertices = _hull_order_2d(vertices)
+            A, b = _facets_2d(vertices)
         elif d == 3:
             A, b = _facets_3d(vertices)
         else:
@@ -586,16 +576,14 @@ def kappa(norm: NormSpec, d: int) -> float:
     return 1.0 / top
 
 
-def inscribed_polytope(tau, N: int, d: int = 2) -> tuple[Polytope, float]:
-    """Even-N polygon with vertices on the l-nu unit sphere, nu conjugate to tau.
+def inscribed_polytope(tau, N: int) -> tuple[Polytope, float]:
+    """Even-N polygon with vertices on the l-nu unit circle, nu conjugate to tau.
 
     Returns the polygon and its l-nu inradius r_P = min over facets of
     b_i / ||a_i||_tau, the largest r with r*||v||_P <= ||v||_nu <= ||v||_P.
     Its vertices run counter-clockwise; near tau = 1 nearly collinear ones
     are pruned (``_hull_order_2d``), so it can have fewer than N.
     """
-    if d != 2:
-        raise UnsupportedDimensionError("inscribed polytopes are generated for d = 2 only")
     if N < 4 or N % 2 != 0:
         raise GeometryError("N must be an even integer >= 4")
     nu = conjugate_exponent(tau)

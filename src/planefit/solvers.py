@@ -127,7 +127,6 @@ __all__ = [
     "fit",
     "fit_lss",
     "fit_lad",
-    "brute_force_fit_2d",
     "sd_measure",
     "phi_at",
     "l1_ball",
@@ -1253,64 +1252,6 @@ def _as_block(norm: NormSpec, d: int, N: int | Polytope = POLYTOPE_VERTICES) -> 
         poly, _ = inscribed_polytope(norm.tau, N)
         return Block(polar_polytope(poly), poly)
     raise SolverError("vertical residuals have no block form")
-
-
-def brute_force_fit_2d(data: Dataset, criterion: Criterion, norm: NormSpec,
-                       grid: tuple = None) -> FitResult:
-    """Verification oracle: dense scan over direction x offset, one refinement.
-
-    For norm residuals the direction sweeps half the dual unit sphere by
-    angle; for vertical residuals it sweeps the slope range directly.
-    """
-    if data.dim != 2:
-        raise SolverError("the brute-force oracle is two-dimensional")
-    y = data.matrix[:, 2]
-    x = data.matrix[:, 1]
-    if grid is None:
-        slope_span = 4.0 * (np.ptp(y) + 1.0) / max(np.ptp(x), 1e-9)
-        grid = ((-slope_span, slope_span), (float(y.min() - np.ptp(y) - 1.0),
-                                            float(y.max() + np.ptp(y) + 1.0)), 1e-2)
-    (t_lo, t_hi), (o_lo, o_hi), resolution = grid
-
-    vertical = isinstance(norm, Vertical)
-
-    def scan(tl, th, ol, oh, steps):
-        ts = np.linspace(tl, th, steps)
-        os_ = np.linspace(ol, oh, steps)
-        best = (np.inf, None)
-        for t in ts:
-            if vertical:
-                res = np.abs(y - t * x - os_[:, None])
-            else:
-                direction = np.array([math.cos(t), math.sin(t)])
-                scale = dual_norm(direction, norm)
-                direction = direction / scale
-                proj = data.matrix[:, 1:] @ direction
-                res = np.abs(proj + os_[:, None])
-            vals = _ordered_median(res, criterion.lam, criterion.p_float)
-            k = int(np.argmin(vals))
-            if vals[k] < best[0]:
-                best = (float(vals[k]), (t, float(os_[k])))
-        return best
-
-    if not vertical:
-        t_lo, t_hi = 0.0, math.pi
-    steps = max(8, int(math.ceil((t_hi - t_lo) / max(resolution, 1e-9))) + 1)
-    steps = min(steps, 2001)
-    val, (t, o) = scan(t_lo, t_hi, o_lo, o_hi, steps)
-    dt = (t_hi - t_lo) / (steps - 1)
-    do = (o_hi - o_lo) / (steps - 1)
-    val2, (t2, o2) = scan(t - dt, t + dt, o - do, o + do, 81)
-    if val2 < val:
-        t, o, val = t2, o2, val2
-    if vertical:
-        beta = np.array([o, t, -1.0])
-    else:
-        direction = np.array([math.cos(t), math.sin(t)])
-        direction = direction / dual_norm(direction, norm)
-        beta = np.concatenate([[o], direction])
-    result = _finalize(data, criterion, norm, beta, "oracle", 1)
-    return result
 
 
 def _sd(d_tau: np.ndarray, d_poly: np.ndarray) -> float:

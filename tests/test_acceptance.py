@@ -34,7 +34,6 @@ from planefit.omp1d import gcod, solve_omp
 from planefit.solvers import (
     PROVEN_ROUTES,
     FitRequest,
-    brute_force_fit_2d,
     fit,
     fit_lad,
     fit_lss,
@@ -42,6 +41,8 @@ from planefit.solvers import (
     linf_ball,
     phi_at,
 )
+
+from oracles import brute_force_fit_2d
 
 HEX = Polytope.from_vertices([(2, 0), (2, 2), (-1, 2), (-2, 0), (-2, -2), (1, -2)])
 

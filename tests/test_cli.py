@@ -449,18 +449,24 @@ def test_block_file_of_the_wrong_dimension_is_an_input_error(tmp_path, capsys):
     octahedron.write_text("1 0 0\n0 1 0\n0 0 1\n")
     square = tmp_path / "square.txt"
     square.write_text("1 1\n1 -1\n")
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("1 0\n\n0 1 0\n")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n")
     data3 = tmp_path / "d3.csv"
     run_cli(["gen", "--n", "20", "--d", "3", "--corruption", "Y", "--seed", "1",
              "--output", str(data3)], capsys)
-    for ball, data, dims in ((octahedron, STARS_CSV, ("3-d", "2-d")),
-                             (square, data3, ("2-d", "3-d"))):
+    for ball, data, words in ((octahedron, STARS_CSV, ("3-d", "2-d")),
+                              (square, data3, ("2-d", "3-d")),
+                              (ragged, STARS_CSV, ("line 3", "3 coordinates", "of 2")),
+                              (empty, STARS_CSV, ("no vertices",))):
         fit = ["fit", "--input", str(data), "--criterion", "SUM"]
         for args in (fit + ["--residual", f"block:{ball}"],
                      fit + ["--residual", "l1", "--strip-norm", f"block:{ball}"]):
             code, _, err = run_cli(args, capsys)
             assert code == 2
             error = json.loads(err.splitlines()[-1])["error"]
-            assert str(ball) in error and all(dim in error for dim in dims)
+            assert str(ball) in error and all(word in error for word in words)
 
 
 def test_unwritable_outputs_exit_2_with_a_json_error(tmp_path, capsys):

@@ -9,10 +9,11 @@ from planefit.criteria import (
     Criterion,
     _ordered_median,
     evaluate,
-    evaluate_rcentrum,
     is_monotone,
     preset,
 )
+
+from oracles import evaluate_rcentrum
 
 
 def crit(lam, p=1):
@@ -49,6 +50,11 @@ def test_criterion_needs_positive_weight():
         Criterion(np.array([1.0, -0.1]))
     with pytest.raises(ValueError):
         Criterion(np.ones(3), Fraction(1, 2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Criterion(np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            Criterion(np.array([1.0, bad]), Fraction(2))
 
 
 # r-centrum identity ---------------------------------------------------------

@@ -170,6 +170,23 @@ def test_polytope_requires_symmetry():
         Polytope.from_vertices([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])
 
 
+def test_from_vertices_orders_the_2d_hull_once(monkeypatch):
+    from planefit import geometry
+
+    calls = []
+    order = geometry._hull_order_2d
+
+    def counted(vertices):
+        calls.append(len(vertices))
+        return order(vertices)
+
+    monkeypatch.setattr(geometry, "_hull_order_2d", counted)
+    for vertices in (HEX_VERTICES, inscribed_polytope(2, 32)[0].vertices):
+        calls.clear()
+        Polytope.from_vertices(vertices)
+        assert calls == [len(vertices)]
+
+
 # ---------------------------------------------------------------------------
 # dual norms
 

@@ -27,7 +27,6 @@ from planefit.solvers import (
     DegenerateDataError,
     FitRequest,
     SolverError,
-    brute_force_fit_2d,
     export_formulation,
     fit,
     fit_lad,
@@ -37,6 +36,8 @@ from planefit.solvers import (
     phi_at,
     sd_measure,
 )
+
+from oracles import brute_force_fit_2d
 
 HEX = Polytope.from_vertices([(2, 0), (2, 2), (-1, 2), (-2, 0), (-2, -2), (1, -2)])
 _G = (1 + 5**0.5) / 2
