@@ -62,6 +62,19 @@ class InputError(Exception):
 # parsing helpers
 
 
+def _parse_line(path: str, lineno: int, parts: list[str], what: str) -> list[float]:
+    """The numbers of one line of an input file, each finite; anything else
+    is an input error naming the file and the line."""
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise InputError(f"{path}, line {lineno}: {what} ({exc})") from exc
+    bad = [p.strip() for p, x in zip(parts, values) if not math.isfinite(x)]
+    if bad:
+        raise InputError(f"{path}, line {lineno}: non-finite value {bad[0]!r}")
+    return values
+
+
 def read_csv_dataset(path: str, dependent: str | None = None) -> tuple[Dataset, list[str]]:
     try:
         with open(path) as fh:
@@ -82,10 +95,7 @@ def read_csv_dataset(path: str, dependent: str | None = None) -> tuple[Dataset, 
             raise InputError(
                 f"{path}, line {lineno}: expected {len(header)} fields, found {len(parts)}"
             )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise InputError(f"{path}, line {lineno}: non-numeric value ({exc})") from exc
+        rows.append(_parse_line(path, lineno, parts, "non-numeric value"))
     if not rows:
         raise InputError(f"{path}: no data rows")
     matrix = np.array(rows)
@@ -115,10 +125,7 @@ def _load_block_file(path: str) -> Polytope:
     for lineno, ln in enumerate(lines, start=1):
         if not ln.strip():
             continue
-        try:
-            vertex = [float(p) for p in ln.split()]
-        except ValueError as exc:
-            raise InputError(f"{path}, line {lineno}: bad vertex ({exc})") from exc
+        vertex = _parse_line(path, lineno, ln.split(), "bad vertex")
         if vertices and len(vertex) != len(vertices[0]):
             raise InputError(f"{path}, line {lineno}: a vertex of {len(vertex)} coordinates "
                              f"after vertices of {len(vertices[0])}")
@@ -175,17 +182,23 @@ def parse_residual(spec: str, d: int):
 
 
 def build_criterion(name: str, n: int, param: str | None) -> Criterion:
+    def parsed(kind, what):
+        try:
+            return kind(param)
+        except ValueError:
+            raise InputError(f"{name} needs --param <{what}>, not {param!r}") from None
+
     kwargs = {}
     if name in ("kC", "AkC") and param is not None:
-        kwargs["K"] = int(param)
+        kwargs["K"] = parsed(int, "K")
     elif name == "LQS":
         if param is None:
             raise InputError("LQS needs --param <rank r>")
-        kwargs["r"] = int(param)
+        kwargs["r"] = parsed(int, "rank r")
     elif name == "LTS":
         if param is None:
             raise InputError("LTS needs --param <alpha>")
-        kwargs["alpha"] = float(param)
+        kwargs["alpha"] = parsed(float, "alpha")
     return preset(name, n, **kwargs)
 
 
@@ -380,6 +393,18 @@ def _record_fields(record: dict, *keys: str) -> list:
     return values
 
 
+def _record_numbers(value, key: str, shape: tuple, what: str) -> np.ndarray:
+    """The record's ``key`` as finite numbers of ``shape``; anything else is
+    an input error naming it and ``what`` it must be."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.shape != shape or not np.all(np.isfinite(out)):
+        raise InputError(f"the record's {key!r} must be {what}, not {json.dumps(value)}")
+    return out
+
+
 def cmd_verify(args) -> int:
     try:
         with open(args.record) as fh:
@@ -392,6 +417,8 @@ def cmd_verify(args) -> int:
                          f"verify checks schema {SCHEMA_VERSION!r} records")
     criterion_name, residual, beta_raw, phi_star, gcod = _record_fields(
         record, "config.criterion", "config.residual", "beta_raw", "phi_star", "gcod")
+    phi_star = float(_record_numbers(phi_star, "phi_star", (), "a finite number"))
+    gcod = float(_record_numbers(gcod, "gcod", (), "a finite number"))
     config = record["config"]
     input_path = args.input or config.get("input")
     if input_path is None:
@@ -399,7 +426,8 @@ def cmd_verify(args) -> int:
     data, _ = read_csv_dataset(input_path, config.get("dependent_col"))
     criterion = build_criterion(criterion_name, data.n, config.get("param"))
     norm = parse_residual(residual, data.dim)
-    beta = np.asarray(beta_raw, dtype=float)
+    beta = _record_numbers(beta_raw, "beta_raw", (data.dim + 1,),
+                           f"d + 1 = {data.dim + 1} finite numbers")
     plane = Hyperplane(beta, record.get("normalization", "raw"))
     phi = phi_at(data, criterion, norm, plane)
     # phi* carries the data's units, so its absolute floor is a share of
@@ -411,7 +439,8 @@ def cmd_verify(args) -> int:
     ok_gcod = math.isclose(idx, gcod, rel_tol=1e-6, abs_tol=1e-9)
     bounds_ok = None
     if record.get("bounds") is not None:
-        lower, upper = record["bounds"]
+        lower, upper = _record_numbers(record["bounds"], "bounds", (2,),
+                                       "a pair of finite numbers")
         tol = 1e-9 * max(abs(lower), abs(upper))
         bounds_ok = bool(lower - tol <= phi <= upper + tol)
     report = {
@@ -422,7 +451,7 @@ def cmd_verify(args) -> int:
         "match": bool(ok_phi and ok_gcod),
         "bounds_ok": bounds_ok,
     }
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
+    _emit(json.dumps(report, indent=2, allow_nan=False) + "\n", args.output)
     return 0 if report["match"] and bounds_ok is not False else 1
 
 

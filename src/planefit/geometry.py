@@ -143,6 +143,8 @@ class Hyperplane:
         self.beta = np.asarray(self.beta, dtype=float)
         if self.beta.ndim != 1 or self.beta.size < 2:
             raise GeometryError("beta must be a vector of length d+1 >= 2")
+        if not np.all(np.isfinite(self.beta)):
+            raise GeometryError("beta must be finite")
         if self.normalization not in ("dual-unit", "vertical-unit", "raw"):
             raise GeometryError(f"unknown normalization {self.normalization!r}")
         if self.normalization == "vertical-unit" and self.beta[-1] != -1.0:

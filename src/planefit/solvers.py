@@ -1,10 +1,13 @@
 """Fitting algorithms for every criterion/residual combination.
 
-Normalizing the coefficients makes each residual family linear in beta:
-vertical residuals fix beta_d = -1, and a block norm restricted to a
-disjunct, a facet of the polar of its unit ball on which the dual norm of
-beta_-0 is 1, turns the distance into |beta . x_i|.  ``_solve_subproblem``
-sends each subproblem on that linear form down exactly one route, whose
+Each subproblem is a chart of coefficient space, beta(v) = (v[0], G v[1:]
++ g), on which the residuals of the plane beta(v) are linear, |A v + c|
+with A = [1, X G] and c = X g (``_LinearResiduals.chart``).  The offset
+v[0] = beta_0 is free; the slopes v[1:] carry the normalization: vertical
+residuals fix beta_d = -1, and a block norm restricted to a disjunct, a
+facet of the polar of its unit ball on which the dual norm of beta_-0 is 1,
+puts beta_-0 on that facet or on a chord across a polygon.
+``_solve_subproblem`` sends each subproblem down exactly one route, whose
 name is the fit's tag; a route returns its plane or raises:
 
 * ``lp``: ``p == 1`` with nondecreasing weights, an exact LP, and
@@ -220,34 +223,41 @@ def linf_ball(d: int = 2) -> Polytope:
 
 @dataclass
 class _LinearResiduals:
-    """Residuals |A v + c| over free parameters v, on a feasible set.
+    """Residuals |A v + c| on one chart of coefficient space, on a feasible set.
 
-    ``to_beta`` maps a parameter vector back to the full coefficient vector.
-    The feasible set is stored split, as built by ``from_rows``: ``bounds``
-    is an (n_params, 2) array of per-parameter (lo, hi), infinite where
-    open, and ``general`` holds the (row, rhs) pairs of ``row . v <= rhs``
-    with two or more nonzeros.  A two-parameter disjunct has no general
-    rows: its facets reduce to an interval on v[1] (``slope_interval``).
+    The chart is beta(v) = (v[0], G v[1:] + g) (``to_beta``): v[0] is the
+    offset beta_0, which no chart constrains, and the slopes v[1:] move
+    beta_-0 over an affine slice.  On observations X, A = [1, X G] and c =
+    X g, so |A v + c| are the residuals of the plane beta(v) (``chart``).
+    The feasible set is stored split: ``bounds`` is an (n_params, 2) array
+    of per-parameter (lo, hi), infinite where open, and ``general`` holds
+    the (row, rhs) pairs of ``row . v <= rhs`` with two or more nonzeros.
+    A two-parameter chart has no general rows: its inequalities reduce to
+    an interval on v[1] (``slope_interval``).
     """
 
     A: np.ndarray
     c: np.ndarray
-    to_beta: callable
+    G: np.ndarray
+    g: np.ndarray
     bounds: np.ndarray
     general: list
 
     @classmethod
-    def from_rows(cls, A: np.ndarray, c: np.ndarray, to_beta,
-                  rows: np.ndarray | None = None,
-                  rhs: np.ndarray | None = None) -> "_LinearResiduals":
-        """Split the inequalities ``rows @ v <= rhs``: a single-variable row
-        becomes a bound (the tightest on each side wins), so the polytope
-        facets do not bloat the LPs; a constant row must hold.  An entry
-        counts as nonzero above 1e-15 times its row's largest magnitude, so
-        the split is the same at any size of the ball."""
-        bounds = np.tile([-np.inf, np.inf], (A.shape[1], 1))
+    def chart(cls, data: Dataset, G: np.ndarray, g: np.ndarray,
+              rows: np.ndarray | None = None,
+              rhs: np.ndarray | None = None) -> "_LinearResiduals":
+        """The chart (G, g) of ``data`` on the slopes with ``rows @ v[1:] <=
+        rhs``: a single-variable row becomes a bound (the tightest on each
+        side wins), so the polytope facets do not bloat the LPs; a constant
+        row must hold.  An entry counts as nonzero above 1e-15 times its
+        row's largest magnitude, so the split is the same at any size of the
+        ball."""
+        X = data.observations
+        A = np.column_stack([np.ones(data.n), X @ G])
+        bounds = np.array([(-np.inf, np.inf)] * A.shape[1])
         if rows is None:
-            return cls(A, c, to_beta, bounds, [])
+            return cls(A, X @ g, G, g, bounds, [])
         size = np.abs(rows)
         nz = size > 1e-15 * size.max(axis=1, keepdims=True)
         count = nz.sum(axis=1)
@@ -257,14 +267,17 @@ class _LinearResiduals:
         j = nz[single].argmax(axis=1)
         coef = rows[single, j]
         limit = rhs[single] / coef
-        np.minimum.at(bounds[:, 1], j[coef > 0], limit[coef > 0])
-        np.maximum.at(bounds[:, 0], j[coef < 0], limit[coef < 0])
-        general = list(zip(rows[count > 1], rhs[count > 1]))
-        return cls(A, c, to_beta, bounds, general)
+        np.minimum.at(bounds[1:, 1], j[coef > 0], limit[coef > 0])
+        np.maximum.at(bounds[1:, 0], j[coef < 0], limit[coef < 0])
+        general = [(np.r_[0.0, row], b) for row, b in zip(rows[count > 1], rhs[count > 1])]
+        return cls(A, X @ g, G, g, bounds, general)
 
     @property
     def n_params(self) -> int:
         return self.A.shape[1]
+
+    def to_beta(self, v: np.ndarray) -> np.ndarray:
+        return np.concatenate([v[:1], self.G @ v[1:] + self.g])
 
     def residuals(self, v: np.ndarray) -> np.ndarray:
         return np.abs(self.A @ v + self.c)
@@ -274,10 +287,7 @@ class _LinearResiduals:
                 and all(row @ v <= rhs + tol for row, rhs in self.general))
 
     def slope_interval(self) -> tuple[float, float]:
-        """Feasible interval of v[1] of a two-parameter problem.  No
-        constraint may involve the offset v[0]."""
-        if self.general or np.isfinite(self.bounds[0]).any():
-            raise SolverError("inequality involves the offset parameter")
+        """Feasible interval of v[1] of a two-parameter problem."""
         lo, hi = self.bounds[1]
         return float(lo), float(hi)
 
@@ -300,15 +310,8 @@ class _LinearResiduals:
 
 def _vertical_problem(data: Dataset) -> _LinearResiduals:
     """beta_d = -1; parameters are (beta_0, ..., beta_{d-1})."""
-    X = data.matrix
     d = data.dim
-    A = X[:, :d]
-    c = -X[:, d]
-
-    def to_beta(v):
-        return np.concatenate([v, [-1.0]])
-
-    return _LinearResiduals.from_rows(A, c, to_beta)
+    return _LinearResiduals.chart(data, np.eye(d, d - 1), -np.eye(d)[d - 1])
 
 
 def _disjunct_problem(data: Dataset, ball: Polytope, g: int) -> _LinearResiduals:
@@ -323,32 +326,19 @@ def _disjunct_problem(data: Dataset, ball: Polytope, g: int) -> _LinearResiduals
     # orthonormal completion of b_g
     Q, _ = np.linalg.qr(np.column_stack([b_g, np.eye(d)]))
     Y = Q[:, 1:d]
-    X = data.matrix
-    A = np.column_stack([np.ones(data.n), X[:, 1:] @ Y])
-    c = X[:, 1:] @ base
-
-    def to_beta(v):
-        return np.concatenate([[v[0]], base + Y @ np.asarray(v[1:])])
-
     # one row per other vertex b_h: beta_-0 . b_h <= 1 in the parameters.
     # Its right-hand side 1 - base . b_h is taken as b_g . (b_g - b_h) / |b_g|^2,
     # since 1 - base . b_h cancels on neighbouring vertices of a fine polygon
     others = np.delete(ball.vertices, g, axis=0)
-    rows = np.column_stack([np.zeros(len(others)), others @ Y])
-    return _LinearResiduals.from_rows(A, c, to_beta, rows, (b_g - others) @ b_g / (b_g @ b_g))
+    return _LinearResiduals.chart(data, Y, base, others @ Y, (b_g - others) @ b_g / (b_g @ b_g))
 
 
 def _chord_problem(data: Dataset, p: np.ndarray, q: np.ndarray) -> _LinearResiduals:
     """Subproblem on the chord beta_-0 = p + s (q - p), 0 <= s <= 1, between
     two vertices of a polygon; parameters are (beta_0, s)."""
-    X = data.matrix[:, 1:]
-    A = np.column_stack([np.ones(data.n), X @ (q - p)])
-    bounds = np.array([[-np.inf, np.inf], [0.0, 1.0]])
-
-    def to_beta(v):
-        return np.concatenate([[v[0]], p + v[1] * (q - p)])
-
-    return _LinearResiduals(A, X @ p, to_beta, bounds, [])
+    prob = _LinearResiduals.chart(data, (q - p)[:, None], p)
+    prob.bounds[1] = 0.0, 1.0
+    return prob
 
 
 # -- exact LP for p = 1 and monotone weights --------------------------------
@@ -480,8 +470,6 @@ def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray) -> np.ndarra
         raise SolverError("exact enumeration needs exactly two parameters")
     u = prob.c.astype(float)
     w = prob.A[:, 1].astype(float)
-    if not np.allclose(prob.A[:, 0], 1.0):
-        raise SolverError("first parameter must be a pure offset")
     t_lo, t_hi = prob.slope_interval()
     n = u.size
 
@@ -1011,17 +999,18 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
     scaling lam by s scales it by s.  So the route solves the unit problem,
     each column of A and the offsets c divided by their largest magnitude
     (``_unit_scale``), bounds and general rows moved with them, and lam by its
-    largest weight, on which every route's tolerances are relative.  Its
-    plane w maps back to v = w row / col, scored here once in data units,
+    largest weight, on which every route's tolerances are relative.  It is
+    the same chart scaled, (G / col[1:], g / row), so w maps to the plane of
+    v = w row / col, beta(v) / row; v is scored here once in data units,
     lam . sort(|A v + c|)^p."""
     lam = criterion.lam
     p = criterion.p_float
     route = _route(criterion, prob.n_params)
     col = _unit_scale(prob.A)
     row = float(_unit_scale(prob.c))
-    unit = _LinearResiduals(
-        prob.A / col, prob.c / row, lambda w: prob.to_beta(w * row / col),
-        prob.bounds * col[:, None] / row, [(g * row / col, rhs) for g, rhs in prob.general])
+    unit = _LinearResiduals(prob.A / col, prob.c / row, prob.G / col[1:], prob.g / row,
+                            prob.bounds * col[:, None] / row,
+                            [(a * row / col, b) for a, b in prob.general])
     weights = lam / lam.max()
 
     if route == "lp":

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,36 @@ def test_field_count_mismatch(tmp_path, capsys):
     ], capsys)
     assert code == 2
     assert "line 3" in err
+
+
+def test_non_finite_input_names_the_file_and_line(tmp_path, capsys):
+    # a nan or inf is caught where it is read: no mirror completion of a
+    # block file, no numpy warning, no error that names neither file nor line
+    fit = ["fit", "--input", str(STARS_CSV), "--criterion", "SUM"]
+    for value in ("nan", "inf", "-inf"):
+        ball = tmp_path / f"ball-{value}.txt"
+        ball.write_text(f"1 0\n\n{value} 0\n0 1\n")
+        csv = tmp_path / f"data-{value}.csv"
+        csv.write_text(f"x1,y\n1.0,2.0\n3.0,{value}\n")
+        for args, path, line in ((fit + ["--residual", f"block:{ball}"], ball, "line 3"),
+                                 (["fit", "--input", str(csv), "--criterion", "SUM",
+                                   "--residual", "vertical"], csv, "line 3")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, _, err = run_cli(args, capsys)
+            assert code == 2
+            assert "mirrored" not in err
+            error = json.loads(err)["error"]
+            assert f"{path}, {line}" in error and repr(value) in error
+
+
+def test_unparsable_param_names_param(capsys):
+    for criterion in ("kC", "AkC", "LQS", "LTS"):
+        code, _, err = run_cli(["fit", "--input", str(STARS_CSV), "--criterion", criterion,
+                                "--param", "x", "--residual", "vertical"], capsys)
+        assert code == 2
+        error = json.loads(err)["error"]
+        assert "--param" in error and criterion in error and "'x'" in error
 
 
 def test_unknown_residual_is_input_error(capsys):
@@ -430,6 +461,30 @@ def test_verify_names_a_missing_record_key(tmp_path, capsys):
         code, _, err = run_cli(["verify", "--record", str(record_path)], capsys)
         assert code == 2, key
         assert repr(key) in json.loads(err)["error"]
+
+
+def test_verify_names_a_malformed_record_field(tmp_path, capsys):
+    # a field of the wrong form is bad input (exit 2) naming the field, not
+    # a failed check (exit 1) nor a report holding NaN
+    record_path = tmp_path / "record.json"
+    run_cli(["fit", "--input", str(STARS_CSV), "--criterion", "SUM", "--residual", "ltau:2",
+             "--N", "8", "--output", str(record_path)], capsys)
+    record = json.loads(record_path.read_text())
+    beta = record["beta_raw"]
+    for key, value, words in (
+            ("beta_raw", [beta[0], None, beta[2]], ("d + 1 = 3",)),
+            ("beta_raw", beta + [1.0], ("d + 1 = 3",)),
+            ("beta_raw", beta[:2], ("d + 1 = 3",)),
+            ("beta_raw", "x", ("d + 1 = 3",)),
+            ("bounds", [1.0], ("pair",)),
+            ("bounds", 1.0, ("pair",)),
+            ("bounds", [1.0, None], ("pair",)),
+            ("phi_star", None, ("finite number",))):
+        record_path.write_text(json.dumps(dict(record, **{key: value})))
+        code, out, err = run_cli(["verify", "--record", str(record_path)], capsys)
+        assert (code, out) == (2, ""), (key, value)
+        error = json.loads(err)["error"]
+        assert repr(key) in error and all(word in error for word in words), error
 
 
 def test_ltau_fit_in_d3_names_the_polytope_field(tmp_path, capsys):

@@ -170,6 +170,12 @@ def test_polytope_requires_symmetry():
         Polytope.from_vertices([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])
 
 
+def test_hyperplane_requires_finite_coefficients():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(GeometryError, match="finite"):
+            Hyperplane(np.array([0.0, bad, -1.0]))
+
+
 def test_from_vertices_orders_the_2d_hull_once(monkeypatch):
     from planefit import geometry
 

@@ -235,18 +235,17 @@ def _slope_problem(data, slope):
     """Vertical residuals with the slope v[1] limited to ``slope`` = (lo, hi)."""
     from planefit import solvers
 
-    base = solvers._vertical_problem(data)
     rows, rhs = [], []
     if slope is not None:
         lo, hi = slope
         if np.isfinite(lo):
-            rows.append([0.0, -1.0])
+            rows.append([-1.0])
             rhs.append(-lo)
         if np.isfinite(hi):
-            rows.append([0.0, 1.0])
+            rows.append([1.0])
             rhs.append(hi)
-    return solvers._LinearResiduals.from_rows(base.A, base.c, base.to_beta,
-                                              np.reshape(rows, (-1, 2)), np.array(rhs))
+    return solvers._LinearResiduals.chart(data, np.eye(2, 1), -np.eye(2)[1],
+                                          np.reshape(rows, (-1, 1)), np.array(rhs))
 
 
 def _phi(prob, lam, v, p=1.0):
@@ -906,8 +905,8 @@ def test_start_points_draw_every_index_alike(monkeypatch):
     n = 60
     index = np.arange(n, dtype=float)
     # three parameters, so no quantile start; column 1 names each row
-    prob = solvers._LinearResiduals.from_rows(
-        np.column_stack([np.ones(n), index, index**2]), np.zeros(n), None)
+    data = Dataset.from_observations(np.column_stack([index, index**2]))
+    prob = solvers._LinearResiduals.chart(data, np.eye(2), np.zeros(2))
     picks = []
     solve = np.linalg.solve
 
@@ -924,29 +923,71 @@ def test_start_points_draw_every_index_alike(monkeypatch):
     assert np.all((share >= 0.07) & (share <= 0.13)), share
 
 
-def test_slope_interval_is_the_bound_pair_of_the_slope():
+def test_slope_interval_is_the_bound_pair_of_the_slope(rng):
     from planefit.solvers import SolverError, _LinearResiduals
 
-    def build(rows):
-        return _LinearResiduals.from_rows(np.ones((3, 2)), np.zeros(3), None,
-                                          np.array([row for row, _ in rows]),
-                                          np.array([rhs for _, rhs in rows]))
+    data = random_dataset(rng, 3)
 
-    rows = [(np.array([0.0, 2.0]), 3.0), (np.array([0.0, -1.0]), 1.0),
-            (np.array([0.0, 1.0]), 4.0), (np.zeros(2), 0.0)]
+    def build(rows):
+        return _LinearResiduals.chart(data, np.eye(2, 1), -np.eye(2)[1],
+                                      np.array([row for row, _ in rows]),
+                                      np.array([rhs for _, rhs in rows]))
+
+    rows = [(np.array([2.0]), 3.0), (np.array([-1.0]), 1.0),
+            (np.array([1.0]), 4.0), (np.zeros(1), 0.0)]
     prob = build(rows)
     assert prob.slope_interval() == (-1.0, 1.5)
     assert prob.bounds.tolist() == [[-np.inf, np.inf], [-1.0, 1.5]]
     assert prob.general == []
     with pytest.raises(SolverError, match="constant"):
-        build(rows + [(np.zeros(2), -1.0)])
-    for row in ([1.0, 1.0], [1.0, 0.0]):  # a general row, a bound on the offset
-        with pytest.raises(SolverError, match="offset"):
-            build(rows + [(np.array(row), 2.0)]).slope_interval()
+        build(rows + [(np.zeros(1), -1.0)])
+
+
+def test_every_chart_and_its_unit_problem_map_parameters_to_their_plane(stars, rng,
+                                                                        monkeypatch):
+    # |data.matrix @ to_beta(v)| is |A v + c| on the vertical chart, a stars
+    # chord and a d = 3 l1 disjunct, and on the unit problem that
+    # _solve_subproblem solves for each, whose plane is the chart's divided
+    # by the offsets' scale
+    from planefit import solvers
+    from planefit.rng import SplitMix64
+
+    data3 = random_dataset(rng, 12, 3)
+    V = solvers._polygon_vertices(solvers._as_block(LTau(2), 2))
+    ball = solvers.l1_ball(3)
+    g = solvers._sign_distinct(ball.vertices)[0]
+    cases = ((data3, solvers._vertical_problem(data3)),
+             (stars, solvers._chord_problem(stars, V[0], V[4])),
+             (data3, solvers._disjunct_problem(data3, ball, g)))
+    units = []
+    real = solvers._solve_monotone_p1_lp
+
+    def solve(unit, lam):
+        units.append((unit, real(unit, lam)))
+        return units[-1][1]
+
+    def assert_charted(data, prob):
+        for _ in range(5):
+            v = rng.normal(size=prob.n_params)
+            want = prob.residuals(v)
+            have = np.abs(data.matrix @ prob.to_beta(v))
+            assert np.allclose(have, want, rtol=1e-12, atol=1e-12 * want.max())
+
+    monkeypatch.setattr(solvers, "_solve_monotone_p1_lp", solve)
+    for data, prob in cases:
+        assert_charted(data, prob)
+        _, v = solvers._solve_subproblem(prob, preset("SUM", data.n), rng=SplitMix64(0),
+                                         multistart=1, node_limit=1)
+        unit, w = units[-1]
+        assert unit is not prob
+        assert_charted(data, unit)
+        beta = prob.to_beta(v)
+        assert np.allclose(beta, np.abs(prob.c).max() * unit.to_beta(w),
+                           rtol=1e-12, atol=1e-12 * np.abs(beta).max())
 
 
 def _split_reference(rows, rhs, m):
-    """The per-row split ``from_rows`` replaced: (bounds, general rows)."""
+    """The per-row split ``_LinearResiduals.chart`` replaced: (bounds, general rows)."""
     bounds = np.tile([-np.inf, np.inf], (m, 1))
     general = []
     for row, b in zip(rows, rhs):
@@ -965,16 +1006,17 @@ def _split_reference(rows, rhs, m):
 def test_disjunct_rows_match_the_per_vertex_construction(stars, rng):
     from planefit.solvers import _disjunct_problem, _LinearResiduals, _sign_distinct
 
-    # the array split is the per-row split, bit for bit
+    # the array split is the per-row split, bit for bit, on the slopes v[1:]
     for m in (2, 3):
         rows = rng.normal(size=(40, m)) * (rng.random((40, m)) < 0.4)
         rhs = rng.random(40) + 0.1
-        prob = _LinearResiduals.from_rows(np.ones((3, m)), np.zeros(3), None, rows, rhs)
+        prob = _LinearResiduals.chart(random_dataset(rng, 3, m), np.eye(m), np.zeros(m),
+                                      rows, rhs)
         bounds, general = _split_reference(rows, rhs, m)
-        assert np.array_equal(prob.bounds, bounds)
+        assert np.isinf(prob.bounds[0]).all() and np.array_equal(prob.bounds[1:], bounds)
         assert len(prob.general) == len(general)
         for (row, b), (want_row, want_b) in zip(prob.general, general):
-            assert np.array_equal(row, want_row) and b == want_b
+            assert row[0] == 0.0 and np.array_equal(row[1:], want_row) and b == want_b
     # the rows beta_-0 . b_h <= 1 of every disjunct, one dot product per
     # vertex b_h.  One matrix product rounds each two-term product
     # differently, by up to 2 eps per side of a bound t = rhs / a; rhs =
@@ -1913,13 +1955,12 @@ def _edge_chord_values(data, crit, poly):
     from planefit.rng import SplitMix64
     from planefit.solvers import _LinearResiduals, _solve_subproblem
 
-    V, X = poly.vertices, data.matrix[:, 1:]
+    V = poly.vertices
     values = []
     for g in range(len(V) // 2):
         p, q = V[g], V[g + 1]
-        A = np.column_stack([np.ones(data.n), X @ (q - p)])
-        prob = _LinearResiduals.from_rows(A, X @ p, lambda v: v, np.array([[0.0, 1.0], [0.0, -1.0]]),
-                                          np.array([1.0, 0.0]))
+        prob = _LinearResiduals.chart(data, (q - p)[:, None], p, np.array([[1.0], [-1.0]]),
+                                      np.array([1.0, 0.0]))
         values.append(_solve_subproblem(prob, crit, rng=SplitMix64(0), multistart=4,
                                         node_limit=1000)[0])
     return values
