@@ -283,6 +283,9 @@ def cmd_fit(args) -> int:
     data, header = read_csv_dataset(args.input, args.dependent_col)
     criterion = build_criterion(args.criterion, data.n, args.param)
     norm = parse_residual(args.residual, data.dim)
+    if args.emit_lp and criterion.p != 1:
+        raise InputError(f"--emit-lp exports p = 1 formulations; {args.criterion} has "
+                         f"p = {criterion.p}")
     request = _request(args, data, criterion, norm)
     t0 = time.perf_counter()
     result = fit(request)

@@ -488,8 +488,14 @@ def _dual_of_tail(h: Hyperplane, norm: NormSpec) -> float:
     return value
 
 
+def _check_dim(h: Hyperplane, d: int) -> None:
+    if h.dim != d:
+        raise GeometryError(f"a {h.dim}-d hyperplane cannot measure distances in {d}-d data")
+
+
 def residual(h: Hyperplane, x: Point, norm: NormSpec) -> float:
     """Distance from x to H(beta) under the residual family ``norm``."""
+    _check_dim(h, x.dim)
     if isinstance(norm, Vertical):
         if h.beta[-1] == 0.0:
             raise DegenerateHyperplaneError(
@@ -501,6 +507,7 @@ def residual(h: Hyperplane, x: Point, norm: NormSpec) -> float:
 
 def residual_vector(h: Hyperplane, data: Dataset, norm: NormSpec) -> np.ndarray:
     """Vectorized residuals for a whole dataset."""
+    _check_dim(h, data.dim)
     values = np.abs(data.matrix @ h.beta)
     if isinstance(norm, Vertical):
         if h.beta[-1] == 0.0:
@@ -541,6 +548,7 @@ def steepest_direction(tail: np.ndarray, norm: NormSpec) -> np.ndarray:
 
 def projection_response(h: Hyperplane, x: Point, norm: NormSpec) -> np.ndarray:
     """Closest point to x on H(beta); the response consistent with the residual."""
+    _check_dim(h, x.dim)
     if isinstance(norm, Vertical):
         if h.beta[-1] == 0.0:
             raise DegenerateHyperplaneError("vertical response needs beta_d != 0")

@@ -26,14 +26,12 @@ name is the fit's tag; a route returns its plane or raises:
   block of h equal values, 1 < h < n (LTS), Hossjer's exact scan: in each
   cell of the pair-slope arrangement, every window of h consecutive
   residual values scored by its least-squares SSE, O(n^3 log n) time;
-* ``exact-enum``: other ``p == 1`` objectives on two free parameters, exact
-  enumeration of the breakpoint arrangement of the piecewise-linear
-  objective: the vertices of its kink lines and of the finite ends of the
-  slope interval, two more lines of the arrangement.  Nonincreasing weights
-  need only the O(n^2) crossings of the residual zero lines (O(n^3) time,
-  one block of scores in memory); other weights need every crossing of the
-  O(n^2) kink lines, one line at a time (O(n^5) time, O(n^3) memory), and
-  only for n <= EXACT_ENUM_MAX_N;
+* ``exact-enum``: other ``p == 1`` objectives on two free parameters, the
+  best vertex of one list of planes in the parameters, on whose cells the
+  objective is linear: the residual zero planes, one plane per bound and
+  general row and, unless the weights are nonincreasing, the O(n^2) planes
+  where two residual magnitudes match, for n <= EXACT_ENUM_MAX_N.  Scored a
+  block at a time: O(n^3) time for nonincreasing weights, O(n^5) for others;
 * ``milp``: ``p == 1`` with arbitrary weights and n <= MILP_MAX_N = 6, a
   big-M assignment MILP solved to optimality by best-first branch and
   bound, which returns the first integral node it pops, or raises
@@ -142,7 +140,7 @@ CG_ITERS = 200  # weighted fits per conditional-gradient solve (``_conditional_g
 POLYTOPE_VERTICES = 32  # default N of the l-tau polyhedral approximation (API and CLI)
 MULTISTART = 16  # default random starts of the concentration ``heuristic`` (API and CLI)
 NODE_LIMIT = 100_000  # B&B node limit of the assignment MILP (``FitRequest.node_limit``)
-_BLOCK_CELLS = 1 << 18  # rows x points per scored block (pair-slope scans, zero-line crossings)
+_BLOCK_CELLS = 1 << 18  # rows x points per scored block (pair-slope scans, vertex enumeration)
 
 
 class SolverError(RuntimeError):
@@ -282,9 +280,15 @@ class _LinearResiduals:
     def residuals(self, v: np.ndarray) -> np.ndarray:
         return np.abs(self.A @ v + self.c)
 
-    def feasible(self, v: np.ndarray, tol: float = 1e-9) -> bool:
-        return (bool(np.all((v >= self.bounds[:, 0] - tol) & (v <= self.bounds[:, 1] + tol)))
-                and all(row @ v <= rhs + tol for row, rhs in self.general))
+    def feasible(self, v: np.ndarray, tol: float = 1e-9):
+        """Whether v is feasible within tol; a block of points, parameters
+        along its first axis, gives one answer per point."""
+        ok = True
+        for x, (lo, hi) in zip(v, self.bounds):
+            ok = ok & (x >= lo - tol) & (x <= hi + tol)
+        for row, rhs in self.general:
+            ok = ok & (np.tensordot(row, v, 1) <= rhs + tol)
+        return ok
 
     def slope_interval(self) -> tuple[float, float]:
         """Feasible interval of v[1] of a two-parameter problem."""
@@ -431,92 +435,77 @@ def _solve_monotone_p1_lp(prob: _LinearResiduals, lam: np.ndarray) -> np.ndarray
     return status.x[:prob.n_params]
 
 
-# -- exact enumeration for p = 1, two parameters ----------------------------
+# -- exact vertex enumeration for p = 1 ------------------------------------
 
 
 def _nonincreasing(lam: np.ndarray) -> bool:
     return bool(np.all(lam[1:] <= lam[:-1]))
 
 
-def _solve_p1_exact_2param(prob: _LinearResiduals, lam: np.ndarray) -> np.ndarray:
-    """Exact two-parameter solve for p = 1 and arbitrary nonnegative weights.
+def _solve_p1_exact(prob: _LinearResiduals, lam: np.ndarray) -> np.ndarray:
+    """Exact p = 1 solve for nonnegative weights: the best vertex of one
+    arrangement of planes P v = q in the m = ``n_params`` parameters.
 
-    The objective is piecewise linear in (b0, t); its minimum sits at a
-    crossing of two lines of its arrangement: the kink lines and the finite
-    ends t = t_lo and t = t_hi of the feasible interval.  On an end, the
-    kink lines cross at the breakpoints of the one-dimensional
-    ordered-median problem in b0, one of which is its minimizer.  Which
-    kink lines are needed depends on the weights:
+    The planes are one per finite bound and per general row, the zero planes
+    A_i v = -c_i and, unless the weights are nonincreasing, the match planes
+    (A_i +- A_j) v = -(c_i +- c_j), i < j.  On each cell of the arrangement
+    the residual signs and the order of their magnitudes are fixed, so Phi
+    is linear there.  Nonincreasing weights need no match planes: by
+    rearrangement Phi is the least of the weighted-LAD objectives sum_i
+    lam_pi(i) |r_i| over permutations pi, each linear on the cells of the
+    zero planes.  Phi and the feasible set do not change along null(P), so
+    an orthonormal basis of it joins as planes through 0; then every cell
+    is pointed, and Phi is least at a vertex.
 
-    * nonincreasing weights (lam_1 >= ... >= lam_n, e.g. AkC): only the n
-      residual zero lines r_i = 0.  By rearrangement, sum_j lam_j |r|_(j)
-      is the minimum over permutations pi of the weighted-LAD objectives
-      sum_i lam_pi(i) |r_i|.  Each of those is convex and linear on every
-      cell of the zero-line arrangement cut to the strip, so it attains its
-      minimum at a crossing of two zero lines or of a zero line with an
-      end.  The ordered objective is nowhere above any of them, so its
-      minimum is reached at one of those points too.  The O(n^2) crossings
-      are scored a block of ``_BLOCK_CELLS`` cells at a time: O(n^3) time,
-      O(n^2) pair indices plus one block in memory.
-    * other weights: the zero lines and the matches r_i = +-r_j, L = n^2
-      lines in all.  Each line is crossed with every later line in one
-      vectorised step and the crossings inside the interval are scored, so
-      the O(n^4) crossings cost O(n^5) time and a line's step O(n^3)
-      memory.  The r_i = r_j lines come last; they carry no b0 term, are
-      parallel to each other and to the ends (constant t) and cross only
-      earlier lines, so the loop ends before them.
+    An m-subset of planes is a head of m - 1 planes, solved by Gaussian
+    elimination with pivoting into a line base + s z, and a later plane k,
+    which meets the line at s = (q_k - P_k base) / (P_k z).  It is a vertex
+    when |det|, the product of its pivots, is above 1e-12, which parallel
+    planes never pass.  Vertices feasible within 1e-12 are clipped to the
+    bounds and scored ``_BLOCK_CELLS // n`` at a time, the offset added
+    last so that an exactly interpolated point reads 0, and the first least
+    value in subset order wins: C(L, m) subsets of L planes.
     """
-    if prob.n_params != 2:
-        raise SolverError("exact enumeration needs exactly two parameters")
-    u = prob.c.astype(float)
-    w = prob.A[:, 1].astype(float)
-    t_lo, t_hi = prob.slope_interval()
-    n = u.size
+    A, c = prob.A, prob.c
+    n, m = A.shape
+    k, side = np.nonzero(np.isfinite(prob.bounds))
+    planes = [np.eye(m)[k], *(row for row, _ in prob.general), A]
+    sides = [prob.bounds[k, side], [rhs for _, rhs in prob.general], -c]
+    if not _nonincreasing(lam):
+        i, j = np.triu_indices(n, 1)
+        planes += [A[i] + A[j], A[i] - A[j]]
+        sides += [-(c[i] + c[j]), -(c[i] - c[j])]
+    P, q = np.vstack(planes), np.concatenate(sides)
+    # m zero rows give every direction a singular value
+    _, sig, Vt = np.linalg.svd(np.vstack([P, np.zeros((m, m))]), full_matrices=False)
+    null = Vt[sig <= sig[0] * len(P) * np.finfo(float).eps]
+    P, q, L = np.vstack([P, null]), np.r_[q, np.zeros(len(null))], len(P) + len(null)
 
-    def crossings(a1, b1, c1, a2, b2, c2):
-        """(b0, t) where a1*b0 + b1*t = c1 meets a2*b0 + b2*t = c2, kept
-        inside the t interval."""
-        det = a1 * b2 - a2 * b1
-        ok = np.abs(det) > 1e-12
-        det = det[ok]
-        b0s = (c1 * b2 - c2 * b1)[ok] / det
-        ts = (a1 * c2 - a2 * c1)[ok] / det
-        keep = (ts >= t_lo - 1e-12) & (ts <= t_hi + 1e-12) & np.isfinite(b0s)
-        return b0s[keep], np.clip(ts[keep], t_lo, t_hi)
-
-    best_val = np.inf
-    best_v = None
-
-    def consider(b0s: np.ndarray, ts: np.ndarray):
-        nonlocal best_val, best_v
-        if b0s.size == 0:
-            return
-        res = np.abs(b0s[:, None] + (u[None, :] + ts[:, None] * w[None, :]))
-        vals = _ordered_median(res, lam)
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            best_v = np.array([b0s[k], ts[k]])
-
-    # lines alpha*b0 + beta*t = gamma: the finite ends, then the zero lines
-    ends = np.array([t for t in (t_lo, t_hi) if np.isfinite(t)])
-    La = np.concatenate([np.zeros(ends.size), np.ones(n)])
-    Lb = np.concatenate([np.ones(ends.size), w])
-    Lc = np.concatenate([ends, -u])
-    if _nonincreasing(lam):
-        pi, pj = np.triu_indices(La.size, 1)
-        rows = max(1, _BLOCK_CELLS // n)
-        for s in range(0, pi.size, rows):
-            ii, jj = pi[s: s + rows], pj[s: s + rows]
-            consider(*crossings(La[ii], Lb[ii], Lc[ii], La[jj], Lb[jj], Lc[jj]))
-    else:
-        iu, ju = np.triu_indices(n, 1)
-        La = np.concatenate([La, np.full(iu.size, 2.0), np.zeros(iu.size)])
-        Lb = np.concatenate([Lb, w[iu] + w[ju], w[iu] - w[ju]])
-        Lc = np.concatenate([Lc, -(u[iu] + u[ju]), -(u[iu] - u[ju])])
-        for i in range(La.size - iu.size):  # every line but the r_i = r_j ones
-            consider(*crossings(La[i], Lb[i], Lc[i], La[i + 1:], Lb[i + 1:], Lc[i + 1:]))
-
+    heads = np.array(list(itertools.combinations(range(L), m - 1)))
+    h = np.arange(len(heads))
+    base, Z, det = np.zeros((len(h), m)), np.tile(np.eye(m), (len(h), 1, 1)), 1.0
+    for p, b in zip(P[heads.T], q[heads.T]):  # pivot on the largest |p Z_j|, zeroing Z_j
+        w = np.einsum("hi,hij->hj", p, Z)
+        j = np.argmax(np.abs(w), axis=1)
+        pivot, Zj = w[h, j, None], Z[h, :, j]
+        r = np.divide(np.column_stack([b - np.einsum("hi,hi->h", p, base), w]), pivot,
+                      out=np.zeros((len(h), m + 1)), where=pivot != 0.0)
+        base, Z, det = base + Zj * r[:, :1], Z - Zj[:, :, None] * r[:, None, 1:], det * pivot[:, 0]
+    z = Z.sum(axis=2)  # the one column left
+    best_val, best_v = np.inf, None
+    step = max(1, _BLOCK_CELLS // (n * L))  # heads per block, under L candidates each
+    for h0 in range(0, len(heads), step):
+        hs = slice(h0, h0 + step)
+        den = z[hs] @ P.T
+        ok = (np.arange(L) > heads[hs, -1:]) & (np.abs(det[hs, None] * den) > 1e-12)
+        s = np.divide(q - base[hs] @ P.T, den, out=0.0 * den, where=ok)
+        V = base[hs].T[:, :, None] + s * z[hs].T[:, :, None]
+        v = np.clip(V[:, ok & prob.feasible(V, tol=1e-12)].T, *prob.bounds.T)
+        if len(v):
+            vals = _ordered_median(np.abs(v[:, :1] + (c + v[:, 1:] @ A[:, 1:].T)), lam)
+            i = int(np.argmin(vals))
+            if vals[i] < best_val:
+                best_val, best_v = vals[i], v[i]
     if best_v is None:
         raise SolverError("no feasible point enumerated")
     return best_v
@@ -1021,7 +1010,7 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
     elif route == "lts-scan":
         w = _solve_lts_2param(unit, np.flatnonzero(lam).size)
     elif route == "exact-enum":
-        w = _solve_p1_exact_2param(unit, weights)
+        w = _solve_p1_exact(unit, weights)
     elif route == "milp":
         w = _solve_p1_milp(unit, weights, node_limit)
     elif route in ("lsq", "irls", "descent"):

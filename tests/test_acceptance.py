@@ -275,6 +275,22 @@ def test_criterion_07_oracle_equivalence():
             want = _permutation_enumeration(data, crit)
             check(failures, abs(val - want) <= 1e-6,
                   f"milp {name} seed {seed}: {val} vs enumeration {want}")
+
+    # p=1 vertex enumeration on three parameters against the same oracle
+    from planefit.solvers import _solve_p1_exact
+
+    rng = np.random.default_rng(307)
+    for seed in range(4):
+        n = 5 + (seed % 2)
+        data = Dataset.from_observations(rng.normal(size=(n, 3)) * 2.0)
+        prob = _vertical_problem(data)
+        for name, lam in (("MED", preset("MED", n).lam), ("AkC", preset("AkC", n).lam),
+                          ("random", rng.random(n))):
+            v = _solve_p1_exact(prob, lam)
+            val = float(lam @ np.sort(prob.residuals(v)))
+            want = _permutation_enumeration(data, Criterion(lam))
+            check(failures, abs(val - want) <= 1e-9 * max(want, 1.0),
+                  f"vertex enumeration {name} seed {seed}: {val} vs enumeration {want}")
     report(7, "solver paths match the scan and enumeration oracles", failures)
 
 

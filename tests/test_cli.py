@@ -256,6 +256,23 @@ def test_emit_lp(tmp_path, capsys, criterion):
     assert solved.objective == pytest.approx(json.loads(out_path.read_text())["phi_star"], rel=1e-9)
 
 
+def test_emit_lp_with_p_other_than_1_fails_before_fitting(tmp_path, capsys, monkeypatch):
+    from planefit import cli
+
+    def unused(request):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(cli, "fit", unused)
+    lp_path = tmp_path / "x.lp"
+    for criterion, p in (("SOS", "2"), ("1.5SUM", "3/2")):
+        code, out, err = run_cli(["fit", "--input", str(STARS_CSV), "--criterion", criterion,
+                                  "--residual", "l1", "--emit-lp", str(lp_path)], capsys)
+        error = json.loads(err)["error"]
+        assert (code, out) == (2, "")
+        assert "--emit-lp" in error and f"p = {p}" in error
+        assert not lp_path.exists()
+
+
 def test_block_file_symmetry_completion(tmp_path, capsys):
     blockfile = tmp_path / "ball.txt"
     blockfile.write_text("1 0\n0 1\n")  # mirrors added with a warning

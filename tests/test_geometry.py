@@ -277,6 +277,23 @@ def test_residual_degenerate_raises():
         residual(h0, Point(np.array([1.0, 0.0, 0.0])), LTau(2))
 
 
+def test_plane_and_data_of_different_dimension_raise_naming_both():
+    from planefit.criteria import preset
+    from planefit.geometry import Dataset, residual_vector
+    from planefit.solvers import phi_at
+
+    plane = Hyperplane(np.array([0.0, 1.0, 1.0, -1.0]))  # 3-d
+    x = Point(np.array([1.0, 2.0, 3.0]))  # 2-d
+    data = Dataset.from_observations(np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 2.0]]))
+    for norm in (Vertical(), LTau(2), l1_block()):
+        calls = (lambda: residual(plane, x, norm), lambda: projection_response(plane, x, norm),
+                 lambda: residual_vector(plane, data, norm),
+                 lambda: phi_at(data, preset("SUM", 3), norm, plane))
+        for call in calls:
+            with pytest.raises(GeometryError, match="3-d hyperplane .* 2-d data"):
+                call()
+
+
 def test_projection_identity_on_plane():
     h = Hyperplane(np.array([0.0, 1.0, -1.0]))
     x = Point(np.array([1.0, 2.0, 2.0]))

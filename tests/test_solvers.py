@@ -615,7 +615,7 @@ def test_monotone_lp_agrees_with_arrangement_enumeration(rng):
         _build_monotone_lp,
         _centrum_blocks,
         _solve_monotone_p1_lp,
-        _solve_p1_exact_2param,
+        _solve_p1_exact,
         _vertical_problem,
     )
 
@@ -646,7 +646,7 @@ def test_monotone_lp_agrees_with_arrangement_enumeration(rng):
         assert len(t_cols) == sum(k < n for k, _ in terms) == n_terms - (lam[0] > 0)
         assert problem.n_vars == prob.n_params + n * n_terms + len(t_cols)
         via_lp = _phi(prob, lam, _solve_monotone_p1_lp(prob, lam))
-        via_enum = _phi(prob, lam, _solve_p1_exact_2param(prob, lam))
+        via_enum = _phi(prob, lam, _solve_p1_exact(prob, lam))
         assert via_lp == pytest.approx(via_enum, abs=1e-7 * max(1.0, via_enum))
 
 
@@ -1112,7 +1112,7 @@ def _exact_enum_reference(prob, lam):
 
 
 def test_exact_enum_matches_dedupe_reference(rng):
-    from planefit.solvers import _solve_p1_exact_2param
+    from planefit.solvers import _solve_p1_exact
 
     cases = ((8, None), (12, (-0.5, 0.25)), (20, (0.1, np.inf)), (30, (-np.inf, 0.3)),
              (30, None))
@@ -1124,7 +1124,7 @@ def test_exact_enum_matches_dedupe_reference(rng):
         lams = (preset("MED", n).lam, preset("AkC", n, K=n // 3).lam,
                 rng.random(n) * (rng.random(n) < 0.5) + np.eye(n)[n // 2])
         for lam in lams:
-            v = _solve_p1_exact_2param(prob, lam)
+            v = _solve_p1_exact(prob, lam)
             val = _enum_phi(prob, lam, v)
             want = _exact_enum_reference(prob, lam)
             assert val == pytest.approx(want, rel=1e-12, abs=1e-300)
@@ -1154,7 +1154,7 @@ def test_exact_enum_scores_the_interval_ends_as_lines(monkeypatch, rng):
                     preset("MED", n).lam,  # general
                     rng.random(n) * (rng.random(n) < 0.5) + np.eye(n)[n // 2])
             for lam in lams:
-                v = solvers._solve_p1_exact_2param(prob, lam)
+                v = solvers._solve_p1_exact(prob, lam)
                 assert _enum_phi(prob, lam, v) == pytest.approx(
                     _exact_enum_reference(prob, lam), rel=1e-12, abs=1e-300)
                 on_end[solvers._nonincreasing(lam)] += v[1] in (0.0, 1.0)
@@ -1164,13 +1164,13 @@ def test_exact_enum_scores_the_interval_ends_as_lines(monkeypatch, rng):
 def test_exact_enum_memory_is_bounded(rng):
     import tracemalloc
 
-    from planefit.solvers import EXACT_ENUM_MAX_N, _solve_p1_exact_2param
+    from planefit.solvers import EXACT_ENUM_MAX_N, _solve_p1_exact
 
     n = EXACT_ENUM_MAX_N
     prob = _slope_problem(random_dataset(rng, n), None)
     tracemalloc.start()
     try:
-        _solve_p1_exact_2param(prob, preset("MED", n).lam)
+        _solve_p1_exact(prob, preset("MED", n).lam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1180,7 +1180,7 @@ def test_exact_enum_memory_is_bounded(rng):
 def test_weight_shape_routes_match_dedupe_reference(rng):
     # nonincreasing weights score only the zero-line crossings, one-rank
     # weights take the pair-slope scan; both must reach the full arrangement
-    from planefit.solvers import _solve_p1_exact_2param, _solve_quantile_2param
+    from planefit.solvers import _solve_p1_exact, _solve_quantile_2param
 
     cases = ((8, None), (12, (-0.5, 0.25)), (20, (0.1, np.inf)), (24, (-np.inf, 0.3)),
              (24, None))
@@ -1192,7 +1192,7 @@ def test_weight_shape_routes_match_dedupe_reference(rng):
         lam = np.sort(np.round(rng.random(n) * 3.0) / 3.0)[::-1].copy()
         lam[n - int(rng.integers(1, n // 2)):] = 0.0
         lam[0] += 0.5
-        v = _solve_p1_exact_2param(prob, lam)
+        v = _solve_p1_exact(prob, lam)
         val = _enum_phi(prob, lam, v)
         assert val == pytest.approx(_exact_enum_reference(prob, lam), rel=1e-12, abs=1e-300)
         assert t_lo <= v[1] <= t_hi
@@ -1206,6 +1206,61 @@ def test_weight_shape_routes_match_dedupe_reference(rng):
             assert t_lo <= v[1] <= t_hi
             assert np.sort(prob.residuals(v))[r - 1] == pytest.approx(half, rel=1e-12,
                                                                        abs=1e-12)
+
+
+def test_exact_enum_is_never_above_the_milp_on_milp_d3_subproblems():
+    # the vertical and l1 subproblems of the benchmark's milp-d3 cells, units
+    # 0-4 at seed 1 (each cell's data seed is the next draw of its unit's
+    # stream), on three parameters
+    from planefit.evaluation import synthetic_generate
+    from planefit.rng import SplitMix64
+    from planefit.solvers import (NODE_LIMIT, _disjunct_problem, _sign_distinct,
+                                  _solve_p1_exact, _solve_p1_milp, _vertical_problem)
+
+    ball = l1_ball(3)
+    cells = ([(name, residual, 4) for name in ("MED", "AkC") for residual in ("vertical", "l1")]
+             + [(name, "vertical", 5) for name in ("MED", "AkC")])
+    solved = 0
+    for unit in range(5):
+        draws = SplitMix64(1 + 1_000_003 * unit)
+        for name, residual, n in cells:
+            data = synthetic_generate(n, 3, "Y", draws.next_u64())
+            lam = preset(name, n).lam
+            probs = ([_vertical_problem(data)] if residual == "vertical" else
+                     [_disjunct_problem(data, ball, g) for g in _sign_distinct(ball.vertices)])
+            for prob in probs:
+                enum = _phi(prob, lam, _solve_p1_exact(prob, lam))
+                milp = _phi(prob, lam, _solve_p1_milp(prob, lam, NODE_LIMIT))
+                assert enum <= milp + 1e-9, (unit, name, residual)
+                solved += 1
+    assert solved == 5 * (4 + 2 * 3)  # an l1 ball in 3-d has 3 sign-distinct vertices
+
+
+def test_exact_enum_reaches_the_d3_enumeration_values():
+    # vertical fits of synthetic_generate(n, 3, "Y", seed), where the
+    # concentration heuristic reads 0.7842, 0.5546, 0.1277 and 90.23
+    from planefit.evaluation import synthetic_generate
+    from planefit.solvers import _solve_p1_exact, _vertical_problem
+
+    cases = ((preset("AkC", 8, K=4).lam, 1, 0.2852), (preset("AkC", 12, K=4).lam, 2, 0.03724),
+             (preset("AkC", 15, K=4).lam, 2, 0.04867), (np.r_[0.0, np.ones(10), 0.0], 1, 88.65))
+    for lam, seed, want in cases:
+        prob = _vertical_problem(synthetic_generate(lam.size, 3, "Y", seed))
+        assert float(f"{_phi(prob, lam, _solve_p1_exact(prob, lam)):.4g}") == want
+
+
+def test_exact_enum_fits_data_whose_x_values_coincide():
+    # the zero lines are parallel and never cross; Phi is constant along
+    # null(P), whose basis enters as a plane through 0, so the fit is the 1-d
+    # optimum of the y values
+    from planefit.omp1d import solve_omp
+
+    y = np.array([0.0, 1.0, 3.0, 7.0, 8.0])
+    data = Dataset.from_observations(np.column_stack([np.full(5, 2.0), y]))
+    for lam in (preset("AkC", 5).lam, np.array([0.0, 1.0, 0.5, 1.0, 0.0])):
+        r = fit(FitRequest(data, Criterion(lam), Vertical()))
+        assert r.solver_tag == "exact-enum"
+        assert r.phi_star == pytest.approx(solve_omp(y, lam, 1).value, rel=1e-12, abs=0.0)
 
 
 def test_med_and_akc_block_fits_match_oracle(rng):
