@@ -95,9 +95,12 @@ class LinearProgram:
         return self.objective.size
 
     def add_row(self, coeffs, rel: str, rhs: float) -> None:
+        coeffs = np.asarray(coeffs, dtype=float)
+        if len(coeffs) != self.n_vars:
+            raise ValueError("constraint row length mismatch")
         if rel not in ("<=", "=", ">="):
             raise ValueError(f"unknown relation {rel!r}")
-        self.rows.append((np.asarray(coeffs, dtype=float), rel, float(rhs)))
+        self.rows.append((coeffs, rel, float(rhs)))
 
     def var_name(self, j: int) -> str:
         if self.names is not None and self.names[j]:
@@ -294,15 +297,17 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
     ``FEAS_TOL`` times the largest right-hand side (at least 1).
     """
     tr = _Transform(lp)
-    coeffs = np.array([r for r, _, _ in lp.rows], dtype=float).reshape(len(lp.rows), lp.n_vars)
-    std, offsets = tr.std_rows(coeffs)
-    rows = [[r, rel, rhs - off] for r, (_, rel, rhs), off in zip(std, lp.rows, offsets)]
-    for j, width in tr.extra_rows:
-        r = np.zeros(tr.n_std)
-        r[tr.column[j]] = 1.0
-        rows.append([r, "<=", width])
+    coeffs, rels, rhs = zip(*lp.rows) if lp.rows else ((), (), ())
+    std, offsets = tr.std_rows(np.array(coeffs, dtype=float).reshape(len(lp.rows), lp.n_vars))
+    # each finite width hi - lo of a shifted variable is one more "<=" row
+    j, width = np.array(tr.extra_rows, dtype=float).reshape(-1, 2).T
+    unit = np.zeros((len(j), tr.n_std))
+    unit[np.arange(len(j)), tr.column[j.astype(int)]] = 1.0
+    A = np.vstack([std, unit])
+    b = np.concatenate([np.array(rhs, dtype=float) - offsets, width])
+    rel = np.array(rels + ("<=",) * len(j), dtype="U2")
 
-    m = len(rows)
+    m = len(A)
     n = tr.n_std
     if max_iters is None:
         max_iters = 50 * (m + n)
@@ -313,31 +318,22 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> SolveStatus:
     # Variables are numbered structural, then one slack per inequality row,
     # then an artificial per row from art_start; only the nonbasic ones,
     # the structural columns and the slacks of ">=" rows, get a column.
-    flipped = []
-    for r, rel, rhs in rows:
-        if rhs < 0 or (rhs == 0 and rel == ">="):
-            r, rhs = -r, -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        flipped.append((r, rel, rhs))
-    n_slack = sum(1 for _, rel, _ in flipped if rel != "=")
+    le, ge = rel == "<=", rel == ">="
+    flip = (b < 0) | ((b == 0) & ge)
+    A[flip], b[flip] = -A[flip], -b[flip]
+    le, ge = np.where(flip, ge, le), np.where(flip, le, ge)
+    inequality = le | ge
+    slack = n + np.cumsum(inequality) - 1  # the slack of each inequality row
+    n_slack = int(inequality.sum())
     art_start = n + n_slack
-    n_ge = sum(1 for _, rel, _ in flipped if rel == ">=")
+    n_ge = int(ge.sum())
     T = np.zeros((m + 1, n + n_ge + 1))
+    T[:m, :n] = A
+    T[:m, -1] = b
+    T[np.flatnonzero(ge), n + np.arange(n_ge)] = -1.0
     var = np.arange(n + n_ge)
-    basis = np.empty(m, dtype=int)
-    s = g = 0
-    for i, (r, rel, rhs) in enumerate(flipped):
-        T[i, :n] = r
-        T[i, -1] = rhs
-        basis[i] = art_start + i
-        if rel == "<=":
-            basis[i] = n + s
-            s += 1
-        elif rel == ">=":
-            T[i, n + g] = -1.0
-            var[n + g] = n + s
-            s += 1
-            g += 1
+    var[n:] = slack[ge]
+    basis = np.where(le, slack, art_start + np.arange(m))
     # phase-1 tests are relative to the rhs: round-off grows with the data
     feas_tol = FEAS_TOL * max(1.0, float(T[:-1, -1].max(initial=0.0)))
 

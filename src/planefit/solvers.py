@@ -42,7 +42,8 @@ name is the fit's tag; a route returns its plane or raises:
   conditional gradient over the permutahedron of the weights;
 * ``heuristic``: everything else, multistart concentration steps: re-fit on
   the currently selected weight assignment or, for one-rank weights at rank
-  r, take the minimax fit of the r points with the smallest residuals.
+  r, take the minimax fit of the r points with the smallest residuals; an
+  elemental start outside the feasible set is projected onto it exactly.
 
 The route is a function of the criterion and the number of free
 parameters alone (``_route``), and every subproblem of a fit has d of
@@ -54,24 +55,27 @@ subproblem once and scores the plane it gets back in data units, with
 ``_conditional_gradient`` and the concentration re-fits share one
 fixed-weight solver, ``_weighted_fit``.  Its least squares is exact: a
 clip of the slope in d = 2, an enumeration of active constraint sets in
-d >= 3.  Its IRLS stops at a tolerance, so
-``irls`` proves nothing; nor does ``descent``, whose gap may stay open.
+d >= 3; the same solver with A = I projects a heuristic start.  Its IRLS
+stops at a tolerance, so ``irls`` proves nothing; nor does ``descent``,
+whose gap may stay open.
 
-Each subproblem stores its feasible set split once, into per-parameter
-bounds and general rows.  A block-norm fit has one disjunct per sign pair
-of facets of the polar of its ball, the set beta_-0 ranges over, and keeps
-the best.  In d >= 3 every disjunct is solved on its slice.  In d = 2 the polar
-is a polygon and a disjunct is an edge of it, on which beta_-0 = V[a] +
-s (V[a + 1] - V[a]) with 0 <= s <= 1.  Every d = 2 block fit, l1, linf, a
-block-file ball or the inscribed polygon of an l-tau fit, searches the
-first half of these edges, one formulation for every sector: a sector, a
-range of edges, is solved on the chord between its end vertices.  When the
-route is proven (``lp``, ``quantile-scan``, ``lts-scan``, ``exact-enum``,
-``milp``, ``lsq``), the search is best first: a wider chord lies inside the
-polygon and so bounds every edge of its sector from below, and is halved
-only while that bound is not above the incumbent.  Every disjunct is solved
-or pruned by a proven bound, and the answer is the flat scan's, from 8-14 of
-16 solves at N = 32 and 15 of 160 at N = 320 on the 47-star sample.
+Each subproblem stores its feasible set once, as per-parameter bounds and
+an array of general rows, and every consumer reads them as one list of
+constraints P v <= q (``constraints``).  A block-norm fit has one disjunct
+per sign pair of facets of the polar of its ball, the set beta_-0 ranges
+over, and keeps the best.  In d >= 3 every disjunct is solved on its
+slice.  In d = 2 the polar is a polygon and a disjunct is an edge of it,
+on which beta_-0 = V[a] + s (V[a + 1] - V[a]) with 0 <= s <= 1.  Every
+d = 2 block fit, l1, linf, a block-file ball or the inscribed polygon of an
+l-tau fit, searches the first half of these edges, one formulation for
+every sector: a sector, a range of edges, is solved on the chord between
+its end vertices.  When the route is proven (``lp``, ``quantile-scan``,
+``lts-scan``, ``exact-enum``, ``milp``, ``lsq``), the search is best first:
+a wider chord lies inside the polygon and so bounds every edge of its
+sector from below, and is halved only while that bound is not above the
+incumbent.  Every disjunct is solved or pruned by a proven bound, and the
+answer is the flat scan's, from 8-14 of 16 solves at N = 32 and 15 of 160
+at N = 320 on the 47-star sample.
 
 ``fit`` is the one path from a ``FitRequest`` to a ``FitResult``: one
 random stream, one solve per subproblem, the vertical subproblem or the
@@ -227,11 +231,13 @@ class _LinearResiduals:
     offset beta_0, which no chart constrains, and the slopes v[1:] move
     beta_-0 over an affine slice.  On observations X, A = [1, X G] and c =
     X g, so |A v + c| are the residuals of the plane beta(v) (``chart``).
-    The feasible set is stored split: ``bounds`` is an (n_params, 2) array
-    of per-parameter (lo, hi), infinite where open, and ``general`` holds
-    the (row, rhs) pairs of ``row . v <= rhs`` with two or more nonzeros.
-    A two-parameter chart has no general rows: its inequalities reduce to
-    an interval on v[1] (``slope_interval``).
+    The feasible set is stored once, as arrays: ``bounds`` is an (n_params,
+    2) array of per-parameter (lo, hi), infinite where open, and ``rows``
+    @ v <= ``rhs`` are its k general rows, (k, n_params) and (k,), each with
+    two or more nonzeros; k = 0 on every two-parameter chart, whose
+    inequalities reduce to bounds on v[1].  ``constraints`` reads both as
+    one list P v <= q, which feasibility, the exact enumeration's planes and
+    the active-set least squares share.
     """
 
     A: np.ndarray
@@ -239,7 +245,8 @@ class _LinearResiduals:
     G: np.ndarray
     g: np.ndarray
     bounds: np.ndarray
-    general: list
+    rows: np.ndarray
+    rhs: np.ndarray
 
     @classmethod
     def chart(cls, data: Dataset, G: np.ndarray, g: np.ndarray,
@@ -255,7 +262,7 @@ class _LinearResiduals:
         A = np.column_stack([np.ones(data.n), X @ G])
         bounds = np.array([(-np.inf, np.inf)] * A.shape[1])
         if rows is None:
-            return cls(A, X @ g, G, g, bounds, [])
+            return cls(A, X @ g, G, g, bounds, np.zeros((0, A.shape[1])), np.zeros(0))
         size = np.abs(rows)
         nz = size > 1e-15 * size.max(axis=1, keepdims=True)
         count = nz.sum(axis=1)
@@ -267,8 +274,9 @@ class _LinearResiduals:
         limit = rhs[single] / coef
         np.minimum.at(bounds[1:, 1], j[coef > 0], limit[coef > 0])
         np.maximum.at(bounds[1:, 0], j[coef < 0], limit[coef < 0])
-        general = [(np.r_[0.0, row], b) for row, b in zip(rows[count > 1], rhs[count > 1])]
-        return cls(A, X @ g, G, g, bounds, general)
+        general = rows[count > 1]
+        return cls(A, X @ g, G, g, bounds,
+                   np.column_stack([np.zeros(len(general)), general]), rhs[count > 1])
 
     @property
     def n_params(self) -> int:
@@ -280,36 +288,23 @@ class _LinearResiduals:
     def residuals(self, v: np.ndarray) -> np.ndarray:
         return np.abs(self.A @ v + self.c)
 
+    def constraints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every constraint as P v <= q: the finite bounds by parameter, a
+        lower bound lo as -v[j] <= -lo before an upper one, then the
+        general rows."""
+        j, side = np.nonzero(np.isfinite(self.bounds))
+        sign = 2.0 * side - 1.0
+        P = np.zeros((len(j) + len(self.rows), self.n_params))
+        P[np.arange(len(j)), j] = sign
+        P[len(j):] = self.rows
+        return P, np.concatenate([self.bounds[j, side] * sign, self.rhs])
+
     def feasible(self, v: np.ndarray, tol: float = 1e-9):
         """Whether v is feasible within tol; a block of points, parameters
         along its first axis, gives one answer per point."""
-        ok = True
-        for x, (lo, hi) in zip(v, self.bounds):
-            ok = ok & (x >= lo - tol) & (x <= hi + tol)
-        for row, rhs in self.general:
-            ok = ok & (np.tensordot(row, v, 1) <= rhs + tol)
-        return ok
-
-    def slope_interval(self) -> tuple[float, float]:
-        """Feasible interval of v[1] of a two-parameter problem."""
-        lo, hi = self.bounds[1]
-        return float(lo), float(hi)
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Cheap repeated projection: each sweep clips to the bounds, then
-        projects onto the violated general half-spaces in turn."""
-        lo, hi = self.bounds.T
-        for _ in range(8):
-            v = np.minimum(np.maximum(v, lo), hi)
-            done = True
-            for row, rhs in self.general:
-                gap = row @ v - rhs
-                if gap > 1e-12:
-                    v -= gap / (row @ row) * row
-                    done = False
-            if done:
-                break
-        return v
+        P, q = self.constraints()
+        ok = P @ np.reshape(v, (len(v), np.size(v) // len(v))) <= (q + tol)[:, None]
+        return ok.all(axis=0).reshape(np.shape(v)[1:])
 
 
 def _vertical_problem(data: Dataset) -> _LinearResiduals:
@@ -390,10 +385,9 @@ def _abs_value_lp(prob: _LinearResiduals, cost: np.ndarray, bounds: list,
         problem.rows.extend(zip(block.reshape(2 * n, nv), itertools.repeat("<="), sides))
     for row, rel, rhs in rows:
         problem.add_row(row, rel, rhs)
-    for row, rhs in prob.general:
-        full = np.zeros(nv)
-        full[:m] = row
-        problem.add_row(full, "<=", rhs)
+    general = np.zeros((len(prob.rhs), nv))
+    general[:, :m] = prob.rows
+    problem.rows.extend(zip(general, itertools.repeat("<="), prob.rhs.tolist()))
     return problem
 
 
@@ -446,7 +440,7 @@ def _solve_p1_exact(prob: _LinearResiduals, lam: np.ndarray) -> np.ndarray:
     """Exact p = 1 solve for nonnegative weights: the best vertex of one
     arrangement of planes P v = q in the m = ``n_params`` parameters.
 
-    The planes are one per finite bound and per general row, the zero planes
+    The planes are one per constraint (``constraints``), the zero planes
     A_i v = -c_i and, unless the weights are nonincreasing, the match planes
     (A_i +- A_j) v = -(c_i +- c_j), i < j.  On each cell of the arrangement
     the residual signs and the order of their magnitudes are fixed, so Phi
@@ -468,9 +462,8 @@ def _solve_p1_exact(prob: _LinearResiduals, lam: np.ndarray) -> np.ndarray:
     """
     A, c = prob.A, prob.c
     n, m = A.shape
-    k, side = np.nonzero(np.isfinite(prob.bounds))
-    planes = [np.eye(m)[k], *(row for row, _ in prob.general), A]
-    sides = [prob.bounds[k, side], [rhs for _, rhs in prob.general], -c]
+    P, q = prob.constraints()
+    planes, sides = [P, A], [q, -c]
     if not _nonincreasing(lam):
         i, j = np.triu_indices(n, 1)
         planes += [A[i] + A[j], A[i] - A[j]]
@@ -518,10 +511,10 @@ def _pair_slopes(prob: _LinearResiduals) -> tuple[np.ndarray, np.ndarray, np.nda
     """(u, w, cuts) of a two-parameter subproblem with residuals
     |v[0] + u + v[1] w|: ``cuts`` are the sorted distinct slopes at which two
     values of -(u + t w) cross, so their order is constant between two
-    cuts, clipped to ``slope_interval()``, with its finite ends and 0."""
+    cuts, clipped to the bounds of v[1], with its finite ends and 0."""
     u = prob.c.astype(float)
     w = prob.A[:, 1].astype(float)
-    t_lo, t_hi = prob.slope_interval()
+    t_lo, t_hi = prob.bounds[1].tolist()
     iu, ju = np.triu_indices(u.size, 1)
     dw = w[iu] - w[ju]
     mask = np.abs(dw) > 1e-14
@@ -621,7 +614,7 @@ def _solve_lts_2param(prob: _LinearResiduals, h: int) -> np.ndarray:
     exact least squares.
     """
     u, w, cuts = _pair_slopes(prob)
-    t_lo, t_hi = prob.slope_interval()
+    t_lo, t_hi = prob.bounds[1].tolist()
     n = u.size
     slopes = 0.5 * (cuts[1:] + cuts[:-1])
     if np.isinf(t_lo):
@@ -723,22 +716,28 @@ def _solve_p1_milp(prob: _LinearResiduals, lam: np.ndarray, node_limit: int) -> 
 
 
 def _least_squares(prob: _LinearResiduals, weights: np.ndarray) -> np.ndarray:
-    """Minimize sum_i weights[i] * r_i(v)^2 over the feasible set, exactly.
+    """Minimize sum_i weights[i] * r_i(v)^2 over the feasible set, exactly
+    (``_constrained_least_squares``)."""
+    sw = np.sqrt(weights)
+    return _constrained_least_squares(prob, prob.A * sw[:, None], -prob.c * sw)
+
+
+def _constrained_least_squares(prob: _LinearResiduals, A: np.ndarray,
+                               b: np.ndarray) -> np.ndarray:
+    """min ||A v - b||^2 over the feasible set of ``prob``, exactly.
 
     On two parameters the objective reduced to the slope is convex, so a
-    free slope outside the slope interval moves to its nearer end and the
-    offset is re-solved.  With more parameters an infeasible free solution
-    is replaced by active-set enumeration (``_active_set_least_squares``).
+    free slope outside its bounds moves to the nearer end and the offset is
+    re-solved.  With more parameters an infeasible free solution is replaced
+    by active-set enumeration (``_active_set_least_squares``).  With A = I
+    and b = v it is the Euclidean projection of v.
     """
-    sw = np.sqrt(weights)
-    A = prob.A * sw[:, None]
-    b = -prob.c * sw
     v, *_ = np.linalg.lstsq(A, b, rcond=None)
     if prob.n_params != 2:
         if prob.feasible(v, tol=1e-12):
             return v
         return _active_set_least_squares(prob, A, b)
-    t = float(np.clip(v[1], *prob.slope_interval()))
+    t = float(np.clip(v[1], *prob.bounds[1].tolist()))
     if t == v[1]:
         return v
     col = A[:, 0]
@@ -750,41 +749,31 @@ def _active_set_least_squares(prob: _LinearResiduals, A: np.ndarray,
     """min ||A v - b||^2 over the feasible set of ``prob`` by enumeration.
 
     The optimum is the least-squares point on the affine set where some
-    linearly independent subset of the constraint rows (finite bounds and
-    general rows) holds with equality, so every such subset of at most
+    linearly independent subset of the constraint rows P v <= q
+    (``constraints``) holds with equality, so every such subset of at most
     rank-many rows is solved (a QR of its rows gives a particular point and
     a null-space basis; least squares on the null space does the rest), and
     the best feasible one wins.  A d = 3 disjunct of the l1 or linf ball has
     at most 6 rows on 2 constrained parameters: 21 small solves.
     """
-    m = prob.n_params
-    rows = list(prob.general)
-    for j, (lo, hi) in enumerate(prob.bounds):
-        unit = np.eye(m)[j]
-        if np.isfinite(hi):
-            rows.append((unit, hi))
-        if np.isfinite(lo):
-            rows.append((-unit, -lo))
-    G = np.array([row for row, _ in rows])
-    h = np.array([rhs for _, rhs in rows])
-    best = (np.inf, None)
-    for k in range(1, np.linalg.matrix_rank(G) + 1):
-        for subset in itertools.combinations(range(len(rows)), k):
-            Q, R = np.linalg.qr(G[list(subset)].T, mode="complete")
+    P, q = prob.constraints()
+    points, vals = [], []
+    for k in range(1, np.linalg.matrix_rank(P) + 1):
+        for subset in map(list, itertools.combinations(range(len(P)), k)):
+            Q, R = np.linalg.qr(P[subset].T, mode="complete")
             diag = np.abs(np.diag(R[:k]))
             if diag.min() <= 1e-12 * diag.max():
                 continue  # dependent rows
-            base = Q[:, :k] @ np.linalg.solve(R[:k].T, h[list(subset)])
+            base = Q[:, :k] @ np.linalg.solve(R[:k].T, q[subset])
             Z = Q[:, k:]
             z, *_ = np.linalg.lstsq(A @ Z, b - A @ base, rcond=None)
-            v = base + Z @ z
-            if prob.feasible(v):
-                val = float(np.sum((A @ v - b) ** 2))
-                if val < best[0]:
-                    best = (val, v)
-    if best[1] is None:
+            points.append(base + Z @ z)
+            vals.append(float(np.sum((A @ points[-1] - b) ** 2)))
+    points = np.reshape(points, (-1, prob.n_params))
+    vals = np.where(prob.feasible(points.T), vals, np.inf)
+    if not np.any(vals < np.inf):
         raise SolverError("no feasible active set in constrained least squares")
-    return best[1]
+    return points[np.argmin(vals)]
 
 
 def _weighted_fit(prob: _LinearResiduals, weights: np.ndarray, p: float) -> np.ndarray:
@@ -868,7 +857,8 @@ def _conditional_gradient(prob: _LinearResiduals, lam: np.ndarray, p: float) -> 
 def _start_points(prob: _LinearResiduals, lam: np.ndarray, rng: SplitMix64,
                   count: int) -> list[np.ndarray]:
     """Least-squares/least-absolute starts, the matching quantile line, and
-    random elemental subsets (parameters interpolating n_params points)."""
+    random elemental subsets (parameters interpolating n_params points),
+    each projected exactly onto the feasible set when it lies outside."""
     n, m = prob.A.shape
     starts = []
     ones = np.ones(n)
@@ -898,7 +888,8 @@ def _start_points(prob: _LinearResiduals, lam: np.ndarray, rng: SplitMix64,
             except np.linalg.LinAlgError:
                 continue
             if np.all(np.isfinite(v)):
-                starts.append(prob.project(v))
+                starts.append(v if prob.feasible(v, tol=0.0) else
+                              _constrained_least_squares(prob, np.eye(m), v))
     if not starts:
         starts.append(np.zeros(m))
     return starts
@@ -998,8 +989,7 @@ def _solve_subproblem(prob: _LinearResiduals, criterion: Criterion, *,
     col = _unit_scale(prob.A)
     row = float(_unit_scale(prob.c))
     unit = _LinearResiduals(prob.A / col, prob.c / row, prob.G / col[1:], prob.g / row,
-                            prob.bounds * col[:, None] / row,
-                            [(a * row / col, b) for a, b in prob.general])
+                            prob.bounds * col[:, None] / row, prob.rows * row / col, prob.rhs)
     weights = lam / lam.max()
 
     if route == "lp":
@@ -1078,7 +1068,7 @@ def export_formulation(request: FitRequest, path, beta: np.ndarray | None = None
             scores = ball.vertices @ np.asarray(beta, dtype=float)[1:]
             g = int(np.argmax(scores))
         else:
-            g = _sign_distinct(ball.vertices)[0]
+            g = first_of_each_class(ball.vertices)[0]
         prob = _disjunct_problem(data, ball, g)
     if is_monotone(criterion):
         lpmod.export_lp_file(_build_monotone_lp(prob, criterion.lam), path)
@@ -1108,7 +1098,7 @@ def _solve_block(data: Dataset, block: Block, solve,
     disjunct per sign pair of facets of ``block.polar``, the set on whose
     boundary beta_-0 has dual norm 1.  In d >= 3 each is solved on the slice
     beta_-0 . b_g = 1 of its ball vertex b_g (``_disjunct_problem``), in
-    the order of ``_sign_distinct``.
+    the order of ``first_of_each_class``.
 
     A polygon's n_v polar vertices V are put in counter-clockwise order
     (``_polygon_vertices``), so its first n_v / 2 edges, from V[a] to
@@ -1139,7 +1129,7 @@ def _solve_block(data: Dataset, block: Block, solve,
     """
     solved = {}
     if block.polar.dim != 2:
-        for g in _sign_distinct(block.ball.vertices):
+        for g in first_of_each_class(block.ball.vertices):
             prob = _disjunct_problem(data, block.ball, g)
             val, v = solve(prob)
             solved[g] = (val, prob.to_beta(v))
@@ -1188,15 +1178,10 @@ def _polygon_vertices(block: Block) -> np.ndarray:
     and its mirror."""
     P = block.polar.vertices
     V = P[np.argsort(np.arctan2(P[:, 1], P[:, 0]), kind="stable")]
-    if len(V) != 2 * len(_sign_distinct(block.ball.vertices)):
+    if len(V) != 2 * len(first_of_each_class(block.ball.vertices)):
         raise GeometryError("a polar polygon needs one vertex per ball edge, "
                             "each extreme, in mirror pairs")
     return V
-
-
-def _sign_distinct(vertices: np.ndarray) -> list[int]:
-    """The first vertex of each +-pair (``first_of_each_class``), in order."""
-    return first_of_each_class(np.asarray(vertices, dtype=float))
 
 
 def _as_block(norm: NormSpec, d: int, N: int | Polytope = POLYTOPE_VERTICES) -> Block:

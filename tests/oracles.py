@@ -1,7 +1,9 @@
 """Reference computations that the tests check the library against.
 
-Neither is part of the library: a dense grid scan is no solver, and the
-telescoped centrum identity recomputes ``evaluate`` by another sum.
+None is part of the library: a dense grid scan is no solver, the
+telescoped centrum identity recomputes ``evaluate`` by another sum, and the
+alternating projection is an inexact stand-in for the exact one that the
+solvers make.
 """
 
 import math
@@ -99,3 +101,23 @@ def evaluate_rcentrum(criterion: Criterion, residuals) -> float:
         if diff != 0.0:
             total += diff * suffix[n - r + 1]
     return float(total)
+
+
+def alternating_projection(prob, v: np.ndarray) -> np.ndarray:
+    """Cheap repeated projection onto the feasible set of a subproblem: each
+    of at most 8 sweeps clips v to the bounds, then projects it onto the
+    violated general half-spaces in turn.  Not the Euclidean projection
+    where general rows meet, but feasible within round-off after a sweep
+    that changes nothing."""
+    lo, hi = prob.bounds.T
+    for _ in range(8):
+        v = np.minimum(np.maximum(v, lo), hi)
+        done = True
+        for row, rhs in zip(prob.rows, prob.rhs):
+            gap = row @ v - rhs
+            if gap > 1e-12:
+                v -= gap / (row @ row) * row
+                done = False
+        if done:
+            break
+    return v

@@ -532,7 +532,7 @@ def test_ltau_homogeneity(vec, scale):
 def test_polar_vertex_g_is_polygon_edge_g():
     from fractions import Fraction
 
-    from planefit.solvers import _sign_distinct
+    from planefit.geometry import first_of_each_class
 
     # the pruned 292-gon near tau = 1 has neighbouring facet normals within
     # 1.6e-11 of each other, and keeps one polar vertex per edge all the same
@@ -546,5 +546,5 @@ def test_polar_vertex_g_is_polygon_edge_g():
         ends = np.roll(poly.vertices, -1, axis=0)
         assert np.einsum("ij,ij->i", polar.vertices, ends) == pytest.approx(1.0, abs=1e-12)
         assert np.einsum("ij,ij->i", polar.vertices, poly.vertices) == pytest.approx(1.0, abs=1e-12)
-        assert _sign_distinct(polar.vertices) == list(range(n_v // 2))
-        assert _sign_distinct(poly.vertices) == list(range(n_v // 2))
+        assert first_of_each_class(polar.vertices) == list(range(n_v // 2))
+        assert first_of_each_class(poly.vertices) == list(range(n_v // 2))

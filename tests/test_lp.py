@@ -142,6 +142,18 @@ def test_standard_form_rows_match_reference_loop():
             assert got_offset == want_offset
 
 
+def test_add_row_rejects_a_row_of_the_wrong_length():
+    # as the constructor does: a 3-entry row on 2 variables would export a
+    # phantom x3 and fail to reshape in solve_lp
+    lp = LinearProgram(np.array([1.0, 1.0]))
+    for row in ([1.0, 2.0, 3.0], [1.0]):
+        with pytest.raises(ValueError, match="constraint row length mismatch"):
+            lp.add_row(row, "<=", 1.0)
+    assert lp.rows == []
+    with pytest.raises(ValueError, match="constraint row length mismatch"):
+        LinearProgram(np.array([1.0, 1.0]), rows=[([1.0, 2.0, 3.0], "<=", 1.0)])
+
+
 def test_iteration_limit_status():
     lp = LinearProgram(np.array([-1.0, -1.0]))
     for _ in range(4):

@@ -19,6 +19,7 @@ from planefit.geometry import (
     LTau,
     Polytope,
     Vertical,
+    first_of_each_class,
     inscribed_polytope,
     polar_polytope,
     residual_vector,
@@ -37,7 +38,7 @@ from planefit.solvers import (
     sd_measure,
 )
 
-from oracles import brute_force_fit_2d
+from oracles import alternating_projection, brute_force_fit_2d
 
 HEX = Polytope.from_vertices([(2, 0), (2, 2), (-1, 2), (-2, 0), (-2, -2), (1, -2)])
 _G = (1 + 5**0.5) / 2
@@ -264,7 +265,7 @@ def test_quantile_scan_matches_reference_loop(rng):
         data = Dataset.from_observations(np.round(rng.normal(size=(n, 2)) * 2.0, decimals))
         prob = _slope_problem(data, slope)
         u, w = prob.c.astype(float), prob.A[:, 1].astype(float)
-        t_lo, t_hi = prob.slope_interval()
+        t_lo, t_hi = prob.bounds[1]
         iu, ju = np.triu_indices(n, 1)
         dw = w[iu] - w[ju]
         mask = np.abs(dw) > 1e-14
@@ -424,14 +425,14 @@ def test_block_balls_fit_at_any_size(stars):
 
 def test_block_disjunct_completeness(rng):
     # best of individually solved disjuncts equals the reported objective
-    from planefit.solvers import _disjunct_problem, _sign_distinct, _solve_monotone_p1_lp
+    from planefit.solvers import _disjunct_problem, _solve_monotone_p1_lp
 
     data = random_dataset(rng, 10, 2)
     crit = preset("SUM", 10)
     blk = Block(HEX)
     r = fit(FitRequest(data, crit, blk))
     per_disjunct = []
-    for g in _sign_distinct(blk.ball.vertices):
+    for g in first_of_each_class(blk.ball.vertices):
         prob = _disjunct_problem(data, blk.ball, g)
         per_disjunct.append(_phi(prob, crit.lam, _solve_monotone_p1_lp(prob, crit.lam)))
     assert r.phi_star == pytest.approx(min(per_disjunct), rel=1e-9)
@@ -642,7 +643,7 @@ def test_monotone_lp_agrees_with_arrangement_enumeration(rng):
         assert len(terms) == n_terms
         problem = _build_monotone_lp(prob, lam)
         t_cols = [name for name in problem.names if name.startswith("t")]
-        assert len(problem.rows) == 2 * n * n_terms + len(prob.general)
+        assert len(problem.rows) == 2 * n * n_terms + len(prob.rhs)
         assert len(t_cols) == sum(k < n for k, _ in terms) == n_terms - (lam[0] > 0)
         assert problem.n_vars == prob.n_params + n * n_terms + len(t_cols)
         via_lp = _phi(prob, lam, _solve_monotone_p1_lp(prob, lam))
@@ -936,9 +937,9 @@ def test_slope_interval_is_the_bound_pair_of_the_slope(rng):
     rows = [(np.array([2.0]), 3.0), (np.array([-1.0]), 1.0),
             (np.array([1.0]), 4.0), (np.zeros(1), 0.0)]
     prob = build(rows)
-    assert prob.slope_interval() == (-1.0, 1.5)
+    assert tuple(prob.bounds[1]) == (-1.0, 1.5)
     assert prob.bounds.tolist() == [[-np.inf, np.inf], [-1.0, 1.5]]
-    assert prob.general == []
+    assert prob.rows.shape == (0, 2) and prob.rhs.shape == (0,)
     with pytest.raises(SolverError, match="constant"):
         build(rows + [(np.zeros(1), -1.0)])
 
@@ -955,7 +956,7 @@ def test_every_chart_and_its_unit_problem_map_parameters_to_their_plane(stars, r
     data3 = random_dataset(rng, 12, 3)
     V = solvers._polygon_vertices(solvers._as_block(LTau(2), 2))
     ball = solvers.l1_ball(3)
-    g = solvers._sign_distinct(ball.vertices)[0]
+    g = first_of_each_class(ball.vertices)[0]
     cases = ((data3, solvers._vertical_problem(data3)),
              (stars, solvers._chord_problem(stars, V[0], V[4])),
              (data3, solvers._disjunct_problem(data3, ball, g)))
@@ -1004,7 +1005,7 @@ def _split_reference(rows, rhs, m):
 
 
 def test_disjunct_rows_match_the_per_vertex_construction(stars, rng):
-    from planefit.solvers import _disjunct_problem, _LinearResiduals, _sign_distinct
+    from planefit.solvers import _disjunct_problem, _LinearResiduals
 
     # the array split is the per-row split, bit for bit, on the slopes v[1:]
     for m in (2, 3):
@@ -1014,8 +1015,8 @@ def test_disjunct_rows_match_the_per_vertex_construction(stars, rng):
                                       rows, rhs)
         bounds, general = _split_reference(rows, rhs, m)
         assert np.isinf(prob.bounds[0]).all() and np.array_equal(prob.bounds[1:], bounds)
-        assert len(prob.general) == len(general)
-        for (row, b), (want_row, want_b) in zip(prob.general, general):
+        assert prob.rows.shape == (len(general), m + 1) and prob.rhs.shape == (len(general),)
+        for row, b, (want_row, want_b) in zip(prob.rows, prob.rhs, general):
             assert row[0] == 0.0 and np.array_equal(row[1:], want_row) and b == want_b
     # the rows beta_-0 . b_h <= 1 of every disjunct, one dot product per
     # vertex b_h.  One matrix product rounds each two-term product
@@ -1026,7 +1027,7 @@ def test_disjunct_rows_match_the_per_vertex_construction(stars, rng):
     for tau in (Fraction(3, 2), Fraction(2), Fraction(3)):
         for N in (32, 320):
             ball = polar_polytope(inscribed_polytope(tau, N)[0])
-            for g in _sign_distinct(ball.vertices):
+            for g in first_of_each_class(ball.vertices):
                 b_g = ball.vertices[g]
                 base = b_g / (b_g @ b_g)
                 Q, _ = np.linalg.qr(np.column_stack([b_g, np.eye(2)]))
@@ -1035,7 +1036,7 @@ def test_disjunct_rows_match_the_per_vertex_construction(stars, rng):
                 rhs = np.array([1.0 - base @ b_h for b_h in others])
                 bounds, general = _split_reference(rows, rhs, 2)
                 assert general == [] and np.isinf(bounds[0]).all()
-                got = _disjunct_problem(stars, ball, g).slope_interval()
+                got = _disjunct_problem(stars, ball, g).bounds[1]
                 with np.errstate(divide="ignore"):
                     quotients = rhs / rows[:, 1]
                 for want, have in zip(bounds[1], got):
@@ -1060,7 +1061,7 @@ def test_disjunct_slope_bounds_match_exact_arithmetic(stars):
                  for (bx, by), a in zip(others, coef)]
     want = (max(q for q, a in zip(quotients, coef) if a < 0),
             min(q for q, a in zip(quotients, coef) if a > 0))
-    for have, exact in zip(_disjunct_problem(stars, ball, g).slope_interval(), want):
+    for have, exact in zip(_disjunct_problem(stars, ball, g).bounds[1], want):
         assert abs(Fraction(have) - exact) <= 16 * abs(Fraction(np.spacing(float(exact))))
 
 
@@ -1082,7 +1083,7 @@ def _exact_enum_reference(prob, lam):
     chunk = 200_000
     u = prob.c.astype(float)
     w = prob.A[:, 1].astype(float)
-    t_lo, t_hi = prob.slope_interval()
+    t_lo, t_hi = prob.bounds[1]
     n = u.size
     iu, ju = np.triu_indices(n, 1)
     La = np.concatenate([np.ones(n), np.full(iu.size, 2.0), np.zeros(iu.size)])
@@ -1120,7 +1121,7 @@ def test_exact_enum_matches_dedupe_reference(rng):
         # one decimal repeats values, so many crossings coincide
         data = Dataset.from_observations(np.round(rng.normal(size=(n, 2)) * 2.0, 1))
         prob = _slope_problem(data, slope)
-        t_lo, t_hi = prob.slope_interval()
+        t_lo, t_hi = prob.bounds[1]
         lams = (preset("MED", n).lam, preset("AkC", n, K=n // 3).lam,
                 rng.random(n) * (rng.random(n) < 0.5) + np.eye(n)[n // 2])
         for lam in lams:
@@ -1187,7 +1188,7 @@ def test_weight_shape_routes_match_dedupe_reference(rng):
     for n, slope in cases:
         data = Dataset.from_observations(np.round(rng.normal(size=(n, 2)) * 2.0, 1))
         prob = _slope_problem(data, slope)
-        t_lo, t_hi = prob.slope_interval()
+        t_lo, t_hi = prob.bounds[1]
         # ties from rounding, trailing zeros from the zeroed tail
         lam = np.sort(np.round(rng.random(n) * 3.0) / 3.0)[::-1].copy()
         lam[n - int(rng.integers(1, n // 2)):] = 0.0
@@ -1214,7 +1215,7 @@ def test_exact_enum_is_never_above_the_milp_on_milp_d3_subproblems():
     # stream), on three parameters
     from planefit.evaluation import synthetic_generate
     from planefit.rng import SplitMix64
-    from planefit.solvers import (NODE_LIMIT, _disjunct_problem, _sign_distinct,
+    from planefit.solvers import (NODE_LIMIT, _disjunct_problem,
                                   _solve_p1_exact, _solve_p1_milp, _vertical_problem)
 
     ball = l1_ball(3)
@@ -1227,7 +1228,8 @@ def test_exact_enum_is_never_above_the_milp_on_milp_d3_subproblems():
             data = synthetic_generate(n, 3, "Y", draws.next_u64())
             lam = preset(name, n).lam
             probs = ([_vertical_problem(data)] if residual == "vertical" else
-                     [_disjunct_problem(data, ball, g) for g in _sign_distinct(ball.vertices)])
+                     [_disjunct_problem(data, ball, g)
+                      for g in first_of_each_class(ball.vertices)])
             for prob in probs:
                 enum = _phi(prob, lam, _solve_p1_exact(prob, lam))
                 milp = _phi(prob, lam, _solve_p1_milp(prob, lam, NODE_LIMIT))
@@ -1272,7 +1274,7 @@ def test_med_and_akc_block_fits_match_oracle(rng):
         data = random_dataset(rng, n, 2)
         for name, tag in (("MED", "quantile-scan"), ("AkC", "exact-enum")):
             crit = preset(name, n)
-            for g in solvers._sign_distinct(ball.vertices):
+            for g in first_of_each_class(ball.vertices):
                 # the disjunct value picks the winner, so it must be the objective at v
                 prob = solvers._disjunct_problem(data, ball, g)
                 assert solvers._route(crit, prob.n_params) == tag
@@ -1299,7 +1301,7 @@ def test_weight_shape_routes_stay_exact_above_the_enumeration_cap():
     r = fit(FitRequest(data, akc, Block(ball)))
     assert r.solver_tag == "exact-enum"
     probs = [solvers._disjunct_problem(data, ball, g)
-             for g in solvers._sign_distinct(ball.vertices)]
+             for g in first_of_each_class(ball.vertices)]
     concentration = min(
         _phi(prob, akc.lam, solvers._solve_concentration(prob, akc.lam, 1.0, SplitMix64(0), 0))
         for prob in probs)
@@ -1373,7 +1375,7 @@ def _subgradient(prob, lam, p, v0, iters=5000, patience=500):
     """Test-only reference: projected subgradient descent on the ordered
     objective with diminishing steps, from ``v0``, keeping the best iterate;
     it stops after ``iters`` steps or ``patience`` steps without improving."""
-    v = prob.project(np.asarray(v0, dtype=float))
+    v = alternating_projection(prob, np.asarray(v0, dtype=float))
     signed = prob.A @ v + prob.c
     res = np.abs(signed)
     best_val = float(np.sort(res) ** p @ lam)
@@ -1388,7 +1390,7 @@ def _subgradient(prob, lam, p, v0, iters=5000, patience=500):
         norm = float(np.linalg.norm(grad))
         if norm < 1e-14:
             break
-        v = prob.project(v - (step0 / math.sqrt(it)) * grad / norm)
+        v = alternating_projection(prob, v - (step0 / math.sqrt(it)) * grad / norm)
         signed = prob.A @ v + prob.c
         res = np.abs(signed)
         val = float(np.sort(res) ** p @ lam)
@@ -1404,11 +1406,11 @@ def _subgradient(prob, lam, p, v0, iters=5000, patience=500):
 
 def _vertical_and_l1_problems(data):
     """The vertical problem and the first sign-distinct l1 disjunct of ``data``."""
-    from planefit.solvers import _as_block, _disjunct_problem, _sign_distinct, _vertical_problem
+    from planefit.solvers import _as_block, _disjunct_problem, _vertical_problem
 
     ball = _as_block(LTau(1), data.dim).ball
     return (_vertical_problem(data),
-            _disjunct_problem(data, ball, _sign_distinct(ball.vertices)[0]))
+            _disjunct_problem(data, ball, first_of_each_class(ball.vertices)[0]))
 
 
 def test_irls_is_never_above_descent_on_constant_weights():
@@ -1490,30 +1492,110 @@ def test_descent_fit_matches_nested_golden_section():
     assert r.phi_star == pytest.approx(reference, rel=1e-9)
 
 
-def test_project_in_2d_is_a_clip_of_the_slope(stars, rng):
-    from planefit.solvers import _disjunct_problem, _sign_distinct
+def _elemental_starts(monkeypatch, prob, points):
+    """(given, starts): the elemental points ``_start_points`` is handed,
+    ``points`` in turn and then its own solves, and the starts it makes of
+    them, its least-squares, LAD and quantile starts skipped."""
+    from planefit import solvers
+    from planefit.rng import SplitMix64
+
+    def failed(*args, **kwargs):
+        raise solvers.SolverError("skip the least-squares, LAD and quantile starts")
+
+    queue, given = list(points), []
+    solve = np.linalg.solve
+    m = prob.n_params
+
+    def elemental(a, b):
+        # the active-set solves are at most rank(P) <= m - 1 wide
+        if a.shape != (m, m):
+            return solve(a, b)
+        given.append(queue.pop(0).copy() if queue else solve(a, b))
+        return given[-1].copy()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_weighted_fit", failed)
+        patch.setattr(solvers, "_solve_quantile_2param", failed)
+        patch.setattr(np.linalg, "solve", elemental)
+        starts = solvers._start_points(prob, np.ones(prob.A.shape[0]), SplitMix64(0),
+                                       len(queue))
+    assert len(starts) == len(given)
+    return given, starts
+
+
+def test_project_in_2d_is_a_clip_of_the_slope(stars, rng, monkeypatch):
+    # an elemental start outside a chord's slope bounds is projected onto
+    # them: in d = 2, a clip of the slope, bit for bit
+    from planefit.solvers import _disjunct_problem
 
     ball = polar_polytope(inscribed_polytope(2, 32)[0])
-    for g in _sign_distinct(ball.vertices):
+    for g in first_of_each_class(ball.vertices):
         prob = _disjunct_problem(stars, ball, g)
-        assert prob.general == []
-        t_lo, t_hi = prob.slope_interval()
+        assert prob.rows.shape == (0, 2)
+        t_lo, t_hi = prob.bounds[1]
         assert np.isfinite(t_lo) and np.isfinite(t_hi)
-        for v in rng.normal(size=(20, 2)) * 3.0:
+        given, starts = _elemental_starts(monkeypatch, prob, rng.normal(size=(20, 2)) * 3.0)
+        for v, start in zip(given, starts):
             want = np.array([v[0], np.clip(v[1], t_lo, t_hi)])
-            assert prob.project(v).tobytes() == want.tobytes()
+            assert start.tobytes() == want.tobytes()
 
 
-def test_project_lands_feasible_on_d3_linf_disjunct(rng):
-    from planefit.solvers import _as_block, _disjunct_problem, _sign_distinct
+def test_project_lands_feasible_on_d3_linf_disjunct(rng, monkeypatch):
+    from planefit.solvers import _as_block, _disjunct_problem
 
     data = random_dataset(rng, 6, 3)
     ball = _as_block(LTau(math.inf), 3).ball
-    for g in _sign_distinct(ball.vertices):
+    for g in first_of_each_class(ball.vertices):
         prob = _disjunct_problem(data, ball, g)
-        assert prob.general  # d = 3 facets do not reduce to bounds
-        for v in rng.normal(size=(20, 3)) * 3.0:
-            assert prob.feasible(prob.project(v), tol=1e-9)
+        assert len(prob.rows)  # d = 3 facets do not reduce to bounds
+        _, starts = _elemental_starts(monkeypatch, prob, rng.normal(size=(20, 3)) * 3.0)
+        for start in starts:
+            assert prob.feasible(start, tol=1e-9)
+
+
+def test_start_projection_is_the_nearest_feasible_point_on_d3_disjuncts(rng, monkeypatch):
+    # an elemental start outside a d = 3 l1 or linf disjunct lands on the
+    # nearest feasible point: no feasible point sampled around it is nearer
+    from planefit.solvers import _as_block, _disjunct_problem
+
+    data = random_dataset(rng, 6, 3)
+    moved = 0
+    for tau in (1, math.inf):
+        ball = _as_block(LTau(tau), 3).ball
+        for g in first_of_each_class(ball.vertices):
+            prob = _disjunct_problem(data, ball, g)
+            given, starts = _elemental_starts(monkeypatch, prob, rng.normal(size=(20, 3)) * 3.0)
+            for v, start in zip(given, starts):
+                assert prob.feasible(start, tol=1e-9)
+                dist = float(np.linalg.norm(start - v))
+                moved += dist > 0.0
+                sample = start + rng.normal(size=(400, 3)) * (0.1 * dist)
+                near = sample[prob.feasible(sample.T, tol=0.0)]
+                assert np.all(np.linalg.norm(near - v, axis=1) >= dist * (1.0 - 1e-12))
+    assert moved >= 60
+
+
+def test_feasible_on_a_block_is_the_per_point_answer(stars, rng):
+    # the vertical chart has no constraints, a chord only bounds and a d = 3
+    # l1 disjunct general rows too
+    from planefit import solvers
+
+    data = random_dataset(rng, 8, 3)
+    V = solvers._polygon_vertices(solvers._as_block(LTau(2), 2))
+    ball = l1_ball(3)
+    probs = [solvers._vertical_problem(data), solvers._chord_problem(stars, V[0], V[4])]
+    probs += [solvers._disjunct_problem(data, ball, g) for g in first_of_each_class(ball.vertices)]
+    assert [len(prob.rows) for prob in probs[:2]] == [0, 0]
+    inside = []
+    for prob in probs:
+        block = rng.normal(size=(prob.n_params, 4, 50))
+        for tol in (0.0, 1e-9):
+            got = prob.feasible(block, tol=tol)
+            assert got.shape == (4, 50)
+            want = [[prob.feasible(block[:, i, j], tol=tol) for j in range(50)] for i in range(4)]
+            assert got.tolist() == want
+        inside.append(got.mean())
+    assert inside[0] == 1.0 and all(0.0 < share < 1.0 for share in inside[1:])
 
 
 def test_milp_fit_raises_at_the_node_limit():
@@ -1535,11 +1617,11 @@ def test_milp_fit_raises_at_the_node_limit():
 
 def _stars_32gon_disjuncts(stars):
     """Every sign-distinct disjunct of the 32-gon at tau = 3/2, 2 and 3."""
-    from planefit.solvers import _disjunct_problem, _sign_distinct
+    from planefit.solvers import _disjunct_problem
 
     for tau in (Fraction(3, 2), Fraction(2), Fraction(3)):
         ball = polar_polytope(inscribed_polytope(tau, 32)[0])
-        for g in _sign_distinct(ball.vertices):
+        for g in first_of_each_class(ball.vertices):
             yield _disjunct_problem(stars, ball, g)
 
 
@@ -1567,7 +1649,7 @@ def _nested_golden_reference(prob, weights, p, ordered=False, slopes=None):
     when ``ordered`` (for nondecreasing weights).  The objective is jointly
     convex, so its partial minimum over b0 is convex in t; the inner minimum
     lies between the weighted points."""
-    t_lo, t_hi = prob.slope_interval() if slopes is None else slopes
+    t_lo, t_hi = prob.bounds[1] if slopes is None else slopes
     u, a = prob.c, prob.A[:, 1]
 
     def reduced(t):
@@ -1587,7 +1669,7 @@ def test_weighted_fit_matches_nested_golden_section(stars):
 
     count = 0
     for k, prob in enumerate(_stars_32gon_disjuncts(stars)):
-        t_lo, t_hi = prob.slope_interval()
+        t_lo, t_hi = prob.bounds[1]
         if not (np.isfinite(t_lo) and np.isfinite(t_hi)):
             continue
         count += 1
@@ -1613,7 +1695,7 @@ def _sos_slice_reference(prob):
         return float(np.sum(prob.residuals(v) ** 2)), v
     if prob.n_params == 2:
         best = (np.inf, None)
-        for t in prob.slope_interval():
+        for t in prob.bounds[1]:
             if not np.isfinite(t):
                 continue
             col = prob.A[:, 0]
@@ -1624,17 +1706,17 @@ def _sos_slice_reference(prob):
                 best = (val, vv)
         if best[1] is not None:
             return best
-    v = prob.project(v)
+    v = alternating_projection(prob, v)
     return float(np.sum(prob.residuals(v) ** 2)), v
 
 
 def test_least_squares_matches_sos_slice_reference(stars, rng):
-    from planefit.solvers import _as_block, _disjunct_problem, _least_squares, _sign_distinct
+    from planefit.solvers import _as_block, _disjunct_problem, _least_squares
 
     probs = list(_stars_32gon_disjuncts(stars))
     data = random_dataset(rng, 12, 3)
     ball = _as_block(LTau(math.inf), 3).ball
-    probs += [_disjunct_problem(data, ball, g) for g in _sign_distinct(ball.vertices)]
+    probs += [_disjunct_problem(data, ball, g) for g in first_of_each_class(ball.vertices)]
     outside = 0
     for prob in probs:
         free, *_ = np.linalg.lstsq(prob.A, -prob.c, rcond=None)
@@ -1650,7 +1732,7 @@ def _kkt_error(prob, weights, v):
     """Largest violation of the KKT conditions of min sum w r^2 over the
     feasible set at v: feasibility, stationarity with the active rows and
     nonnegative multipliers, relative to the gradient's scale."""
-    rows = list(prob.general)
+    rows = list(zip(prob.rows, prob.rhs))
     for j, (lo, hi) in enumerate(prob.bounds):
         unit = np.eye(prob.n_params)[j]
         if np.isfinite(hi):
@@ -1674,7 +1756,7 @@ def _kkt_error(prob, weights, v):
 
 def test_least_squares_is_exact_on_d3_block_disjuncts():
     from planefit.evaluation import synthetic_generate
-    from planefit.solvers import _as_block, _disjunct_problem, _least_squares, _sign_distinct
+    from planefit.solvers import _as_block, _disjunct_problem, _least_squares
 
     constrained = 0
     for corruption in "XY":
@@ -1682,7 +1764,7 @@ def test_least_squares_is_exact_on_d3_block_disjuncts():
             data = synthetic_generate(40, 3, corruption, seed)
             for tau in (1, math.inf):
                 ball = _as_block(LTau(tau), 3).ball
-                for g in _sign_distinct(ball.vertices):
+                for g in first_of_each_class(ball.vertices):
                     prob = _disjunct_problem(data, ball, g)
                     weights = np.ones(data.n)
                     free, *_ = np.linalg.lstsq(prob.A, -prob.c, rcond=None)
@@ -1696,7 +1778,7 @@ def test_least_squares_is_exact_on_d3_block_disjuncts():
 
 
 def _sign_distinct_reference(vertices):
-    """The pairwise loop ``_sign_distinct`` replaced, with the tolerance
+    """The pairwise loop ``first_of_each_class`` replaced, with the tolerance
     taken at the vertices' scale: the least power of two at or above their
     largest |coordinate|."""
     from planefit.geometry import VERTEX_SYMMETRY_TOL
@@ -1725,8 +1807,7 @@ def _polar_dedupe_reference(vertices):
 
 
 def test_vertex_dedupes_match_reference_loops(rng):
-    from planefit.solvers import _sign_distinct
-
+    
     polys = [inscribed_polytope(Fraction(3, 2), N)[0] for N in (4, 32, 320)]
     polys += [l1_ball(2), linf_ball(2), l1_ball(3), linf_ball(3), HEX]
     for poly in polys:
@@ -1734,7 +1815,7 @@ def test_vertex_dedupes_match_reference_loops(rng):
         polar = polar_polytope(poly)
         assert np.array_equal(polar.vertices, _polar_dedupe_reference(raw))
         for verts in (poly.vertices, polar.vertices):
-            assert _sign_distinct(verts) == _sign_distinct_reference(verts)
+            assert first_of_each_class(verts) == _sign_distinct_reference(verts)
     # repeats, chains of near-duplicates and mirror images, where the greedy
     # first-occurrence choice depends on the order
     for _ in range(20):
@@ -1742,7 +1823,7 @@ def test_vertex_dedupes_match_reference_loops(rng):
         pts = np.vstack([base, base[:6] + 6e-11, -base[3:9], base[:4] + 1.2e-10,
                          -base[:5] + 8e-13, -base[:5] - 1.5e-12])
         pts = pts[rng.permutation(len(pts))]
-        assert _sign_distinct(pts) == _sign_distinct_reference(pts)
+        assert first_of_each_class(pts) == _sign_distinct_reference(pts)
 
 
 def _sector_values(data, crit, tau, N):
@@ -1888,15 +1969,14 @@ def test_block_polygons_are_searched_on_chords(monkeypatch, stars):
     # (tau = 11/10, N = 320) as a ball has edge normals about 1e-11 apart
     # near the axes, so neighbouring polar vertices are nearly collinear:
     # every one is still a vertex of the search
-    from planefit.solvers import _sign_distinct
-
+    
     k = np.arange(24) * math.pi / 12
     ellipse = Polytope.from_vertices(np.column_stack([2.0 * np.cos(k), np.sin(k)]))
     fine, _ = inscribed_polytope(Fraction(11, 10), 320)
     calls = _count_solves(monkeypatch)
     for ball, n_v in ((ellipse, 24), (HEX, 6), (l1_ball(2), 4), (linf_ball(2), 4), (fine, 292)):
         block = Block(ball)
-        assert len(_sign_distinct(ball.vertices)) == n_v // 2
+        assert len(first_of_each_class(ball.vertices)) == n_v // 2
         for name in ("MED", "SUM", "SOS", "1.5SUM"):
             crit = preset(name, stars.n)
             calls.clear()
@@ -2094,7 +2174,7 @@ def _lts_subset_reference(prob, h):
     """Least sum of h squared residuals by enumerating every h-subset, each
     fitted by the closed-form least squares with the slope clipped."""
     u, w = prob.c.astype(float), prob.A[:, 1].astype(float)
-    t_lo, t_hi = prob.slope_interval()
+    t_lo, t_hi = prob.bounds[1]
     best = np.inf
     for subset in itertools.combinations(range(u.size), h):
         us, ws = u[list(subset)], w[list(subset)]
@@ -2115,9 +2195,9 @@ def test_lts_scan_matches_h_subset_enumeration(rng):
         probs = [solvers._vertical_problem(data)]
         for ball in (l1_ball(2), linf_ball(2)):
             probs += [solvers._disjunct_problem(data, ball, g)
-                      for g in solvers._sign_distinct(ball.vertices)]
+                      for g in first_of_each_class(ball.vertices)]
         for prob in probs:
-            t_lo, t_hi = prob.slope_interval()
+            t_lo, t_hi = prob.bounds[1]
             for h in range(2, n):
                 v = solvers._solve_lts_2param(prob, h)
                 sse = float(np.sum(np.sort(prob.residuals(v))[:h] ** 2))
@@ -2135,7 +2215,7 @@ def test_lts_scan_is_never_above_concentration(rng):
         ball = l1_ball(2)
         probs = [solvers._vertical_problem(data)] + [
             solvers._disjunct_problem(data, ball, g)
-            for g in solvers._sign_distinct(ball.vertices)]
+            for g in first_of_each_class(ball.vertices)]
         for prob in probs:
             assert solvers._route(crit, prob.n_params) == "lts-scan"
             val, _ = solvers._solve_subproblem(prob, crit, rng=SplitMix64(0),
